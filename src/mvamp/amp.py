@@ -87,23 +87,29 @@ class AMPTrace:
     def iterations(self) -> int:
         return len(self.Q_hat) - 1
 
-    def to_csv(self, path: str, trial: int = 0, seed: int | None = None, version: str = ""):
+    def csv_header(self) -> list:
         d = self.d
+        header = ["trial", "t"]
+        header += [f"F_hat_{a + 1}{b + 1}" for a in range(d) for b in range(d)]
+        header += [f"Q_hat_{a + 1}{b + 1}" for a in range(d) for b in range(d)]
+        header += [f"mse_block_{j + 1}" for j in range(d)]
+        return header + ["seed", "version"]
+
+    def csv_rows(self, trial: int, seed: int | None, version: str):
+        """One row per iteration, in the column order of ``csv_header``."""
+        for i in range(len(self.Q_hat)):
+            row = [trial, i]
+            row += [repr(float(v)) for v in np.asarray(self.F_hat[i]).ravel()]
+            row += [repr(float(v)) for v in np.asarray(self.Q_hat[i]).ravel()]
+            row += [repr(float(v)) for v in np.asarray(self.mse[i]).ravel()]
+            row += [seed if seed is not None else "", version]
+            yield row
+
+    def to_csv(self, path: str, trial: int = 0, seed: int | None = None, version: str = ""):
         with open(path, "w", newline="") as fh:
             wr = csv.writer(fh)
-            header = ["trial", "t"]
-            header += [f"F_hat_{a + 1}{b + 1}" for a in range(d) for b in range(d)]
-            header += [f"Q_hat_{a + 1}{b + 1}" for a in range(d) for b in range(d)]
-            header += [f"mse_block_{j + 1}" for j in range(d)]
-            header += ["seed", "version"]
-            wr.writerow(header)
-            for i in range(len(self.Q_hat)):
-                row = [trial, i]
-                row += [repr(float(v)) for v in np.asarray(self.F_hat[i]).ravel()]
-                row += [repr(float(v)) for v in np.asarray(self.Q_hat[i]).ravel()]
-                row += [repr(float(v)) for v in np.asarray(self.mse[i]).ravel()]
-                row += [seed if seed is not None else "", version]
-                wr.writerow(row)
+            wr.writerow(self.csv_header())
+            wr.writerows(self.csv_rows(trial, seed, version))
 
 
 def init_side_information(X: np.ndarray, rho: float, seed) -> np.ndarray:

@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .amp import AMPConfig, DivergenceError, run_symmetric
+from .amp import AMPConfig, AMPTrace, DivergenceError, run_symmetric
 from .denoise import DomainError
-from .limits import KLTable, limits_sweep, variational_solve
+# KLTable and variational_solve stay importable here: perfbench/tracing.py wraps them by name.
+from .limits import KLTable, SweepRow, limits_sweep, variational_solve  # noqa: F401
 from .model import (
     BlockPriorProfile,
     CouplingSet,
@@ -275,50 +276,39 @@ def cmd_se(cfg: ExperimentConfig, out_dir: str, seed: int) -> int:
     return 0
 
 
-def _run_trials(cfg: ExperimentConfig, seed: int, jobs: int):
-    ms = cfg.model
-    amp_base = AMPConfig(
-        max_iter=cfg.amp.max_iter, rho=cfg.amp.rho, correction=cfg.amp.correction
-    )
-
-    def one(trial: int):
-        inst_seed = _trial_seed(seed, 0, trial)
-        run_seed = _trial_seed(seed, 1, trial)
-        X = sample_signal(ms.profile, ms.n, inst_seed)
-        inst = synthesize_symmetric(X, ms.couplings, inst_seed, profile=ms.profile)
-        from dataclasses import replace
-
-        trace = run_symmetric(inst, replace(amp_base, seed=run_seed))
-        return trial, inst_seed, trace
-
+def _pmap(fn, items, jobs: int) -> list:
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, range(cfg.amp.trials)))
-    else:
-        results = [one(t) for t in range(cfg.amp.trials)]
-    return results
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
+def _run_trial(profile: BlockPriorProfile, couplings: CouplingSet, n: int,
+               amp: AmpSection, inst_seed: int, run_seed: int) -> AMPTrace:
+    """One AMP Monte Carlo trial on a freshly drawn instance."""
+    X = sample_signal(profile, n, inst_seed)
+    inst = synthesize_symmetric(X, couplings, inst_seed, profile=profile)
+    return run_symmetric(inst, AMPConfig(max_iter=amp.max_iter, rho=amp.rho, seed=run_seed,
+                                         correction=amp.correction))
 
 
 def cmd_simulate(cfg: ExperimentConfig, out_dir: str, seed: int, jobs: int) -> int:
     if cfg.model is None:
         raise ConfigError("model", "the simulate command needs a model section")
-    d = cfg.model.d
-    results = _run_trials(cfg, seed, jobs)
+    ms, d = cfg.model, cfg.model.d
+
+    def one(trial: int):
+        inst_seed = _trial_seed(seed, 0, trial)
+        trace = _run_trial(ms.profile, ms.couplings, ms.n, cfg.amp,
+                           inst_seed, _trial_seed(seed, 1, trial))
+        return trial, inst_seed, trace
+
+    results = _pmap(one, range(cfg.amp.trials), jobs)
     with open(os.path.join(out_dir, "trace.csv"), "w", newline="") as fh:
         wr = csv.writer(fh)
-        header = ["trial", "t"]
-        header += [f"F_hat_{a + 1}{b + 1}" for a in range(d) for b in range(d)]
-        header += [f"Q_hat_{a + 1}{b + 1}" for a in range(d) for b in range(d)]
-        header += [f"mse_block_{j + 1}" for j in range(d)] + ["seed", "version"]
-        wr.writerow(header)
+        wr.writerow(results[0][2].csv_header())
         for trial, inst_seed, trace in results:
-            for i in range(len(trace.Q_hat)):
-                row = [trial, i]
-                row += [_fmt(v) for v in np.asarray(trace.F_hat[i]).ravel()]
-                row += [_fmt(v) for v in np.asarray(trace.Q_hat[i]).ravel()]
-                row += [_fmt(v) for v in np.asarray(trace.mse[i]).ravel()]
-                row += [inst_seed, VERSION_TAG]
-                wr.writerow(row)
+            wr.writerows(trace.csv_rows(trial, inst_seed, VERSION_TAG))
     n_t = min(len(tr.Q_hat) for _, _, tr in results)
     with open(os.path.join(out_dir, "aggregate.csv"), "w", newline="") as fh:
         wr = csv.writer(fh)
@@ -359,11 +349,15 @@ def cmd_stability(cfg: ExperimentConfig, out_dir: str, seed: int) -> int:
     return 0
 
 
-def cmd_limits(cfg: ExperimentConfig, out_dir: str, seed: int, jobs: int) -> int:
+def _eps_priors(eps: float) -> list:
+    """The two-block sweep profile: Rademacher block 1, BG(eps) block 2."""
+    return [ScalarPrior.rademacher(), ScalarPrior.bernoulli_gaussian(eps)]
+
+
+def cmd_limits(cfg: ExperimentConfig, out_dir: str, seed: int) -> int:
     if cfg.sweep is None:
         raise ConfigError("sweep", "the limits command needs a sweep section")
     sw = cfg.sweep
-    rad = ScalarPrior.rademacher()
     path = os.path.join(out_dir, "limits.csv")
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
@@ -372,8 +366,8 @@ def cmd_limits(cfg: ExperimentConfig, out_dir: str, seed: int, jobs: int) -> int
              "branch_flag", "seed", "version"]
         )
         for eps in sw.eps:
-            priors = [rad, ScalarPrior.bernoulli_gaussian(eps)]
-            rows = limits_sweep(priors, sw.beta, sw.xi, sw.target_norms, grid_res=sw.grid_res)
+            rows = limits_sweep(_eps_priors(eps), sw.beta, sw.xi, sw.target_norms,
+                                grid_res=sw.grid_res)
             for row in rows:
                 wr.writerow(
                     [_fmt(eps), _fmt(row.c), _fmt(row.norm_Tc)]
@@ -385,43 +379,28 @@ def cmd_limits(cfg: ExperimentConfig, out_dir: str, seed: int, jobs: int) -> int
     return 0
 
 
-def _phase_point(sw: SweepSection, eps: float, target: float, seed: int,
-                 amp_cfg: AmpSection, kl_tables, idx: int):
-    """One (eps, c) cell: variational bound, SE prediction, AMP Monte Carlo."""
-    rad = ScalarPrior.rademacher()
-    priors = (rad, ScalarPrior.bernoulli_gaussian(eps))
+def _phase_point(cfg: ExperimentConfig, eps: float, bound: SweepRow, seed: int, idx: int) -> list:
+    """One (eps, c) CSV row: AMP Monte Carlo and the SE prediction next to the
+    variational bound row of the same point."""
+    sw = cfg.sweep
     beta = np.asarray(sw.beta, float)
-    base_norm = float(np.linalg.norm(np.diag(beta) @ sw.xi, 2))
-    c = target / base_norm
-    lam_sq = c * sw.xi
-    profile = BlockPriorProfile(priors, tuple(beta))
-    model = OverlapModel(profile)
-    couplings = CouplingSet.heteroskedastic(np.sqrt(lam_sq))
-    op = OperatorT(couplings)
-    res = variational_solve(list(priors), beta, lam_sq, grid_res=sw.grid_res,
-                            kl_tables=kl_tables, model=model)
-    traj = run_se(model, op, np.diag(amp_cfg.rho * beta), max_iter=2000)
+    profile = BlockPriorProfile(tuple(_eps_priors(eps)), tuple(beta))
+    couplings = CouplingSet.heteroskedastic(np.sqrt(bound.c * sw.xi))
+    traj = run_se(OverlapModel(profile, cfg.se.quad_order), OperatorT(couplings),
+                  np.diag(cfg.amp.rho * beta), tol=cfg.se.tol, max_iter=cfg.se.max_iter)
     se_mse = np.clip(1.0 - traj.q_star / beta, 0.0, None)
-    mses = []
-    for trial in range(sw.trials):
-        inst_seed = _trial_seed(seed, idx, trial, 0)
-        run_seed = _trial_seed(seed, idx, trial, 1)
-        X = sample_signal(profile, sw.n, inst_seed)
-        inst = synthesize_symmetric(X, couplings, inst_seed, profile=profile)
-        cfga = AMPConfig(max_iter=amp_cfg.max_iter, rho=amp_cfg.rho, seed=run_seed,
-                         correction=amp_cfg.correction)
-        mses.append(run_symmetric(inst, cfga).mse[-1])
-    mses = np.array(mses)
-    return {
-        "eps": eps,
-        "c": c,
-        "norm_Tc": target,
-        "amp_mse": mses.mean(axis=0),
-        "amp_stderr": mses.std(axis=0, ddof=1) / np.sqrt(len(mses)) if len(mses) > 1 else np.zeros(2),
-        "se_mse": se_mse,
-        "bound": res.mmse_bounds,
-        "branch": "upper" if res.q_star.max() > 1e-6 else "lower",
-    }
+    mses = np.array([
+        _run_trial(profile, couplings, sw.n, cfg.amp,
+                   _trial_seed(seed, idx, trial, 0), _trial_seed(seed, idx, trial, 1)).mse[-1]
+        for trial in range(sw.trials)
+    ])
+    stderr = (mses.std(axis=0, ddof=1) / np.sqrt(len(mses)) if len(mses) > 1
+              else np.zeros(len(beta)))
+    return (
+        [_fmt(eps), _fmt(bound.c), _fmt(bound.norm_Tc)]
+        + [_fmt(v) for v in np.concatenate([mses.mean(axis=0), stderr, se_mse, bound.mmse_bounds])]
+        + [bound.branch_flag, seed, VERSION_TAG]
+    )
 
 
 _PHASE_HEADER = [
@@ -439,43 +418,27 @@ def cmd_phase_diagram(cfg: ExperimentConfig, out_dir: str, seed: int, jobs: int,
     sw = cfg.sweep
     path = os.path.join(out_dir, "phase_diagram.csv")
     done = set()
-    rows = []
     if resume and os.path.exists(path):
         with open(path) as fh:
             for row in csv.DictReader(fh):
                 done.add((float(row["eps"]), float(row["norm_Tc"])))
-                rows.append(row)
-    beta = np.asarray(sw.beta, float)
-    s_cap = float(
-        (max(sw.target_norms) / np.linalg.norm(np.diag(beta) @ sw.xi, 2) * sw.xi @ beta).max()
-    ) * 1.001
-    # group pending points by eps so KL tables are built once per prior pair
-    by_eps = {}
-    idx = 0
-    for eps in sw.eps:
-        for target in sw.target_norms:
-            idx += 1
-            if (eps, target) in done:
-                continue
-            by_eps.setdefault(eps, []).append((float(target), idx))
-
+    n_targets = len(sw.target_norms)
     new_rows = []
     interrupted = False
     try:
-        for eps, tl in by_eps.items():
-            rad = ScalarPrior.rademacher()
-            tables = [KLTable(rad, s_cap), KLTable(ScalarPrior.bernoulli_gaussian(eps), s_cap)]
-
-            def solve_one(args):
-                target, i = args
-                return _phase_point(sw, eps, target, seed, cfg.amp, tables, i)
-
-            if jobs > 1:
-                with ThreadPoolExecutor(max_workers=jobs) as pool:
-                    outs = list(pool.map(solve_one, tl))
-            else:
-                outs = [solve_one(a) for a in tl]
-            new_rows.extend(outs)
+        for e, eps in enumerate(sw.eps):
+            pending = [k for k, t in enumerate(sw.target_norms) if (eps, t) not in done]
+            if not pending:
+                continue
+            # the bound is solved on the full target list, exactly as limits.csv,
+            # so a resumed point gets the same table range and transition flag
+            bounds = limits_sweep(_eps_priors(eps), sw.beta, sw.xi, sw.target_norms,
+                                  grid_res=sw.grid_res)
+            # a point's seed index is its 1-based position in the eps x target grid
+            new_rows.extend(_pmap(
+                lambda k: _phase_point(cfg, eps, bounds[k], seed, e * n_targets + k + 1),
+                pending, jobs,
+            ))
     except KeyboardInterrupt:
         interrupted = True
 
@@ -484,15 +447,7 @@ def cmd_phase_diagram(cfg: ExperimentConfig, out_dir: str, seed: int, jobs: int,
         wr = csv.writer(fh)
         if mode == "w":
             wr.writerow(_PHASE_HEADER)
-        for r in new_rows:
-            wr.writerow(
-                [_fmt(r["eps"]), _fmt(r["c"]), _fmt(r["norm_Tc"])]
-                + [_fmt(v) for v in r["amp_mse"]]
-                + [_fmt(v) for v in r["amp_stderr"]]
-                + [_fmt(v) for v in r["se_mse"]]
-                + [_fmt(v) for v in r["bound"]]
-                + [r["branch"], seed, VERSION_TAG]
-            )
+        wr.writerows(new_rows)
     _write_manifest(cfg, "phase-diagram", seed, out_dir)
     if cfg.svg and not interrupted:
         _write_phase_svg(path, os.path.join(out_dir, "phase_diagram.svg"))
@@ -589,7 +544,7 @@ def main(argv=None) -> int:
         if args.command == "stability":
             return cmd_stability(cfg, out_dir, seed)
         if args.command == "limits":
-            return cmd_limits(cfg, out_dir, seed, args.jobs)
+            return cmd_limits(cfg, out_dir, seed)
         return cmd_phase_diagram(cfg, out_dir, seed, args.jobs, args.resume)
     except ConfigError as exc:
         print(exc, file=sys.stderr)

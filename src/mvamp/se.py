@@ -212,17 +212,12 @@ class OperatorT:
         return self.couplings.hadamard_square_sum()
 
 
-def apply_T(op: OperatorT, Q: np.ndarray) -> np.ndarray:
-    return op.apply(Q)
-
-
 @dataclass(frozen=True)
 class OverlapModel:
     """Block prior profile plus quadrature settings for the overlap map."""
 
     profile: BlockPriorProfile
     quad_order: int = 61
-    mc_samples: int = 10**7
 
     @property
     def d(self) -> int:

@@ -214,3 +214,41 @@ def test_default_target_norm_grid():
     mid = arr[(arr > 0.85) & (arr < 1.2)]
     outer = arr[(arr > 2.0) & (arr < 3.0)]
     assert np.diff(mid).mean() < np.diff(outer).mean() / 2
+
+
+def test_phase_diagram_bound_equals_limits(tmp_path):
+    # targets straddle the threshold at ||T_c||op = 1, so one point is a transition
+    path = sweep_cfg(tmp_path, [0.7, 0.95, 1.05, 1.4], out="shared", trials=1, n=300,
+                     eps=(1.0,))
+    assert cli.main(["limits", "--config", path]) == 0
+    assert cli.main(["phase-diagram", "--config", path]) == 0
+    limits = list(csv.DictReader(open(tmp_path / "shared" / "limits.csv")))
+    phase = list(csv.DictReader(open(tmp_path / "shared" / "phase_diagram.csv")))
+    assert "transition" in {r["branch_flag"] for r in limits}
+    cols = ["eps", "c", "norm_Tc", "mmse_bound_1", "mmse_bound_2", "branch_flag"]
+    assert [[r[k] for k in cols] for r in phase] == [[r[k] for k in cols] for r in limits]
+
+
+def test_phase_diagram_se_uses_se_section(tmp_path):
+    from mvamp.model import BlockPriorProfile, CouplingSet, ScalarPrior
+    from mvamp.se import OperatorT, OverlapModel, run_se
+
+    se = {"tol": 1e-12, "max_iter": 2, "quad_order": 41}
+    raw = json.loads(open(sweep_cfg(tmp_path, [0.8, 1.8], out="se_cfg", trials=1, n=200)).read())
+    raw["se"] = se
+    path = write_cfg(tmp_path, raw, name="se_sweep.json")
+    assert cli.main(["phase-diagram", "--config", path]) == 0
+    rows = list(csv.DictReader(open(tmp_path / "se_cfg" / "phase_diagram.csv")))
+    assert len(rows) == 2
+    beta = np.array([0.6, 0.4])
+    xi = np.array([[0.7, 0.3], [0.3, 0.7]])
+    profile = BlockPriorProfile(
+        (ScalarPrior.rademacher(), ScalarPrior.bernoulli_gaussian(0.5)), tuple(beta)
+    )
+    for row in rows:
+        op = OperatorT(CouplingSet.heteroskedastic(np.sqrt(float(row["c"]) * xi)))
+        traj = run_se(OverlapModel(profile, se["quad_order"]), op, np.diag(0.05 * beta),
+                      tol=se["tol"], max_iter=se["max_iter"])
+        assert traj.iterations == 2 and not traj.converged
+        for j in range(2):
+            assert float(row[f"se_mse_{j + 1}"]) == 1.0 - traj.q_star[j] / beta[j]
