@@ -136,6 +136,28 @@ def _column_mse(X, M) -> np.ndarray:
     return np.square(X - M).mean(axis=0) * X.shape[0] / np.maximum(1, (X != 0).sum(axis=0))
 
 
+def _check_block_support(X, slices):
+    """Raise DomainError unless column j of X is zero outside block j's rows."""
+    if X.shape[1] != len(slices):
+        raise DomainError(f"signal width {X.shape[1]} != d={len(slices)} of the profile")
+    for j, sl in enumerate(slices):
+        col = X[:, j]
+        if np.any(col[:sl.start]) or np.any(col[sl.stop:]):
+            raise DomainError(
+                f"signal column {j + 1} has a nonzero entry outside block {j + 1} "
+                f"(rows {sl.start}:{sl.stop}); the block product needs X zero off its "
+                "block, so pass an explicit denoiser to run the dense product"
+            )
+
+
+def _block_product(Y, M, slices) -> np.ndarray:
+    """Y @ M for M zero outside its blocks: column j is Y[:, sl_j] @ M[sl_j, j]."""
+    out = np.empty((Y.shape[0], len(slices)))
+    for j, sl in enumerate(slices):
+        out[:, j] = Y[:, sl] @ M[sl, j]
+    return out
+
+
 def run_symmetric(
     instance: MTPInstance,
     config: AMPConfig,
@@ -149,6 +171,15 @@ def run_symmetric(
     s_j = [T(Q_hat)]_{jj}) together with diag(s); the returned divergence is
     taken w.r.t. that standardized input and the engine chain-rules it back.
     The Onsager term always uses this empirical divergence (unless ablated).
+
+    With the profile denoiser every M^t is zero outside its blocks (column j
+    lives on the rows of block j), so each view's product Y_k M is formed
+    block by block, column j as Y_k[:, block j] @ M[block j, j]; this skips
+    the structural zeros of M and equals the dense product up to the last
+    ulps. It requires X to be zero outside its blocks, as every instance the
+    package builds is (M^0 shares the support of X); a DomainError naming the
+    block is raised otherwise. A ``denoiser=`` hook may return a dense M, so
+    it runs the dense product Y_k @ M and needs no such support.
     """
     X = instance.X
     n, d = X.shape
@@ -161,14 +192,16 @@ def run_symmetric(
             raise DomainError("need one reweighting matrix per view")
     op = OperatorT(instance.couplings)
     profile = instance.profile
-    if denoiser is None:
+    slices = profile.block_slices(n) if profile is not None else None
+    block_product = denoiser is None
+    if block_product:
         if profile is None:
             raise DomainError("instance has no profile; pass an explicit denoiser")
+        _check_block_support(X, slices)
 
         def denoiser(Xt, params):
             return block_denoiser(profile, params, Xt)
 
-    slices = profile.block_slices(n) if profile is not None else None
     M_prev = init_side_information(X, config.rho, tagged_stream(config.seed, _INIT_TAG))
     M_prev2 = np.zeros_like(M_prev)
     B_prev = np.zeros((d, d))
@@ -189,7 +222,8 @@ def run_symmetric(
         with np.errstate(invalid="ignore", over="ignore"):
             Xt = -M_prev2 @ B_prev.T
             for Yk, Ak in zip(instance.observations, A):
-                Xt += Yk @ M_prev @ Ak.T
+                YM = _block_product(Yk, M_prev, slices) if block_product else Yk @ M_prev
+                Xt += YM @ Ak.T
         if not np.isfinite(Xt).all():
             raise DivergenceError(t)
         # the iterate's law is X S_t + Z with row covariance S_t = T(Q_hat);

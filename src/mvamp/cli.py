@@ -379,9 +379,10 @@ def cmd_limits(cfg: ExperimentConfig, out_dir: str, seed: int) -> int:
     return 0
 
 
-def _phase_point(cfg: ExperimentConfig, eps: float, bound: SweepRow, seed: int, idx: int) -> list:
+def _phase_point(cfg: ExperimentConfig, eps: float, bound: SweepRow, seed: int,
+                 idx: int) -> tuple[list, bool]:
     """One (eps, c) CSV row: AMP Monte Carlo and the SE prediction next to the
-    variational bound row of the same point."""
+    variational bound row of the same point; also whether that SE converged."""
     sw = cfg.sweep
     beta = np.asarray(sw.beta, float)
     profile = BlockPriorProfile(tuple(_eps_priors(eps)), tuple(beta))
@@ -396,11 +397,12 @@ def _phase_point(cfg: ExperimentConfig, eps: float, bound: SweepRow, seed: int, 
     ])
     stderr = (mses.std(axis=0, ddof=1) / np.sqrt(len(mses)) if len(mses) > 1
               else np.zeros(len(beta)))
-    return (
+    row = (
         [_fmt(eps), _fmt(bound.c), _fmt(bound.norm_Tc)]
         + [_fmt(v) for v in np.concatenate([mses.mean(axis=0), stderr, se_mse, bound.mmse_bounds])]
         + [bound.branch_flag, seed, VERSION_TAG]
     )
+    return row, traj.converged
 
 
 _PHASE_HEADER = [
@@ -424,6 +426,7 @@ def cmd_phase_diagram(cfg: ExperimentConfig, out_dir: str, seed: int, jobs: int,
                 done.add((float(row["eps"]), float(row["norm_Tc"])))
     n_targets = len(sw.target_norms)
     new_rows = []
+    unconverged = []
     interrupted = False
     try:
         for e, eps in enumerate(sw.eps):
@@ -435,10 +438,14 @@ def cmd_phase_diagram(cfg: ExperimentConfig, out_dir: str, seed: int, jobs: int,
             bounds = limits_sweep(_eps_priors(eps), sw.beta, sw.xi, sw.target_norms,
                                   grid_res=sw.grid_res)
             # a point's seed index is its 1-based position in the eps x target grid
-            new_rows.extend(_pmap(
+            points = _pmap(
                 lambda k: _phase_point(cfg, eps, bounds[k], seed, e * n_targets + k + 1),
                 pending, jobs,
-            ))
+            )
+            for k, (row, converged) in zip(pending, points):
+                new_rows.append(row)
+                if not converged:
+                    unconverged.append((eps, sw.target_norms[k]))
     except KeyboardInterrupt:
         interrupted = True
 
@@ -451,7 +458,12 @@ def cmd_phase_diagram(cfg: ExperimentConfig, out_dir: str, seed: int, jobs: int,
     _write_manifest(cfg, "phase-diagram", seed, out_dir)
     if cfg.svg and not interrupted:
         _write_phase_svg(path, os.path.join(out_dir, "phase_diagram.svg"))
-    return 4 if interrupted else 0
+    for eps, target in unconverged:
+        print(f"state evolution did not converge within max_iter at eps={eps}, "
+              f"norm_Tc={target}", file=sys.stderr)
+    if interrupted:
+        return 4
+    return 3 if unconverged else 0
 
 
 def _write_phase_svg(csv_path: str, svg_path: str):

@@ -145,6 +145,59 @@ def test_divergence_error_reports_iteration():
     assert exc.value.iteration == 1
 
 
+BG01 = model.ScalarPrior.bernoulli_gaussian(0.1)
+PROF_RAD_BG = model.BlockPriorProfile((RAD, BG01), (0.6, 0.4))
+# two views that do not commute, so the multi-view sum is not one rescaled view
+NONCOMMUTING_VIEWS = model.CouplingSet((
+    np.array([[1.6, 0.6], [0.6, 1.0]]),
+    np.array([[0.9, -0.7], [-0.7, 1.4]]),
+))
+
+
+def _assert_traces_agree(a, b, tol=1e-12):
+    assert a.iterations == b.iterations
+    for name in ("F_hat", "Q_hat", "mse", "iterates"):
+        for va, vb in zip(getattr(a, name), getattr(b, name)):
+            assert np.abs(np.asarray(va) - np.asarray(vb)).max() <= tol, name
+    assert np.abs(a.M_final - b.M_final).max() <= tol
+
+
+def test_block_product_equals_dense_product():
+    # the profile denoiser takes the block product; the same denoiser passed
+    # as a hook takes the dense product Y_k @ M
+    X = model.sample_signal(PROF_RAD_BG, 600, seed=101)
+    inst = model.synthesize_symmetric(X, NONCOMMUTING_VIEWS, seed=102, profile=PROF_RAD_BG)
+    cfg = amp.AMPConfig(max_iter=30, rho=0.05, seed=103, keep_iterates=True)
+    block = amp.run_symmetric(inst, cfg)
+    dense = amp.run_symmetric(
+        inst, cfg, denoiser=lambda Y, p: denoise.block_denoiser(PROF_RAD_BG, p, Y)
+    )
+    _assert_traces_agree(block, dense)
+    assert block.Q_hat[-1][0, 0] > 0.3  # an informative run, not a trivial one
+
+    rng = model.rng_from(104)
+    X1, X2 = RAD.sample(rng, (400, 1)), GAUSS.sample(rng, (200, 1))
+    res = amp.run_asymmetric(X1, X2, [np.array([[1.8]])], (RAD, GAUSS), cfg)
+    emb = res.instance
+    dense = amp.run_symmetric(
+        emb, cfg, denoiser=lambda Y, p: denoise.block_denoiser(emb.profile, p, Y)
+    )
+    _assert_traces_agree(res.trace, dense)
+
+
+def test_block_product_rejects_signal_off_its_block():
+    X = np.array(model.sample_signal(PROF_RAD_BG, 200, seed=111))
+    X[5, 1] = 0.3  # row 5 lies in block 1, column 2 belongs to block 2
+    base = model.synthesize_symmetric(X, NONCOMMUTING_VIEWS, seed=112)
+    inst = model.MTPInstance(base.n, base.d, X, base.observations, base.seed,
+                             base.couplings, PROF_RAD_BG)
+    cfg = amp.AMPConfig(max_iter=3, rho=0.1, seed=113)
+    with pytest.raises(denoise.DomainError, match="outside block 2"):
+        amp.run_symmetric(inst, cfg)
+    # a denoiser hook runs the dense product, which needs no block support
+    amp.run_symmetric(inst, cfg, denoiser=lambda Y, p: denoise.block_denoiser(PROF_RAD_BG, p, Y))
+
+
 def test_trace_csv_export(tmp_path):
     inst = scalar_instance(1.5, n=300, seed=61)
     tr = amp.run_symmetric(inst, amp.AMPConfig(max_iter=4, rho=0.1, seed=62))

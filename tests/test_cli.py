@@ -237,7 +237,7 @@ def test_phase_diagram_se_uses_se_section(tmp_path):
     raw = json.loads(open(sweep_cfg(tmp_path, [0.8, 1.8], out="se_cfg", trials=1, n=200)).read())
     raw["se"] = se
     path = write_cfg(tmp_path, raw, name="se_sweep.json")
-    assert cli.main(["phase-diagram", "--config", path]) == 0
+    assert cli.main(["phase-diagram", "--config", path]) == 3
     rows = list(csv.DictReader(open(tmp_path / "se_cfg" / "phase_diagram.csv")))
     assert len(rows) == 2
     beta = np.array([0.6, 0.4])
@@ -252,3 +252,30 @@ def test_phase_diagram_se_uses_se_section(tmp_path):
         assert traj.iterations == 2 and not traj.converged
         for j in range(2):
             assert float(row[f"se_mse_{j + 1}"]) == 1.0 - traj.q_star[j] / beta[j]
+
+
+def test_phase_diagram_reports_unconverged_se(tmp_path, monkeypatch, capsys):
+    # eps 0.5 completes with SE cut at 2 iterations; the sweep is interrupted
+    # when it reaches eps 1.0, so the exit code is 4 and eps 0.5 is reported
+    raw = json.loads(open(sweep_cfg(tmp_path, [0.8, 1.8], out="unconv", trials=1, n=200,
+                                    eps=(0.5, 1.0))).read())
+    raw["se"] = {"max_iter": 2}
+    path = write_cfg(tmp_path, raw, name="unconv.json")
+    real, calls = cli.limits_sweep, []
+
+    def limits_sweep(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "limits_sweep", limits_sweep)
+    assert cli.main(["phase-diagram", "--config", path]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "state evolution did not converge within max_iter at eps=0.5, norm_Tc=0.8",
+        "state evolution did not converge within max_iter at eps=0.5, norm_Tc=1.8",
+    ]
+    out = tmp_path / "unconv"
+    assert len(list(csv.DictReader(open(out / "phase_diagram.csv")))) == 2
+    assert (out / "manifest.json").exists()
