@@ -38,6 +38,7 @@ from .model import (
 from .se import OperatorT, SETrajectory, gauss_expect
 
 _INIT_TAG = 0x5149  # distinguishes the side-information stream from noise views
+_EARLY_STOP_TOL = 1e-6  # early stop after 3 iterations that move Q_hat by less than this
 
 
 class DivergenceError(RuntimeError):
@@ -54,7 +55,6 @@ class AMPConfig:
     correction: str = "divergence"      # "divergence" | "disabled" (ablation)
     reweighting: str | tuple = "bayes"  # "bayes" (A_k = Lambda_k) or fixed matrices
     early_stop: bool = False
-    early_stop_tol: float = 1e-6
     keep_iterates: bool = False
 
     def __post_init__(self):
@@ -75,10 +75,8 @@ class AMPTrace:
     F_hat: list
     Q_hat: list
     mse: list
-    S_used: list
     n: int
     d: int
-    block_sizes: list | None
     M_final: np.ndarray
     iterates: list | None = None     # pre-denoising X^t, t = 1.., when requested
     stopped_early: bool = False
@@ -214,9 +212,7 @@ def run_symmetric(
         return F, Q, mse
 
     F0, Q0, mse0 = stats(M_prev)
-    trace = AMPTrace([F0], [Q0], [mse0], [], n, d,
-                     [sl.stop - sl.start for sl in slices] if slices else None,
-                     M_prev, [] if config.keep_iterates else None)
+    trace = AMPTrace([F0], [Q0], [mse0], n, d, M_prev, [] if config.keep_iterates else None)
     flat_count = 0
     for t in range(1, config.max_iter + 1):
         with np.errstate(invalid="ignore", over="ignore"):
@@ -247,12 +243,11 @@ def run_symmetric(
         trace.F_hat.append(F)
         trace.Q_hat.append(Q)
         trace.mse.append(mse)
-        trace.S_used.append(S_t)
         if config.keep_iterates:
             trace.iterates.append(Xt)
         trace.M_final = M_t
         if config.early_stop:
-            if np.linalg.norm(Q - trace.Q_hat[-2]) < config.early_stop_tol:
+            if np.linalg.norm(Q - trace.Q_hat[-2]) < _EARLY_STOP_TOL:
                 flat_count += 1
             else:
                 flat_count = 0
@@ -343,7 +338,6 @@ def _battery_prediction(prior: ScalarPrior, k: float, sigma2: float, name: str, 
 class GaussianityReport:
     cov_distance: np.ndarray          # per iteration ||emp residual cov - Sigma^t||_F
     battery: dict                     # name -> (t, block) arrays of |emp - predicted|
-    t_checked: list
     lipschitz_sup: np.ndarray | None = None  # measured sup |eta'| per (t, block)
 
 
@@ -387,4 +381,4 @@ def gaussianity_diagnostic(
                     profile.priors[j], float(K[j, j]), float(K[j, j]), name
                 )
                 battery[name][i, j] = abs(emp - pred)
-    return GaussianityReport(cov_dist, battery, list(range(1, n_t + 1)), lip)
+    return GaussianityReport(cov_dist, battery, lip)

@@ -1,8 +1,8 @@
 """Experiment harness: simulate | se | stability | limits | phase-diagram.
 
-Configuration is a JSON file (see README for the schema); every run writes a
-manifest echoing the resolved configuration so that re-running from the
-manifest reproduces the outputs bit-for-bit. Exit codes: 0 ok, 2 config
+Configuration is a JSON file (see README for the schema); every run first
+writes a manifest echoing the resolved configuration so that re-running from
+the manifest reproduces the outputs bit-for-bit. Exit codes: 0 ok, 2 config
 error, 3 numerical nonconvergence, 4 resumable interruption.
 """
 
@@ -11,8 +11,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -26,6 +28,7 @@ from .limits import KLTable, SweepRow, limits_sweep, variational_solve  # noqa: 
 from .model import (
     BlockPriorProfile,
     CouplingSet,
+    CouplingValidationError,
     InvalidProfileError,
     ScalarPrior,
     sample_signal,
@@ -40,41 +43,53 @@ VERSION_TAG = f"mvamp-{__version__}"
 class ConfigError(Exception):
     def __init__(self, path: str, message: str):
         super().__init__(f"config error at {path}: {message}")
-        self.path = path
 
 
-def _need(section: dict, path: str, key: str, kind, default=...):
-    if key not in section:
-        if default is not ...:
-            return default
-        raise ConfigError(f"{path}.{key}", "missing required field")
-    val = section[key]
-    try:
-        if kind is int:
-            if isinstance(val, bool) or int(val) != val:
-                raise ValueError
-            return int(val)
-        if kind is float:
+def _check(ok: bool, path: str, message: str):
+    if not ok:
+        raise ConfigError(path, message)
+
+
+def _typed(val, path: str, kind):
+    """``val`` under the one strict type rule: bool, int, str and dict take
+    exactly that JSON type (a bool is no int), float takes any finite number,
+    ``list[T]`` / ``tuple[T, ...]`` an array of ``T``, and np.ndarray a
+    rectangular array of finite numbers, returned as floats."""
+    origin = typing.get_origin(kind)
+    if origin in (list, tuple):
+        if isinstance(val, list):
+            item = typing.get_args(kind)[0]
+            return origin(_typed(v, f"{path}[{i}]", item) for i, v in enumerate(val))
+    elif kind is np.ndarray:
+        if isinstance(val, list):
+            arr = np.array(val, dtype=object)
+            return np.array([_typed(v, path, float) for v in arr.flat]).reshape(arr.shape)
+    elif kind is float:
+        if isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val):
             return float(val)
-        if kind is str:
-            if not isinstance(val, str):
-                raise ValueError
-            return val
-        if kind is list:
-            if not isinstance(val, list):
-                raise ValueError
-            return val
-        if kind is dict:
-            if not isinstance(val, dict):
-                raise ValueError
-            return val
-        if kind is bool:
-            if not isinstance(val, bool):
-                raise ValueError
-            return val
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}.{key}", f"expected {kind.__name__}, got {val!r}")
-    raise ConfigError(f"{path}.{key}", "unsupported field type")
+    elif isinstance(val, kind) and not (kind is int and isinstance(val, bool)):
+        return val
+    raise ConfigError(path, f"expected {getattr(kind, '__name__', kind)}, got {val!r}")
+
+
+def _need(section: dict, path: str, key: str, kind):
+    if key not in section:
+        raise ConfigError(f"{path}.{key}", "missing required field")
+    return _typed(section[key], f"{path}.{key}", kind)
+
+
+def _known(section: dict, path: str, names):
+    for key in section:
+        _check(key in names, f"{path}.{key}" if path else key, "unknown field")
+
+
+def _section(raw: dict, name: str, cls):
+    """The dataclass ``cls`` filled from ``raw[name]``: each field takes its
+    declared type and default, and a key that names no field is an error."""
+    section = _typed(raw.get(name, {}), name, dict)
+    kinds = typing.get_type_hints(cls)
+    _known(section, name, kinds)
+    return cls(**{key: _need(section, name, key, kinds[key]) for key in section})
 
 
 @dataclass
@@ -82,10 +97,6 @@ class ModelSection:
     n: int
     profile: BlockPriorProfile
     couplings: CouplingSet
-
-    @property
-    def d(self) -> int:
-        return self.profile.d
 
 
 @dataclass
@@ -96,6 +107,14 @@ class AmpSection:
     seed: int = 0
     correction: str = "divergence"
 
+    def __post_init__(self):
+        _check(self.max_iter >= 1, "amp.max_iter", "must be >= 1")
+        _check(0.0 <= self.rho <= 1.0, "amp.rho", "must lie in [0, 1]")
+        _check(self.trials >= 1, "amp.trials", "must be >= 1")
+        _check(self.seed >= 0, "amp.seed", "must be >= 0")
+        _check(self.correction in ("divergence", "disabled"), "amp.correction",
+               "must be 'divergence' or 'disabled'")
+
 
 @dataclass
 class SeSection:
@@ -103,46 +122,10 @@ class SeSection:
     max_iter: int = 10_000
     quad_order: int = 61
 
-
-@dataclass
-class SweepSection:
-    eps: list = field(default_factory=lambda: [0.05, 0.1, 0.5, 1.0])
-    target_norms: list = field(default_factory=list)
-    xi: np.ndarray = None
-    beta: tuple = (0.6, 0.4)
-    n: int = 4000
-    trials: int = 10
-    grid_res: int = 400
-
-
-@dataclass
-class ExperimentConfig:
-    model: ModelSection | None
-    amp: AmpSection
-    se: SeSection
-    sweep: SweepSection | None
-    out_dir: str
-    svg: bool
-    raw: dict
-
-
-def _parse_couplings(section: dict, path: str, d: int) -> CouplingSet:
-    kind = _need(section, path, "kind", str, "explicit")
-    if kind == "explicit":
-        mats = _need(section, path, "matrices", list)
-        try:
-            return CouplingSet(tuple(np.asarray(m, float) for m in mats))
-        except Exception as exc:
-            raise ConfigError(f"{path}.matrices", str(exc))
-    if kind == "hetero":
-        c = _need(section, path, "c", float)
-        xi = np.asarray(_need(section, path, "xi", list), float)
-        if xi.shape != (d, d):
-            raise ConfigError(f"{path}.xi", f"expected a {d}x{d} matrix")
-        if c < 0:
-            raise ConfigError(f"{path}.c", "scale must be nonnegative")
-        return CouplingSet.heteroskedastic(np.sqrt(c * xi))
-    raise ConfigError(f"{path}.kind", f"unknown couplings kind {kind!r}")
+    def __post_init__(self):
+        _check(self.tol >= 0, "se.tol", "must be >= 0")
+        _check(self.max_iter >= 1, "se.max_iter", "must be >= 1")
+        _check(self.quad_order >= 1, "se.quad_order", "must be >= 1")
 
 
 def _default_target_norms() -> list:
@@ -156,73 +139,97 @@ def _default_target_norms() -> list:
     return sorted(set(round(float(v), 12) for v in np.concatenate([base, extra])))
 
 
+def _eps_priors(eps: float) -> list:
+    """The two-block sweep profile: Rademacher block 1, BG(eps) block 2."""
+    return [ScalarPrior.rademacher(), ScalarPrior.bernoulli_gaussian(eps)]
+
+
+@dataclass
+class SweepSection:
+    eps: list[float] = field(default_factory=lambda: [0.05, 0.1, 0.5, 1.0])
+    target_norms: list[float] = field(default_factory=_default_target_norms)
+    xi: np.ndarray = field(default_factory=lambda: np.array([[0.7, 0.3], [0.3, 0.7]]))
+    beta: tuple[float, ...] = (0.6, 0.4)
+    n: int = 4000
+    trials: int = 10
+    grid_res: int = 400
+
+    def __post_init__(self):
+        for eps in self.eps:  # every sweep profile is Rademacher plus BG(eps) with beta
+            try:
+                BlockPriorProfile(tuple(_eps_priors(eps)), self.beta)
+            except InvalidProfileError as exc:
+                raise ConfigError("sweep", str(exc))
+        _check(self.xi.shape == (2, 2) and (self.xi >= 0).all() and (self.xi == self.xi.T).all(),
+               "sweep.xi", "must be a symmetric 2x2 matrix with nonnegative entries")
+        _check(min(self.target_norms, default=0) > 0, "sweep.target_norms", "need positive entries")
+        for key in ("n", "trials", "grid_res"):
+            _check(getattr(self, key) >= 1, f"sweep.{key}", "must be >= 1")
+
+
+@dataclass
+class OutputSection:
+    dir: str = "out"
+    svg: bool = False
+
+
+@dataclass
+class ExperimentConfig:
+    model: ModelSection | None
+    amp: AmpSection
+    se: SeSection
+    sweep: SweepSection | None
+    output: OutputSection
+    raw: dict
+
+
+def _parse_couplings(section: dict, d: int) -> CouplingSet:
+    path = "model.couplings"
+    kind = _need(section, path, "kind", str) if "kind" in section else "explicit"
+    if kind == "explicit":
+        _known(section, path, ("kind", "matrices"))
+        return CouplingSet(tuple(_need(section, path, "matrices", list[np.ndarray])))
+    if kind == "hetero":
+        _known(section, path, ("kind", "c", "xi"))
+        c = _need(section, path, "c", float)
+        xi = _need(section, path, "xi", np.ndarray)
+        _check(xi.shape == (d, d) and bool((xi >= 0).all()), f"{path}.xi",
+               f"expected a {d}x{d} matrix with nonnegative entries")
+        _check(c >= 0, f"{path}.c", "scale must be nonnegative")
+        return CouplingSet.heteroskedastic(np.sqrt(c * xi))
+    raise ConfigError(f"{path}.kind", f"unknown couplings kind {kind!r}")
+
+
+def _parse_model(section: dict) -> ModelSection:
+    _known(section, "model", ("n", "priors", "beta", "couplings"))
+    n = _need(section, "model", "n", int)
+    _check(n >= 1, "model.n", "must be a positive integer")
+    priors = _need(section, "model", "priors", list[str])
+    one_block = len(priors) == 1 and "beta" not in section
+    beta = (1.0,) if one_block else _need(section, "model", "beta", tuple[float, ...])
+    try:
+        profile = BlockPriorProfile(tuple(ScalarPrior.from_name(s) for s in priors), beta)
+    except ValueError as exc:  # InvalidProfileError, or a bg:<eps> that is no number
+        raise ConfigError("model.priors", str(exc))
+    try:
+        couplings = _parse_couplings(_need(section, "model", "couplings", dict), profile.d)
+        couplings.require_symmetric()
+    except CouplingValidationError as exc:
+        raise ConfigError("model.couplings", str(exc))
+    _check(couplings.d == profile.d, "model.couplings", "size inconsistent with priors")
+    return ModelSection(n, profile, couplings)
+
+
 def resolve_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError(source, "top level must be a JSON object")
+    _check(isinstance(raw, dict), source, "top level must be a JSON object")
     if "config" in raw and isinstance(raw["config"], dict):
         raw = raw["config"]  # accept an emitted manifest as input
-    model = None
-    if "model" in raw:
-        msec = _need(raw, source, "model", dict)
-        n = _need(msec, "model", "n", int)
-        if n < 1:
-            raise ConfigError("model.n", "must be a positive integer")
-        priors = _need(msec, "model", "priors", list)
-        beta = _need(msec, "model", "beta", list, [1.0] if len(priors) == 1 else ...)
-        try:
-            profile = BlockPriorProfile(
-                tuple(ScalarPrior.from_name(s) for s in priors),
-                tuple(float(b) for b in beta),
-            )
-        except InvalidProfileError as exc:
-            raise ConfigError("model.priors", str(exc))
-        couplings = _parse_couplings(
-            _need(msec, "model", "couplings", dict), "model.couplings", profile.d
-        )
-        if couplings.d != profile.d:
-            raise ConfigError("model.couplings", "size inconsistent with priors")
-        model = ModelSection(n, profile, couplings)
-    asec = raw.get("amp", {})
-    ampcfg = AmpSection(
-        max_iter=_need(asec, "amp", "max_iter", int, 20),
-        rho=_need(asec, "amp", "rho", float, 0.05),
-        trials=_need(asec, "amp", "trials", int, 10),
-        seed=_need(asec, "amp", "seed", int, 0),
-        correction=_need(asec, "amp", "correction", str, "divergence"),
-    )
-    if not (0.0 <= ampcfg.rho <= 1.0):
-        raise ConfigError("amp.rho", "must lie in [0, 1]")
-    if ampcfg.trials < 1:
-        raise ConfigError("amp.trials", "must be >= 1")
-    ssec = raw.get("se", {})
-    secfg = SeSection(
-        tol=_need(ssec, "se", "tol", float, 1e-10),
-        max_iter=_need(ssec, "se", "max_iter", int, 10_000),
-        quad_order=_need(ssec, "se", "quad_order", int, 61),
-    )
-    sweep = None
-    if "sweep" in raw:
-        wsec = _need(raw, source, "sweep", dict)
-        targets = wsec.get("target_norms")
-        if targets is None:
-            targets = _default_target_norms()
-        else:
-            targets = [float(t) for t in _need(wsec, "sweep", "target_norms", list)]
-        xi = np.asarray(_need(wsec, "sweep", "xi", list, [[0.7, 0.3], [0.3, 0.7]]), float)
-        beta = tuple(float(b) for b in _need(wsec, "sweep", "beta", list, [0.6, 0.4]))
-        sweep = SweepSection(
-            eps=[float(e) for e in _need(wsec, "sweep", "eps", list, [0.05, 0.1, 0.5, 1.0])],
-            target_norms=targets,
-            xi=xi,
-            beta=beta,
-            n=_need(wsec, "sweep", "n", int, 4000),
-            trials=_need(wsec, "sweep", "trials", int, 10),
-            grid_res=_need(wsec, "sweep", "grid_res", int, 400),
-        )
-    osec = raw.get("output", {})
-    out_dir = os.environ.get("MVAMP_OUT") or _need(osec, "output", "dir", str, "out")
-    svg = _need(osec, "output", "svg", bool, False)
-    return ExperimentConfig(model, ampcfg, secfg, sweep, out_dir, svg, raw)
+    _known(raw, "", ("model", "amp", "se", "sweep", "output"))
+    model = _parse_model(_typed(raw["model"], "model", dict)) if "model" in raw else None
+    sweep = _section(raw, "sweep", SweepSection) if "sweep" in raw else None
+    return ExperimentConfig(model, _section(raw, "amp", AmpSection),
+                            _section(raw, "se", SeSection), sweep,
+                            _section(raw, "output", OutputSection), raw)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -236,17 +243,33 @@ def load_config(path: str) -> ExperimentConfig:
     return resolve_config(raw, path)
 
 
-def _write_manifest(cfg: ExperimentConfig, command: str, seed: int, out_dir: str):
-    manifest = {
-        "version": VERSION_TAG,
-        "command": command,
-        "seed": seed,
-        "config": cfg.raw,
-    }
-    tmp = os.path.join(out_dir, "manifest.json.tmp")
-    with open(tmp, "w") as fh:
+def _write_manifest(out_dir: str, manifest: dict, resume: bool):
+    """Write out_dir/manifest.json; to resume, out_dir must hold this manifest already."""
+    path = os.path.join(out_dir, "manifest.json")
+    if resume:
+        try:
+            with open(path) as fh:
+                old = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError("--resume", f"no readable manifest to resume from: {exc}")
+        differ = [k for k in manifest if not isinstance(old, dict) or old.get(k) != manifest[k]]
+        _check(not differ, "--resume", f"{path} records another {', '.join(differ)}")
+        return
+    with open(path + ".tmp", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
-    os.replace(tmp, os.path.join(out_dir, "manifest.json"))
+    os.replace(path + ".tmp", path)
+
+
+def _write_csv(path: str, header: list, rows, append: bool = False):
+    """Write ``header`` and ``rows`` to a new file, or append ``rows`` to an
+    existing one; each row is flushed as soon as the ``rows`` iterator yields it."""
+    with open(path, "a" if append else "w", newline="") as fh:
+        wr = csv.writer(fh)
+        if not append:
+            wr.writerow(header)
+        for row in rows:
+            wr.writerow(row)
+            fh.flush()
 
 
 def _trial_seed(master: int, *tags: int) -> int:
@@ -257,30 +280,29 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-# ---------------------------------------------------------------------------
-# subcommands
-# ---------------------------------------------------------------------------
-
-def cmd_se(cfg: ExperimentConfig, out_dir: str, seed: int) -> int:
-    if cfg.model is None:
-        raise ConfigError("model", "the se command needs a model section")
-    model = OverlapModel(cfg.model.profile, cfg.se.quad_order)
-    op = OperatorT(cfg.model.couplings)
-    Q1 = np.diag(cfg.amp.rho * np.asarray(cfg.model.profile.beta))
-    traj = run_se(model, op, Q1, tol=cfg.se.tol, max_iter=cfg.se.max_iter)
-    traj.to_csv(os.path.join(out_dir, "se.csv"), seed=seed, version=VERSION_TAG)
-    _write_manifest(cfg, "se", seed, out_dir)
-    if not traj.converged:
-        print("state evolution did not converge within max_iter", file=sys.stderr)
-        return 3
-    return 0
+def _mean_stderr(samples) -> tuple[np.ndarray, np.ndarray]:
+    """Across-trial mean and standard error per column; one trial has stderr 0."""
+    a = np.asarray(samples)
+    stderr = a.std(axis=0, ddof=1) / np.sqrt(len(a)) if len(a) > 1 else np.zeros(a.shape[1:])
+    return a.mean(axis=0), stderr
 
 
-def _pmap(fn, items, jobs: int) -> list:
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
+def _pmap(fn, items, jobs: int):
+    """Yield ``fn(item)`` in item order, ``jobs`` items at a time; closing the
+    generator cancels the items that have not started."""
+    if jobs == 1:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        yield from pool.map(fn, items)
+
+
+def _se(cfg: ExperimentConfig, profile: BlockPriorProfile, couplings: CouplingSet):
+    """State evolution from the amp.rho init with the se.* settings; returns the
+    overlap model, the operator T and the trajectory."""
+    model, op = OverlapModel(profile, cfg.se.quad_order), OperatorT(couplings)
+    Q1 = np.diag(cfg.amp.rho * np.asarray(profile.beta))
+    return model, op, run_se(model, op, Q1, tol=cfg.se.tol, max_iter=cfg.se.max_iter)
 
 
 def _run_trial(profile: BlockPriorProfile, couplings: CouplingSet, n: int,
@@ -292,90 +314,71 @@ def _run_trial(profile: BlockPriorProfile, couplings: CouplingSet, n: int,
                                          correction=amp.correction))
 
 
+# ---------------------------------------------------------------------------
+# subcommands
+# ---------------------------------------------------------------------------
+
+def cmd_se(cfg: ExperimentConfig, out_dir: str, seed: int) -> int:
+    _, _, traj = _se(cfg, cfg.model.profile, cfg.model.couplings)
+    traj.to_csv(os.path.join(out_dir, "se.csv"), seed=seed, version=VERSION_TAG)
+    if not traj.converged:
+        print("state evolution did not converge within max_iter", file=sys.stderr)
+        return 3
+    return 0
+
+
 def cmd_simulate(cfg: ExperimentConfig, out_dir: str, seed: int, jobs: int) -> int:
-    if cfg.model is None:
-        raise ConfigError("model", "the simulate command needs a model section")
-    ms, d = cfg.model, cfg.model.d
+    ms, d = cfg.model, cfg.model.profile.d
 
     def one(trial: int):
         inst_seed = _trial_seed(seed, 0, trial)
-        trace = _run_trial(ms.profile, ms.couplings, ms.n, cfg.amp,
-                           inst_seed, _trial_seed(seed, 1, trial))
-        return trial, inst_seed, trace
+        return inst_seed, _run_trial(ms.profile, ms.couplings, ms.n, cfg.amp,
+                                     inst_seed, _trial_seed(seed, 1, trial))
 
-    results = _pmap(one, range(cfg.amp.trials), jobs)
-    with open(os.path.join(out_dir, "trace.csv"), "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(results[0][2].csv_header())
-        for trial, inst_seed, trace in results:
-            wr.writerows(trace.csv_rows(trial, inst_seed, VERSION_TAG))
-    n_t = min(len(tr.Q_hat) for _, _, tr in results)
-    with open(os.path.join(out_dir, "aggregate.csv"), "w", newline="") as fh:
-        wr = csv.writer(fh)
-        header = ["t"]
-        header += [f"mse_mean_{j + 1}" for j in range(d)]
-        header += [f"mse_stderr_{j + 1}" for j in range(d)]
-        header += [f"Q_hat_mean_{a + 1}{b + 1}" for a in range(d) for b in range(d)]
-        header += ["seed", "version"]
-        wr.writerow(header)
-        for i in range(n_t):
-            mses = np.array([tr.mse[i] for _, _, tr in results])
-            qh = np.array([tr.Q_hat[i] for _, _, tr in results])
-            row = [i]
-            row += [_fmt(v) for v in mses.mean(axis=0)]
-            row += [_fmt(v) for v in mses.std(axis=0, ddof=1) / np.sqrt(len(results))]
-            row += [_fmt(v) for v in qh.mean(axis=0).ravel()]
-            row += [seed, VERSION_TAG]
-            wr.writerow(row)
-    _write_manifest(cfg, "simulate", seed, out_dir)
+    results = list(_pmap(one, range(cfg.amp.trials), jobs))
+    traces = [trace for _, trace in results]
+    _write_csv(os.path.join(out_dir, "trace.csv"), traces[0].csv_header(),
+               (row for trial, (inst_seed, trace) in enumerate(results)
+                for row in trace.csv_rows(trial, inst_seed, VERSION_TAG)))
+    header = ["t"]
+    header += [f"mse_mean_{j + 1}" for j in range(d)]
+    header += [f"mse_stderr_{j + 1}" for j in range(d)]
+    header += [f"Q_hat_mean_{a + 1}{b + 1}" for a in range(d) for b in range(d)]
+    header += ["seed", "version"]
+    rows = []
+    for i in range(min(len(tr.Q_hat) for tr in traces)):
+        mean, stderr = _mean_stderr([tr.mse[i] for tr in traces])
+        qh = np.mean([tr.Q_hat[i] for tr in traces], axis=0)
+        rows.append([i] + [_fmt(v) for v in np.concatenate([mean, stderr, qh.ravel()])]
+                    + [seed, VERSION_TAG])
+    _write_csv(os.path.join(out_dir, "aggregate.csv"), header, rows)
     return 0
 
 
 def cmd_stability(cfg: ExperimentConfig, out_dir: str, seed: int) -> int:
-    if cfg.model is None:
-        raise ConfigError("model", "the stability command needs a model section")
-    model = OverlapModel(cfg.model.profile, cfg.se.quad_order)
-    op = OperatorT(cfg.model.couplings)
-    zero = classify_fixed_point(model, op, np.zeros(cfg.model.d))
+    model, op, traj = _se(cfg, cfg.model.profile, cfg.model.couplings)
+    zero = classify_fixed_point(model, op, np.zeros(cfg.model.profile.d))
     payload = {"zero_point": json.loads(zero.to_json()), "version": VERSION_TAG, "seed": seed}
-    Q1 = np.diag(cfg.amp.rho * np.asarray(cfg.model.profile.beta))
-    traj = run_se(model, op, Q1, tol=cfg.se.tol, max_iter=cfg.se.max_iter)
     if traj.converged and float(np.abs(traj.q_star).max()) > 1e-8:
         star = classify_fixed_point(model, op, traj.q_star)
         payload["converged_point"] = json.loads(star.to_json())
     with open(os.path.join(out_dir, "verdict.json"), "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
-    _write_manifest(cfg, "stability", seed, out_dir)
     return 0
 
 
-def _eps_priors(eps: float) -> list:
-    """The two-block sweep profile: Rademacher block 1, BG(eps) block 2."""
-    return [ScalarPrior.rademacher(), ScalarPrior.bernoulli_gaussian(eps)]
-
-
 def cmd_limits(cfg: ExperimentConfig, out_dir: str, seed: int) -> int:
-    if cfg.sweep is None:
-        raise ConfigError("sweep", "the limits command needs a sweep section")
     sw = cfg.sweep
-    path = os.path.join(out_dir, "limits.csv")
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(
-            ["eps", "c", "norm_Tc", "q1_star", "q2_star", "mmse_bound_1", "mmse_bound_2",
-             "branch_flag", "seed", "version"]
-        )
-        for eps in sw.eps:
-            rows = limits_sweep(_eps_priors(eps), sw.beta, sw.xi, sw.target_norms,
+    header = ["eps", "c", "norm_Tc", "q1_star", "q2_star", "mmse_bound_1", "mmse_bound_2",
+              "branch_flag", "seed", "version"]
+    rows = (
+        [_fmt(v) for v in (eps, row.c, row.norm_Tc, *row.q_star, *row.mmse_bounds)]
+        + [row.branch_flag, seed, VERSION_TAG]
+        for eps in sw.eps
+        for row in limits_sweep(_eps_priors(eps), sw.beta, sw.xi, sw.target_norms,
                                 grid_res=sw.grid_res)
-            for row in rows:
-                wr.writerow(
-                    [_fmt(eps), _fmt(row.c), _fmt(row.norm_Tc)]
-                    + [_fmt(v) for v in row.q_star]
-                    + [_fmt(v) for v in row.mmse_bounds]
-                    + [row.branch_flag, seed, VERSION_TAG]
-                )
-    _write_manifest(cfg, "limits", seed, out_dir)
+    )
+    _write_csv(os.path.join(out_dir, "limits.csv"), header, rows)
     return 0
 
 
@@ -384,22 +387,18 @@ def _phase_point(cfg: ExperimentConfig, eps: float, bound: SweepRow, seed: int,
     """One (eps, c) CSV row: AMP Monte Carlo and the SE prediction next to the
     variational bound row of the same point; also whether that SE converged."""
     sw = cfg.sweep
-    beta = np.asarray(sw.beta, float)
-    profile = BlockPriorProfile(tuple(_eps_priors(eps)), tuple(beta))
+    profile = BlockPriorProfile(tuple(_eps_priors(eps)), sw.beta)
     couplings = CouplingSet.heteroskedastic(np.sqrt(bound.c * sw.xi))
-    traj = run_se(OverlapModel(profile, cfg.se.quad_order), OperatorT(couplings),
-                  np.diag(cfg.amp.rho * beta), tol=cfg.se.tol, max_iter=cfg.se.max_iter)
-    se_mse = np.clip(1.0 - traj.q_star / beta, 0.0, None)
-    mses = np.array([
+    _, _, traj = _se(cfg, profile, couplings)
+    se_mse = np.clip(1.0 - traj.q_star / np.asarray(sw.beta), 0.0, None)
+    mean, stderr = _mean_stderr([
         _run_trial(profile, couplings, sw.n, cfg.amp,
                    _trial_seed(seed, idx, trial, 0), _trial_seed(seed, idx, trial, 1)).mse[-1]
         for trial in range(sw.trials)
     ])
-    stderr = (mses.std(axis=0, ddof=1) / np.sqrt(len(mses)) if len(mses) > 1
-              else np.zeros(len(beta)))
     row = (
         [_fmt(eps), _fmt(bound.c), _fmt(bound.norm_Tc)]
-        + [_fmt(v) for v in np.concatenate([mses.mean(axis=0), stderr, se_mse, bound.mmse_bounds])]
+        + [_fmt(v) for v in np.concatenate([mean, stderr, se_mse, bound.mmse_bounds])]
         + [bound.branch_flag, seed, VERSION_TAG]
     )
     return row, traj.converged
@@ -415,20 +414,16 @@ _PHASE_HEADER = [
 
 def cmd_phase_diagram(cfg: ExperimentConfig, out_dir: str, seed: int, jobs: int,
                       resume: bool) -> int:
-    if cfg.sweep is None:
-        raise ConfigError("sweep", "the phase-diagram command needs a sweep section")
     sw = cfg.sweep
     path = os.path.join(out_dir, "phase_diagram.csv")
+    append = resume and os.path.exists(path)
     done = set()
-    if resume and os.path.exists(path):
+    if append:
         with open(path) as fh:
-            for row in csv.DictReader(fh):
-                done.add((float(row["eps"]), float(row["norm_Tc"])))
-    n_targets = len(sw.target_norms)
-    new_rows = []
+            done = {(float(row["eps"]), float(row["norm_Tc"])) for row in csv.DictReader(fh)}
     unconverged = []
-    interrupted = False
-    try:
+
+    def rows():
         for e, eps in enumerate(sw.eps):
             pending = [k for k, t in enumerate(sw.target_norms) if (eps, t) not in done]
             if not pending:
@@ -438,32 +433,24 @@ def cmd_phase_diagram(cfg: ExperimentConfig, out_dir: str, seed: int, jobs: int,
             bounds = limits_sweep(_eps_priors(eps), sw.beta, sw.xi, sw.target_norms,
                                   grid_res=sw.grid_res)
             # a point's seed index is its 1-based position in the eps x target grid
-            points = _pmap(
-                lambda k: _phase_point(cfg, eps, bounds[k], seed, e * n_targets + k + 1),
-                pending, jobs,
-            )
+            points = _pmap(lambda k: _phase_point(cfg, eps, bounds[k], seed,
+                                                  e * len(sw.target_norms) + k + 1), pending, jobs)
             for k, (row, converged) in zip(pending, points):
-                new_rows.append(row)
                 if not converged:
                     unconverged.append((eps, sw.target_norms[k]))
+                yield row
+
+    interrupted = False
+    try:
+        _write_csv(path, _PHASE_HEADER, rows(), append)
+        if cfg.output.svg:
+            _write_phase_svg(path, os.path.join(out_dir, "phase_diagram.svg"))
     except KeyboardInterrupt:
         interrupted = True
-
-    mode = "a" if (resume and os.path.exists(path)) else "w"
-    with open(path, mode, newline="") as fh:
-        wr = csv.writer(fh)
-        if mode == "w":
-            wr.writerow(_PHASE_HEADER)
-        wr.writerows(new_rows)
-    _write_manifest(cfg, "phase-diagram", seed, out_dir)
-    if cfg.svg and not interrupted:
-        _write_phase_svg(path, os.path.join(out_dir, "phase_diagram.svg"))
     for eps, target in unconverged:
         print(f"state evolution did not converge within max_iter at eps={eps}, "
               f"norm_Tc={target}", file=sys.stderr)
-    if interrupted:
-        return 4
-    return 3 if unconverged else 0
+    return 4 if interrupted else 3 if unconverged else 0
 
 
 def _write_phase_svg(csv_path: str, svg_path: str):
@@ -484,7 +471,7 @@ def _write_phase_svg(csv_path: str, svg_path: str):
     def sy(y):
         return H - pad - y * (H - 2 * pad)
 
-    panels = []
+    body = []
     for blk in (1, 2):
         parts = [
             f'<rect x="{pad}" y="{pad}" width="{W - 2 * pad}" height="{H - 2 * pad}" '
@@ -520,10 +507,7 @@ def _write_phase_svg(csv_path: str, svg_path: str):
                 f'<text x="{W - pad + 4}" y="{pad + 12 + 12 * ci}" font-size="9" '
                 f'fill="{color}">eps={eps}</text>'
             )
-        panels.append(parts)
-    body = []
-    for i, parts in enumerate(panels):
-        body.append(f'<g transform="translate(0,{i * H})">' + "".join(parts) + "</g>")
+        body.append(f'<g transform="translate(0,{(blk - 1) * H})">' + "".join(parts) + "</g>")
     svg = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{W + 60}" height="{2 * H}">'
         + "".join(body)
@@ -533,11 +517,15 @@ def _write_phase_svg(csv_path: str, svg_path: str):
         fh.write(svg)
 
 
+_NEEDS = {"simulate": "model", "se": "model", "stability": "model",
+          "limits": "sweep", "phase-diagram": "sweep"}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="mvamp", description="multi-view spiked-matrix AMP experiment harness"
     )
-    parser.add_argument("command", choices=["simulate", "se", "stability", "limits", "phase-diagram"])
+    parser.add_argument("command", choices=list(_NEEDS))
     parser.add_argument("--config", required=True, help="JSON config (or an emitted manifest)")
     parser.add_argument("--out", default=None, help="output directory (default from config)")
     parser.add_argument("--jobs", type=int, default=1, help="concurrent workers")
@@ -545,10 +533,20 @@ def main(argv=None) -> int:
     parser.add_argument("--resume", action="store_true", help="resume a partial sweep")
     args = parser.parse_args(argv)
     try:
+        _check(args.jobs >= 1, "--jobs", "must be >= 1")
+        _check(args.seed is None or args.seed >= 0, "--seed", "must be >= 0")
         cfg = load_config(args.config)
-        out_dir = args.out or cfg.out_dir
+        need = _NEEDS[args.command]
+        _check(getattr(cfg, need) is not None, need,
+               f"the {args.command} command needs a {need} section")
+        out_dir = args.out or os.environ.get("MVAMP_OUT") or cfg.output.dir
         os.makedirs(out_dir, exist_ok=True)
         seed = args.seed if args.seed is not None else cfg.amp.seed
+        manifest = {"version": VERSION_TAG, "command": args.command, "seed": seed,
+                    "config": cfg.raw}
+        _check(not args.resume or args.command == "phase-diagram", "--resume",
+               "only phase-diagram resumes")
+        _write_manifest(out_dir, manifest, args.resume)
         if args.command == "se":
             return cmd_se(cfg, out_dir, seed)
         if args.command == "simulate":

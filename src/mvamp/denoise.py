@@ -138,14 +138,13 @@ def block_denoiser(
     profile: BlockPriorProfile,
     params: ChannelParams,
     Y: np.ndarray,
-    strict_diagonal: bool = True,
 ) -> DenoiserEval:
     """Separable Bayes denoiser for block-diagonal signals.
 
     Entry (i, j) with i in block j is the scalar posterior mean at SNR
-    s_j = S[j, j]; all off-block entries are zero. In strict mode an
-    off-diagonal S is projected to its diagonal with a warning (finite-n AMP
-    bookkeeping can carry O(1/sqrt(n)) off-diagonal residue).
+    s_j = S[j, j]; all off-block entries are zero. An off-diagonal S is
+    projected to its diagonal with a warning (finite-n AMP bookkeeping can
+    carry O(1/sqrt(n)) off-diagonal residue).
     """
     S = params.S
     d = profile.d
@@ -156,7 +155,7 @@ def block_denoiser(
     if Y.shape[1] != d:
         raise DomainError(f"iterate width {Y.shape[1]} != d={d}")
     off = S - np.diag(np.diag(S))
-    if strict_diagonal and np.abs(off).max() > 1e-8 * (1.0 + np.abs(np.diag(S)).max()):
+    if np.abs(off).max() > 1e-8 * (1.0 + np.abs(np.diag(S)).max()):
         warnings.warn(
             f"projecting off-diagonal effective SNR (max |off| = {np.abs(off).max():.2e})",
             DiagonalProjectionWarning,

@@ -176,7 +176,6 @@ class VariationalResult:
     objective: float
     mmse_bounds: np.ndarray
     grid_res: int
-    refined: bool
     candidates: list            # (q, objective) for all near-optimal branches
     near_degenerate: bool       # multiple separated cells within 1e-10 of the max
 
@@ -219,7 +218,6 @@ def variational_solve(
     beta,
     lam_sq: np.ndarray,
     grid_res: int = 400,
-    refine: bool = True,
     kl_tables: list | None = None,
     model: OverlapModel | None = None,
 ) -> VariationalResult:
@@ -283,10 +281,7 @@ def variational_solve(
     cand_starts.append(beta * (1.0 - 1e-6))
     candidates = []
     for q0 in cand_starts:
-        if refine:
-            qr, _ = refine_fixed_point(model, op, q0)
-        else:
-            qr = np.clip(q0, 0.0, beta)
+        qr, _ = refine_fixed_point(model, op, q0)
         if all(np.abs(qr - qc).max() > 1e-7 for qc, _ in candidates):
             obj = (
                 _exact_objective(qr, beta, H, priors)
@@ -298,7 +293,7 @@ def variational_solve(
     q_star, objective = candidates[0]
     bounds = np.clip(1.0 - q_star / beta, 0.0, 1.0)
     return VariationalResult(
-        q_star, objective, bounds, per_axis, refine, candidates, near_degenerate
+        q_star, objective, bounds, per_axis, candidates, near_degenerate
     )
 
 

@@ -1,11 +1,13 @@
 import csv
 import json
 import os
+import time
 
 import numpy as np
 import pytest
 
 from mvamp import cli
+from mvamp.se import PrecisionError
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -279,3 +281,119 @@ def test_phase_diagram_reports_unconverged_se(tmp_path, monkeypatch, capsys):
     out = tmp_path / "unconv"
     assert len(list(csv.DictReader(open(out / "phase_diagram.csv")))) == 2
     assert (out / "manifest.json").exists()
+
+
+def test_phase_diagram_keeps_rows_on_numerical_failure(tmp_path, monkeypatch, capsys):
+    # the bound solve of the second eps fails: eps 0.5 is on disk, and --resume
+    # computes only eps 1.0
+    path = sweep_cfg(tmp_path, [0.8, 1.8], out="fail", trials=1, n=200, eps=(0.5, 1.0))
+    real, calls = cli.limits_sweep, []
+
+    def limits_sweep(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise PrecisionError("injected")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "limits_sweep", limits_sweep)
+    assert cli.main(["phase-diagram", "--config", path]) == 3
+    assert "numerical failure: injected" in capsys.readouterr().err
+    out = tmp_path / "fail"
+    rows = list(csv.DictReader(open(out / "phase_diagram.csv")))
+    assert [(r["eps"], r["norm_Tc"]) for r in rows] == [("0.5", "0.8"), ("0.5", "1.8")]
+    assert json.load(open(out / "manifest.json"))["command"] == "phase-diagram"
+    assert cli.main(["phase-diagram", "--config", path, "--resume"]) == 0
+    assert len(calls) == 3  # the resume solved the bound of eps 1.0 only
+    rows = list(csv.DictReader(open(out / "phase_diagram.csv")))
+    assert [r["eps"] for r in rows] == ["0.5", "0.5", "1.0", "1.0"]
+
+
+def test_pmap_close_cancels_queued_items():
+    started = []
+
+    def slow(item):
+        started.append(item)
+        time.sleep(0.05)
+        return item
+
+    results = cli._pmap(slow, range(10), 2)
+    assert next(results) == 0
+    results.close()
+    assert len(started) <= 4  # the two running items and at most two more
+
+
+def test_resume_refuses_a_mismatch(tmp_path, capsys):
+    raw = json.loads(open(sweep_cfg(tmp_path, [1.8], out="res", trials=1, n=200)).read())
+    path = write_cfg(tmp_path, raw, name="first.json")
+    assert cli.main(["phase-diagram", "--config", path, "--resume"]) == 2  # no manifest yet
+    assert cli.main(["phase-diagram", "--config", path]) == 0
+    csv_path = tmp_path / "res" / "phase_diagram.csv"
+    before = csv_path.read_bytes()
+    raw["amp"]["max_iter"] = 11
+    raw["sweep"]["target_norms"].append(2.2)
+    changed = write_cfg(tmp_path, raw, name="changed.json")
+    capsys.readouterr()
+    assert cli.main(["phase-diagram", "--config", changed, "--resume"]) == 2
+    assert "records another config" in capsys.readouterr().err
+    assert cli.main(["phase-diagram", "--config", path, "--resume", "--seed", "4"]) == 2
+    assert "records another seed" in capsys.readouterr().err
+    assert cli.main(["limits", "--config", path, "--resume"]) == 2
+    assert csv_path.read_bytes() == before
+    assert cli.main(["phase-diagram", "--config", path, "--resume"]) == 0
+    assert csv_path.read_bytes() == before
+
+
+@pytest.mark.parametrize("patch, field", [
+    ({"amp": {"max_iters": 5}}, "amp.max_iters"),
+    ({"amp": {"rho": True}}, "amp.rho"),
+    ({"amp": {"rho": "0.5"}}, "amp.rho"),
+    ({"amp": {"seed": -1}}, "amp.seed"),
+    ({"amp": {"correction": "foo"}}, "amp.correction"),
+    ({"model": {"n": float("inf")}}, "model.n"),
+    ({"model": {"couplings": {"kind": "explicit", "matrices": [[["2"]]]}}}, "model.couplings"),
+    ({"model": {"priors": ["rademacher", "bg:0.3"], "beta": [0.6, 0.4],
+                "couplings": {"matrices": [[[1.0, 0.5], [0.0, 1.0]]]}}}, "model.couplings"),
+    ({"output": {"svg": "yes"}}, "output.svg"),
+    ({"sweeps": {}}, "sweeps"),
+])
+def test_strict_config_values_exit_2(tmp_path, capsys, patch, field):
+    raw = json.loads(open(scalar_cfg(tmp_path)).read())
+    for section, values in patch.items():
+        raw.setdefault(section, {}).update(values)
+    assert cli.main(["se", "--config", write_cfg(tmp_path, raw, name="strict.json")]) == 2
+    assert f"config error at {field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--seed", "-1"], ["--jobs", "-3"], ["--jobs", "0"]])
+def test_bad_flag_values_exit_2(tmp_path, capsys, flags):
+    path = scalar_cfg(tmp_path, trials=1, n=100, max_iter=2)
+    assert cli.main(["simulate", "--config", path, *flags]) == 2
+    assert f"config error at {flags[0]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("patch", [
+    {"beta": [0.5, 0.3, 0.2]},
+    {"xi": [[0.7, 0.3, 0.0], [0.3, 0.7, 0.0], [0.0, 0.0, 1.0]]},
+    {"xi": [[0.7, 0.3], [0.2, 0.7]]},
+    {"eps": [1.5]},
+    {"target_norms": []},
+])
+def test_sweep_section_checked_at_load(tmp_path, capsys, patch):
+    raw = json.loads(open(sweep_cfg(tmp_path, [0.5, 2.0])).read())
+    raw["sweep"].update(patch)
+    assert cli.main(["limits", "--config", write_cfg(tmp_path, raw, name="bad.json")]) == 2
+    assert "config error at sweep" in capsys.readouterr().err
+
+
+def test_simulate_one_trial_has_zero_stderr(tmp_path):
+    path = scalar_cfg(tmp_path, trials=1, n=200, max_iter=3)
+    assert cli.main(["simulate", "--config", path]) == 0
+    rows = list(csv.DictReader(open(tmp_path / "out" / "aggregate.csv")))
+    assert len(rows) == 4
+    assert all(float(r["mse_stderr_1"]) == 0.0 for r in rows)
+
+
+def test_shipped_phase_diagram_config_resolves():
+    path = os.path.join(os.path.dirname(__file__), "..", "scripts", "phase_diagram_config.json")
+    sw = cli.load_config(path).sweep
+    assert (len(sw.eps), len(sw.target_norms), sw.trials, sw.n) == (4, 52, 10, 4000)
