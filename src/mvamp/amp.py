@@ -35,7 +35,7 @@ from .model import (
     rng_from,
     tagged_stream,
 )
-from .se import OperatorT, SETrajectory, gauss_expect
+from .se import OperatorT, SETrajectory, _hermegauss, gauss_expect
 
 _INIT_TAG = 0x5149  # distinguishes the side-information stream from noise views
 _EARLY_STOP_TOL = 1e-6  # early stop after 3 iterations that move Q_hat by less than this
@@ -323,13 +323,10 @@ def _battery_prediction(prior: ScalarPrior, k: float, sigma2: float, name: str, 
 
     if prior.kind == "rademacher":
         return 0.5 * (for_x(1.0) + for_x(-1.0))
+    xg, wg = _hermegauss(order)
     if prior.kind == "gaussian":
-        xg, wg = np.polynomial.hermite_e.hermegauss(order)
-        wg = wg / np.sqrt(2 * np.pi)
         return float(sum(w * for_x(x) for x, w in zip(xg, wg)))
     eps = prior.eps
-    xg, wg = np.polynomial.hermite_e.hermegauss(order)
-    wg = wg / np.sqrt(2 * np.pi)
     spike = float(sum(w * for_x(x / np.sqrt(eps)) for x, w in zip(xg, wg)))
     return (1.0 - eps) * for_x(0.0) + eps * spike
 

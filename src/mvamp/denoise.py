@@ -68,17 +68,23 @@ def _check_snr(s: float) -> float:
     return s
 
 
-def _bg_responsibility(y, s: float, eps: float):
-    """P(spike | y) for the BG(eps) channel, evaluated stably.
-
-    The spike component of the marginal is N(0, sig2) with sig2 = 1 + s/eps;
-    the logit is log(eps/(1-eps)) - log(sig)/... assembled below.
-    """
+def _bg_log_terms(y, s: float, eps: float):
+    """(log_null, log_spike): the logs of the two BG(eps) components of the
+    channel marginal, eps N(0, sig2) with sig2 = 1 + s/eps and (1 - eps) N(0, 1),
+    without the shared -log(2 pi)/2; log_null is -inf when eps = 1."""
     sig2 = 1.0 + s / eps
-    log_spike = np.log(eps) - 0.5 * np.log(sig2) - np.square(y) / (2.0 * sig2)
+    y2 = np.square(y)
+    log_null = np.log1p(-eps) - y2 / 2.0 if eps < 1.0 else np.full_like(y, -np.inf)
+    log_spike = np.log(eps) - 0.5 * np.log(sig2) - y2 / (2.0 * sig2)
+    return log_null, log_spike
+
+
+def _bg_responsibility(y, s: float, eps: float):
+    """P(spike | y) for the BG(eps) channel, evaluated stably as a logistic
+    function of log_null - log_spike."""
     if eps >= 1.0:
         return np.ones_like(np.asarray(y, float))
-    log_null = np.log1p(-eps) - np.square(y) / 2.0
+    log_null, log_spike = _bg_log_terms(y, s, eps)
     return 1.0 / (1.0 + np.exp(np.clip(log_null - log_spike, -745.0, 745.0)))
 
 
@@ -170,6 +176,31 @@ def block_denoiser(
     return DenoiserEval(value, div)
 
 
+def _psd_sqrt(S: np.ndarray) -> np.ndarray:
+    evals, evecs = np.linalg.eigh(S)
+    if evals.min() < -1e-10 * max(1.0, evals.max(initial=1.0)):
+        raise DomainError("S must be PSD")
+    return evecs @ np.diag(np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
+
+
+def _gaussian_inner_system(V: np.ndarray, S: np.ndarray, n: int):
+    """(Vb, W): the n x q block rows Vb[a] of V, one per signal column of the
+    column-major vec, and W = V^T (S (x) I_n) V assembled blockwise. Raises
+    NumericalConditioningError when I_q + W is too ill-conditioned to solve."""
+    q = V.shape[1]
+    Vb = V.reshape(-1, n, q)
+    d = Vb.shape[0]
+    W = np.zeros((q, q))
+    for a in range(d):
+        for b in range(d):
+            if S[a, b] != 0.0:
+                W += S[a, b] * (Vb[a].T @ Vb[b])
+    cond = np.linalg.cond(np.eye(q) + W)
+    if not np.isfinite(cond) or cond > 1e12:
+        raise NumericalConditioningError(f"inner solve ill-conditioned (cond={cond:.3e})")
+    return Vb, W
+
+
 def gaussian_matrix_denoiser(V: np.ndarray, S: np.ndarray, Y: np.ndarray) -> DenoiserEval:
     """Conditional mean for a zero-mean Gaussian prior with factored covariance.
 
@@ -188,22 +219,10 @@ def gaussian_matrix_denoiser(V: np.ndarray, S: np.ndarray, Y: np.ndarray) -> Den
         raise DomainError(f"factor rows {V.shape[0]} != n*d = {n * d}")
     S = np.asarray(S, float)
     S = (S + S.T) / 2.0
-    evals, evecs = np.linalg.eigh(S)
-    if evals.min() < -1e-10 * max(1.0, evals.max(initial=1.0)):
-        raise DomainError("S must be PSD")
-    root = evecs @ np.diag(np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
+    root = _psd_sqrt(S)
     q = V.shape[1]
-    Vb = V.reshape(d, n, q)  # block rows of V per signal column (column-major vec)
-    # W = V^T (S (x) I_n) V and  U = V^T (S^{1/2} (x) I_n), assembled blockwise
-    W = np.zeros((q, q))
-    for a in range(d):
-        for b in range(d):
-            if S[a, b] != 0.0:
-                W += S[a, b] * (Vb[a].T @ Vb[b])
+    Vb, W = _gaussian_inner_system(V, S, n)
     A = np.eye(q) + W
-    cond = np.linalg.cond(A)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise NumericalConditioningError(f"inner solve ill-conditioned (cond={cond:.3e})")
     # t = V^T (S^{1/2} (x) I_n) vec(Y)
     YR = Y @ root  # n x d, column a of YR is sum_b root[b,a] Y[:,b]
     t = np.zeros(q)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .denoise import DomainError
+from .denoise import DomainError, _bg_log_terms
 from .model import (
     GAUSSIAN,
     RADEMACHER,
@@ -34,55 +34,49 @@ from .se import (
     OverlapModel,
     PrecisionError,
     _bg_breaks,
-    _leggauss,
+    _panel_sum,
     overlap_psi_scalar,
     refine_fixed_point,
 )
 
 
+_LOG_NORM = -0.5 * np.log(2.0 * np.pi)
+
+
+def _p_log_p_over_phi(logp):
+    """y -> p(y) log(p(y)/phi(y)) for the channel marginal with log-density logp."""
+
+    def f(y):
+        lp = logp(y)
+        return np.exp(lp) * (lp - (_LOG_NORM - np.square(y) / 2.0))
+
+    return f
+
+
 def _kl_integrand_panels(prior: ScalarPrior, s: float):
     """(integrand, breakpoints) for 2 * int_0^L p_s(y) log(p_s/phi)(y) dy."""
-    log_norm = -0.5 * np.log(2.0 * np.pi)
     if prior.kind == GAUSSIAN:
         sig2 = 1.0 + s
         L = 12.0 + 6.0 * np.sqrt(s)
         L = max(L, 10.0 * np.sqrt(sig2))
-
-        def f(y):
-            logp = log_norm - 0.5 * np.log(sig2) - np.square(y) / (2.0 * sig2)
-            logphi = log_norm - np.square(y) / 2.0
-            return np.exp(logp) * (logp - logphi)
-
+        f = _p_log_p_over_phi(
+            lambda y: _LOG_NORM - 0.5 * np.log(sig2) - np.square(y) / (2.0 * sig2)
+        )
         return f, sorted({0.0, np.sqrt(sig2), 3.0 * np.sqrt(sig2), L})
     if prior.kind == RADEMACHER:
         rs = np.sqrt(s)
         L = 12.0 + 6.0 * rs
-
-        def f(y):
-            logp = log_norm + np.log(0.5) + np.logaddexp(
-                -np.square(y - rs) / 2.0, -np.square(y + rs) / 2.0
-            )
-            logphi = log_norm - np.square(y) / 2.0
-            return np.exp(logp) * (logp - logphi)
-
+        f = _p_log_p_over_phi(lambda y: _LOG_NORM + np.log(0.5) + np.logaddexp(
+            -np.square(y - rs) / 2.0, -np.square(y + rs) / 2.0
+        ))
         breaks = {0.0, L}
         for v in (max(rs - 4.0, 0.0), rs, rs + 4.0):
             if 0 < v < L:
                 breaks.add(v)
         return f, sorted(breaks)
     eps = prior.eps
-    sig2 = 1.0 + s / eps
-    sig = np.sqrt(sig2)
-    L = max(12.0 + 6.0 * np.sqrt(s), 10.0 * sig)
-
-    def f(y):
-        y2 = np.square(y)
-        log_null = np.log1p(-eps) - y2 / 2.0 if eps < 1.0 else np.full_like(y, -np.inf)
-        log_spike = np.log(eps) - 0.5 * np.log(sig2) - y2 / (2.0 * sig2)
-        logp = log_norm + np.logaddexp(log_null, log_spike)
-        logphi = log_norm - y2 / 2.0
-        return np.exp(logp) * (logp - logphi)
-
+    L = max(12.0 + 6.0 * np.sqrt(s), 10.0 * np.sqrt(1.0 + s / eps))
+    f = _p_log_p_over_phi(lambda y: _LOG_NORM + np.logaddexp(*_bg_log_terms(y, s, eps)))
     breaks = set(_bg_breaks(s, eps))
     breaks.add(L)
     return f, sorted(v for v in breaks if v <= L)
@@ -90,12 +84,7 @@ def _kl_integrand_panels(prior: ScalarPrior, s: float):
 
 def _kl_once(prior: ScalarPrior, s: float, order: int) -> float:
     f, breaks = _kl_integrand_panels(prior, s)
-    x, w = _leggauss(order)
-    total = 0.0
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        mid, half = (a + b) / 2.0, (b - a) / 2.0
-        total += half * float(np.dot(w, f(mid + half * x)))
-    return 2.0 * total
+    return 2.0 * _panel_sum(f, breaks, order)
 
 
 def kl_channel(prior: ScalarPrior, s: float, order: int = 80) -> float:

@@ -23,6 +23,9 @@ import numpy as np
 
 from .denoise import (
     DomainError,
+    _bg_responsibility,
+    _gaussian_inner_system,
+    _psd_sqrt,
     posterior_mean_scalar,
     posterior_variance_scalar,
 )
@@ -62,31 +65,15 @@ def gauss_expect(f, order: int) -> float:
     return float(np.dot(w, f(x)))
 
 
-def _panel_gauss_expect_even(f, sigma: float, breaks, order: int) -> float:
-    """2 * int_0^L f(y) phi_sigma(y) dy for even f, panel Gauss-Legendre."""
+def _panel_sum(f, breaks, order: int) -> float:
+    """int f(y) dy over [breaks[0], breaks[-1]] by Gauss-Legendre of the given
+    order on each panel between consecutive breakpoints."""
     x, w = _leggauss(order)
     total = 0.0
-    norm = 1.0 / (sigma * np.sqrt(2.0 * np.pi))
     for a, b in zip(breaks[:-1], breaks[1:]):
         mid, half = (a + b) / 2.0, (b - a) / 2.0
-        y = mid + half * x
-        total += half * float(np.dot(w, f(y) * np.exp(-np.square(y / sigma) / 2.0)))
-    return 2.0 * total * norm
-
-
-def _panel_normal_expect(f, mu: float, sigma: float, features, order: int) -> float:
-    """E[f(Y)] for Y ~ N(mu, sigma^2) by panel Gauss-Legendre on [mu - 10 sigma,
-    mu + 10 sigma], with extra panel boundaries at the listed feature points."""
-    lo, hi = mu - 10.0 * sigma, mu + 10.0 * sigma
-    pts = sorted({lo, hi, *(v for v in features if lo < v < hi)})
-    x, w = _leggauss(order)
-    total = 0.0
-    norm = 1.0 / (sigma * np.sqrt(2.0 * np.pi))
-    for a, b in zip(pts[:-1], pts[1:]):
-        mid, half = (a + b) / 2.0, (b - a) / 2.0
-        y = mid + half * x
-        total += half * float(np.dot(w, f(y) * np.exp(-np.square((y - mu) / sigma) / 2.0)))
-    return total * norm
+        total += half * float(np.dot(w, f(mid + half * x)))
+    return total
 
 
 def _bg_breaks(s: float, eps: float) -> list[float]:
@@ -110,21 +97,16 @@ def _bg_breaks(s: float, eps: float) -> list[float]:
 
 def _psi_bg(s: float, eps: float, order: int) -> float:
     # psi = eps * kappa^2 * E_{N(0, sig2)}[y^2 r(y)] with kappa = sqrt(s)/(eps+s),
-    # using r(y) p(y) = eps * phi_spike(y) to collapse the mixture.
-    sig2 = 1.0 + s / eps
+    # using r(y) p(y) = eps * phi_spike(y) to collapse the mixture; the
+    # integrand is even, so it is integrated over [0, L] and doubled
+    sig = np.sqrt(1.0 + s / eps)
     kappa2 = s / (eps + s) ** 2
 
     def integrand(y):
-        if eps >= 1.0:
-            r = np.ones_like(y)
-        else:
-            log_spike = np.log(eps) - 0.5 * np.log(sig2) - np.square(y) / (2.0 * sig2)
-            log_null = np.log1p(-eps) - np.square(y) / 2.0
-            r = 1.0 / (1.0 + np.exp(np.clip(log_null - log_spike, -745.0, 745.0)))
-        return np.square(y) * r
+        return np.square(y) * _bg_responsibility(y, s, eps) * np.exp(-np.square(y / sig) / 2.0)
 
-    val = _panel_gauss_expect_even(integrand, np.sqrt(sig2), _bg_breaks(s, eps), order)
-    return eps * kappa2 * val
+    norm = 1.0 / (sig * np.sqrt(2.0 * np.pi))
+    return eps * kappa2 * (2.0 * _panel_sum(integrand, _bg_breaks(s, eps), order) * norm)
 
 
 def _psi_once(prior: ScalarPrior, s: float, order: int) -> float:
@@ -133,14 +115,19 @@ def _psi_once(prior: ScalarPrior, s: float, order: int) -> float:
         c = np.sqrt(s) / (1.0 + s)
         return gauss_expect(lambda u: np.square(c * np.sqrt(1.0 + s) * u), order)
     if prior.kind == RADEMACHER:
-        # by symmetry condition on X = +1: E_{y~N(sqrt(s),1)}[tanh^2(sqrt(s) y)];
-        # tanh transitions on scale 1/sqrt(s) around y = 0
+        # by symmetry condition on X = +1: E_{y~N(sqrt(s),1)}[tanh^2(sqrt(s) y)]
+        # over rs +- 10; tanh transitions on scale 1/sqrt(s) around y = 0, so
+        # the panels also break there
         rs = np.sqrt(s)
         width = 4.0 / max(rs, 1.0)
+        lo, hi = rs - 10.0, rs + 10.0
         feats = [-2 * width, -width, 0.0, width, 2 * width]
-        return _panel_normal_expect(
-            lambda y: np.square(np.tanh(rs * y)), rs, 1.0, feats, order
-        )
+        breaks = sorted({lo, hi, *(v for v in feats if lo < v < hi)})
+
+        def integrand(y):
+            return np.square(np.tanh(rs * y)) * np.exp(-np.square(y - rs) / 2.0)
+
+        return _panel_sum(integrand, breaks, order) * (1.0 / np.sqrt(2.0 * np.pi))
     return _psi_bg(s, prior.eps, order)
 
 
@@ -365,17 +352,7 @@ def gaussian_overlap(V: np.ndarray, S: np.ndarray, n: int) -> np.ndarray:
     if V.shape[0] != n * d:
         raise DomainError("factor rows must equal n*d")
     q = V.shape[1]
-    Vb = V.reshape(d, n, q)
-    W = np.zeros((q, q))
-    for a in range(d):
-        for b in range(d):
-            if S[a, b] != 0.0:
-                W += S[a, b] * (Vb[a].T @ Vb[b])
-    cond = np.linalg.cond(np.eye(q) + W)
-    if not np.isfinite(cond) or cond > 1e12:
-        from .denoise import NumericalConditioningError
-
-        raise NumericalConditioningError(f"inner solve ill-conditioned (cond={cond:.3e})")
+    Vb, W = _gaussian_inner_system(V, S, n)
     M = np.linalg.solve(np.eye(q) + W, W)
     psi = np.empty((d, d))
     for k in range(d):
@@ -387,13 +364,6 @@ def gaussian_overlap(V: np.ndarray, S: np.ndarray, n: int) -> np.ndarray:
 def mmse_matrix(model: OverlapModel, S: np.ndarray) -> np.ndarray:
     """Limiting matrix MMSE for centered block priors: diag(beta) - psi(S)."""
     return np.diag(model.beta) - model.psi_matrix(S)
-
-
-def _psd_sqrt(S: np.ndarray) -> np.ndarray:
-    evals, evecs = np.linalg.eigh(S)
-    if evals.min() < -1e-10 * max(1.0, evals.max(initial=1.0)):
-        raise DomainError("S must be PSD")
-    return evecs @ np.diag(np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
 
 
 @dataclass
