@@ -10,6 +10,6 @@ Modules:
     cli        experiment harness (``mvamp`` console entry point)
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from . import amp, denoise, limits, model, se, stability  # noqa: F401

@@ -110,15 +110,19 @@ class AMPTrace:
             wr.writerows(self.csv_rows(trial, seed, version))
 
 
-def init_side_information(X: np.ndarray, rho: float, seed) -> np.ndarray:
-    """M0 = rho X + sqrt(rho - rho^2) Z on the support pattern of X, so that
-    both (1/n) X^T M0 and (1/n) M0^T M0 concentrate on rho * diag(beta)."""
+def init_side_information(X: np.ndarray, rho: float, slices, seed) -> np.ndarray:
+    """M0 = rho X + sqrt(rho - rho^2) Z with Z zero outside the blocks (column j
+    is drawn on the rows ``slices[j]`` of block j only), so that both
+    (1/n) X^T M0 and (1/n) M0^T M0 concentrate on rho * diag(beta), also for a
+    block whose prior puts mass on zero."""
     if not (0.0 <= rho <= 1.0):
         raise DomainError(f"rho must lie in [0, 1], got {rho}")
     X = np.asarray(X, float)
     rng = rng_from(seed)
-    Z = rng.standard_normal(X.shape)
-    Z[X == 0.0] = 0.0
+    draws = rng.standard_normal(X.shape)
+    Z = np.zeros(X.shape)
+    for j, sl in enumerate(slices):
+        Z[sl, j] = draws[sl, j]
     return rho * X + np.sqrt(max(rho - rho * rho, 0.0)) * Z
 
 
@@ -128,10 +132,6 @@ def _block_mse(X, M, slices) -> np.ndarray:
         diff = X[sl, j] - M[sl, j]
         out[j] = float(diff @ diff) / (sl.stop - sl.start)
     return out
-
-
-def _column_mse(X, M) -> np.ndarray:
-    return np.square(X - M).mean(axis=0) * X.shape[0] / np.maximum(1, (X != 0).sum(axis=0))
 
 
 def _check_block_support(X, slices):
@@ -169,14 +169,16 @@ def run_symmetric(
     s_j = [T(Q_hat)]_{jj}) together with diag(s); the returned divergence is
     taken w.r.t. that standardized input and the engine chain-rules it back.
     The Onsager term always uses this empirical divergence (unless ablated).
+    The instance needs a profile: its block slices place the init noise and
+    the per-block MSE.
 
     With the profile denoiser every M^t is zero outside its blocks (column j
     lives on the rows of block j), so each view's product Y_k M is formed
     block by block, column j as Y_k[:, block j] @ M[block j, j]; this skips
     the structural zeros of M and equals the dense product up to the last
     ulps. It requires X to be zero outside its blocks, as every instance the
-    package builds is (M^0 shares the support of X); a DomainError naming the
-    block is raised otherwise. A ``denoiser=`` hook may return a dense M, so
+    package builds is (so M^0 = rho X + noise on the blocks is too); a
+    DomainError naming the block is raised otherwise. A ``denoiser=`` hook may return a dense M, so
     it runs the dense product Y_k @ M and needs no such support.
     """
     X = instance.X
@@ -190,17 +192,17 @@ def run_symmetric(
             raise DomainError("need one reweighting matrix per view")
     op = OperatorT(instance.couplings)
     profile = instance.profile
-    slices = profile.block_slices(n) if profile is not None else None
+    if profile is None:
+        raise DomainError("instance has no profile; AMP needs its block slices")
+    slices = profile.block_slices(n)
     block_product = denoiser is None
     if block_product:
-        if profile is None:
-            raise DomainError("instance has no profile; pass an explicit denoiser")
         _check_block_support(X, slices)
 
         def denoiser(Xt, params):
             return block_denoiser(profile, params, Xt)
 
-    M_prev = init_side_information(X, config.rho, tagged_stream(config.seed, _INIT_TAG))
+    M_prev = init_side_information(X, config.rho, slices, tagged_stream(config.seed, _INIT_TAG))
     M_prev2 = np.zeros_like(M_prev)
     B_prev = np.zeros((d, d))
 
@@ -208,8 +210,7 @@ def run_symmetric(
         F = X.T @ M / n
         Q = M.T @ M / n
         Q = (Q + Q.T) / 2.0
-        mse = _block_mse(X, M, slices) if slices is not None else _column_mse(X, M)
-        return F, Q, mse
+        return F, Q, _block_mse(X, M, slices)
 
     F0, Q0, mse0 = stats(M_prev)
     trace = AMPTrace([F0], [Q0], [mse0], n, d, M_prev, [] if config.keep_iterates else None)

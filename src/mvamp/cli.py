@@ -272,6 +272,16 @@ def _write_csv(path: str, header: list, rows, append: bool = False):
             fh.flush()
 
 
+def _cut_torn_row(path: str, n_fields: int):
+    """Truncate ``path`` before its last line if an interrupted write tore that
+    line: it lacks its terminator or has fewer than ``n_fields`` fields."""
+    with open(path, "rb+") as fh:
+        lines = fh.read().splitlines(keepends=True)
+        if lines and (not lines[-1].endswith(b"\n")
+                      or len(next(csv.reader([lines[-1].decode()]))) < n_fields):
+            fh.truncate(sum(map(len, lines[:-1])))
+
+
 def _trial_seed(master: int, *tags: int) -> int:
     return int(np.random.SeedSequence([master, *tags]).generate_state(1, np.uint64)[0])
 
@@ -416,7 +426,9 @@ def cmd_phase_diagram(cfg: ExperimentConfig, out_dir: str, seed: int, jobs: int,
                       resume: bool) -> int:
     sw = cfg.sweep
     path = os.path.join(out_dir, "phase_diagram.csv")
-    append = resume and os.path.exists(path)
+    if resume and os.path.exists(path):
+        _cut_torn_row(path, len(_PHASE_HEADER))
+    append = resume and os.path.exists(path) and os.path.getsize(path) > 0
     done = set()
     if append:
         with open(path) as fh:

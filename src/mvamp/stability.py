@@ -73,10 +73,6 @@ class CPOperator:
         """d^2 x d^2 representation on column-major vec: sum_k L_k (x) L_k."""
         return sum(np.kron(L, L) for L in self.kraus)
 
-    @staticmethod
-    def from_operator_T(op: OperatorT) -> "CPOperator":
-        return CPOperator(tuple(op.couplings.matrices))
-
 
 @dataclass
 class SpectralForm:

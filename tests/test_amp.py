@@ -21,19 +21,19 @@ def scalar_instance(lam, n=4000, seed=0):
 
 def test_init_extremes():
     X = model.sample_signal(PROF1, 500, seed=3)
-    m0 = amp.init_side_information(X, 0.0, seed=4)
+    m0 = amp.init_side_information(X, 0.0, PROF1.block_slices(500), seed=4)
     assert abs(float((X.T @ m0)[0, 0]) / 500) < 5 / np.sqrt(500)
-    m1 = amp.init_side_information(X, 1.0, seed=4)
+    m1 = amp.init_side_information(X, 1.0, PROF1.block_slices(500), seed=4)
     assert np.array_equal(m1, X)
     with pytest.raises(denoise.DomainError):
-        amp.init_side_information(X, 1.5, seed=0)
+        amp.init_side_information(X, 1.5, PROF1.block_slices(500), seed=0)
 
 
 def test_init_overlap_statistics():
     prof = PROF1
     n, rho = 4000, 0.3
     X = model.sample_signal(prof, n, seed=5)
-    m0 = amp.init_side_information(X, rho, seed=6)
+    m0 = amp.init_side_information(X, rho, prof.block_slices(n), seed=6)
     f1 = float((X.T @ m0)[0, 0]) / n
     q1 = float((m0.T @ m0)[0, 0]) / n
     assert abs(f1 - rho) < 0.02
@@ -41,7 +41,7 @@ def test_init_overlap_statistics():
     # init noise respects the signal support pattern
     prof2 = model.BlockPriorProfile((RAD, RAD), (0.5, 0.5))
     X2 = model.sample_signal(prof2, 100, seed=7)
-    m02 = amp.init_side_information(X2, 0.5, seed=8)
+    m02 = amp.init_side_information(X2, 0.5, prof2.block_slices(100), seed=8)
     assert np.all(m02[X2 == 0.0] == 0.0)
 
 
@@ -196,6 +196,39 @@ def test_block_product_rejects_signal_off_its_block():
         amp.run_symmetric(inst, cfg)
     # a denoiser hook runs the dense product, which needs no block support
     amp.run_symmetric(inst, cfg, denoiser=lambda Y, p: denoise.block_denoiser(PROF_RAD_BG, p, Y))
+
+
+def test_init_noise_covers_bg_block():
+    # M^0 carries its noise on every row of a block, also where a BG(0.1)
+    # signal is zero (90% of its rows), so Q_hat^0 = rho diag(beta) = SE's Q^1
+    n, rho = 4000, 0.05
+    X = model.sample_signal(PROF_RAD_BG, n, seed=121)
+    one_view = model.CouplingSet(NONCOMMUTING_VIEWS.matrices[:1])
+    inst = model.synthesize_symmetric(X, one_view, seed=122, profile=PROF_RAD_BG)
+    q0 = amp.run_symmetric(inst, amp.AMPConfig(max_iter=1, rho=rho, seed=123)).Q_hat[0]
+    assert np.abs(np.diag(q0) - rho * np.asarray(PROF_RAD_BG.beta)).max() < 0.003
+    assert q0[0, 1] == 0.0  # the blocks stay disjoint
+
+
+def test_multiview_recursion_tracks_se():
+    # K = 2 views that do not commute: the sum over views and the Onsager term
+    # B_t = sum_k Lambda_k D_t Lambda_k against SE q <- psi(sum_k Lambda_k**2 q),
+    # at every t with criterion 1's tolerance; one trial deviates by up to
+    # ~0.057, so the trial mean of four is compared
+    prof = model.BlockPriorProfile((RAD, model.ScalarPrior.bernoulli_gaussian(0.5)), (0.6, 0.4))
+    n, rho, t_max = 4000, 0.05, 20
+    traj = se.run_se(se.OverlapModel(prof), se.OperatorT(NONCOMMUTING_VIEWS),
+                     np.diag(rho * np.asarray(prof.beta)), tol=0.0, max_iter=t_max)
+    runs = []
+    for trial in range(4):
+        X = model.sample_signal(prof, n, seed=130 + trial)
+        inst = model.synthesize_symmetric(X, NONCOMMUTING_VIEWS, seed=140 + trial, profile=prof)
+        runs.append(amp.run_symmetric(inst, amp.AMPConfig(max_iter=t_max, rho=rho,
+                                                          seed=150 + trial)).Q_hat)
+    q_amp = np.mean(runs, axis=0)
+    assert q_amp.shape == np.shape(traj.Q) == (t_max + 1, 2, 2)
+    assert np.abs(q_amp - np.array(traj.Q)).max() <= 0.05
+    assert traj.Q[-1][0, 0] > 0.4  # the run leaves the uninformative start
 
 
 def test_trace_csv_export(tmp_path):

@@ -308,6 +308,19 @@ def test_phase_diagram_keeps_rows_on_numerical_failure(tmp_path, monkeypatch, ca
     assert [r["eps"] for r in rows] == ["0.5", "0.5", "1.0", "1.0"]
 
 
+def test_resume_recomputes_a_torn_row(tmp_path):
+    # a write cut short leaves a last row without its terminator and some
+    # fields; --resume drops it and recomputes that point
+    path = sweep_cfg(tmp_path, [0.6, 1.8], out="torn", trials=1, n=200)
+    assert cli.main(["phase-diagram", "--config", path]) == 0
+    out = tmp_path / "torn" / "phase_diagram.csv"
+    whole = out.read_bytes()
+    for cut in (60, 1):  # a short row, and a full row that lost its "\n"
+        out.write_bytes(whole[:-cut])
+        assert cli.main(["phase-diagram", "--config", path, "--resume"]) == 0
+        assert out.read_bytes() == whole
+
+
 def test_pmap_close_cancels_queued_items():
     started = []
 

@@ -22,8 +22,10 @@ def test_kl_zero_snr_is_zero():
 
 
 def test_kl_gaussian_closed_form():
-    for s in [0.1, 1.0, 10.0, 100.0]:
-        assert abs(limits.kl_channel(GAUSS, s) - 0.5 * (s - np.log1p(s))) < 1e-8
+    # BG(1) is the standard Gaussian reached through the BG mixture terms
+    for prior in [GAUSS, model.ScalarPrior.bernoulli_gaussian(1.0)]:
+        for s in [0.1, 1.0, 10.0, 100.0]:
+            assert abs(limits.kl_channel(prior, s) - 0.5 * (s - np.log1p(s))) < 1e-8
 
 
 def test_kl_rademacher_against_monte_carlo():

@@ -20,8 +20,10 @@ def gh_expect(f, order=161):
 # ---------------------------------------------------------------------------
 
 def test_gaussian_overlap_closed_form():
-    for s in [0.1, 1.0, 10.0, 100.0]:
-        assert abs(se.overlap_psi_scalar(GAUSS, s) - s / (1 + s)) < 1e-10
+    # BG(1) is the standard Gaussian reached through the BG mixture terms
+    for prior in [GAUSS, model.ScalarPrior.bernoulli_gaussian(1.0)]:
+        for s in [0.1, 1.0, 10.0, 100.0]:
+            assert abs(se.overlap_psi_scalar(prior, s) - s / (1 + s)) < 1e-10
 
 
 def test_overlap_zero_snr_and_range():
