@@ -178,8 +178,9 @@ def run_symmetric(
     the structural zeros of M and equals the dense product up to the last
     ulps. It requires X to be zero outside its blocks, as every instance the
     package builds is (so M^0 = rho X + noise on the blocks is too); a
-    DomainError naming the block is raised otherwise. A ``denoiser=`` hook may return a dense M, so
-    it runs the dense product Y_k @ M and needs no such support.
+    DomainError naming the block is raised otherwise. A ``denoiser=`` hook
+    may return a dense M, so it runs the dense product Y_k @ M and needs no
+    such support.
     """
     X = instance.X
     n, d = X.shape
