@@ -15,18 +15,11 @@ Q^t = (1/n) (M^t)^T M^t, so a run is a deterministic function of
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .denoise import (
-    ChannelParams,
-    DenoiserEval,
-    DomainError,
-    block_denoiser,
-    posterior_mean_derivative_scalar,
-)
+from .denoise import DomainError, block_denoiser, posterior_mean_derivative_scalar
 from .model import (
     BlockPriorProfile,
     MTPInstance,
@@ -93,21 +86,15 @@ class AMPTrace:
         header += [f"mse_block_{j + 1}" for j in range(d)]
         return header + ["seed", "version"]
 
-    def csv_rows(self, trial: int, seed: int | None, version: str):
+    def csv_rows(self, trial: int, seed: int, version: str):
         """One row per iteration, in the column order of ``csv_header``."""
         for i in range(len(self.Q_hat)):
             row = [trial, i]
             row += [repr(float(v)) for v in np.asarray(self.F_hat[i]).ravel()]
             row += [repr(float(v)) for v in np.asarray(self.Q_hat[i]).ravel()]
             row += [repr(float(v)) for v in np.asarray(self.mse[i]).ravel()]
-            row += [seed if seed is not None else "", version]
+            row += [seed, version]
             yield row
-
-    def to_csv(self, path: str, trial: int = 0, seed: int | None = None, version: str = ""):
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(self.csv_header())
-            wr.writerows(self.csv_rows(trial, seed, version))
 
 
 def init_side_information(X: np.ndarray, rho: float, slices, seed) -> np.ndarray:
@@ -143,8 +130,7 @@ def _check_block_support(X, slices):
         if np.any(col[:sl.start]) or np.any(col[sl.stop:]):
             raise DomainError(
                 f"signal column {j + 1} has a nonzero entry outside block {j + 1} "
-                f"(rows {sl.start}:{sl.stop}); the block product needs X zero off its "
-                "block, so pass an explicit denoiser to run the dense product"
+                f"(rows {sl.start}:{sl.stop}); the block product needs X zero off its block"
             )
 
 
@@ -156,31 +142,22 @@ def _block_product(Y, M, slices) -> np.ndarray:
     return out
 
 
-def run_symmetric(
-    instance: MTPInstance,
-    config: AMPConfig,
-    denoiser=None,
-) -> AMPTrace:
+def run_symmetric(instance: MTPInstance, config: AMPConfig) -> AMPTrace:
     """Run the symmetric AMP recursion on an instance.
 
-    ``denoiser(Y_std, params) -> DenoiserEval`` defaults to the separable Bayes
-    denoiser of the instance profile. The engine hands it the column-
-    standardized iterate (column j divided by sqrt of the scalar SNR
-    s_j = [T(Q_hat)]_{jj}) together with diag(s); the returned divergence is
-    taken w.r.t. that standardized input and the engine chain-rules it back.
-    The Onsager term always uses this empirical divergence (unless ablated).
-    The instance needs a profile: its block slices place the init noise and
-    the per-block MSE.
+    The denoiser is the separable Bayes ``block_denoiser`` of the instance
+    profile. It takes the raw iterate X^t and S_t = T(Q_hat^t) and returns M^t
+    with its divergence with respect to X^t, which the Onsager term uses
+    (unless ablated). The profile's block slices also place the init noise
+    and the per-block MSE.
 
-    With the profile denoiser every M^t is zero outside its blocks (column j
-    lives on the rows of block j), so each view's product Y_k M is formed
-    block by block, column j as Y_k[:, block j] @ M[block j, j]; this skips
-    the structural zeros of M and equals the dense product up to the last
-    ulps. It requires X to be zero outside its blocks, as every instance the
-    package builds is (so M^0 = rho X + noise on the blocks is too); a
-    DomainError naming the block is raised otherwise. A ``denoiser=`` hook
-    may return a dense M, so it runs the dense product Y_k @ M and needs no
-    such support.
+    Every M^t is zero outside its blocks (column j lives on the rows of block
+    j), so each view's product Y_k M is formed block by block, column j as
+    Y_k[:, block j] @ M[block j, j]; this skips the structural zeros of M and
+    equals the dense product up to the last ulps. It requires X to be zero
+    outside its blocks, as every instance the package builds is (so
+    M^0 = rho X + noise on the blocks is too); a DomainError naming the block
+    is raised otherwise.
     """
     X = instance.X
     n, d = X.shape
@@ -196,12 +173,7 @@ def run_symmetric(
     if profile is None:
         raise DomainError("instance has no profile; AMP needs its block slices")
     slices = profile.block_slices(n)
-    block_product = denoiser is None
-    if block_product:
-        _check_block_support(X, slices)
-
-        def denoiser(Xt, params):
-            return block_denoiser(profile, params, Xt)
+    _check_block_support(X, slices)
 
     M_prev = init_side_information(X, config.rho, slices, tagged_stream(config.seed, _INIT_TAG))
     M_prev2 = np.zeros_like(M_prev)
@@ -220,19 +192,12 @@ def run_symmetric(
         with np.errstate(invalid="ignore", over="ignore"):
             Xt = -M_prev2 @ B_prev.T
             for Yk, Ak in zip(instance.observations, A):
-                YM = _block_product(Yk, M_prev, slices) if block_product else Yk @ M_prev
-                Xt += YM @ Ak.T
+                Xt += _block_product(Yk, M_prev, slices) @ Ak.T
         if not np.isfinite(Xt).all():
             raise DivergenceError(t)
-        # the iterate's law is X S_t + Z with row covariance S_t = T(Q_hat);
-        # the scalar channels have SNR diag(S_t), so standardize per column
-        # before denoising and chain-rule the divergence back
-        S_t = op.apply(trace.Q_hat[-1])
-        s_diag = np.clip(np.diag(S_t), 0.0, None)
-        scale = np.zeros(d)
-        scale[s_diag > 0] = 1.0 / np.sqrt(s_diag[s_diag > 0])
-        ev = denoiser(Xt * scale[None, :], ChannelParams(np.diag(s_diag)))
-        M_t, D_t = ev.value, np.diag(scale) @ ev.divergence
+        # the iterate's law is X S_t + Z with row covariance S_t = T(Q_hat)
+        ev = block_denoiser(profile, op.apply(trace.Q_hat[-1]), Xt)
+        M_t, D_t = ev.value, ev.divergence
         if not (np.isfinite(M_t).all() and np.isfinite(D_t).all()):
             raise DivergenceError(t)
         if config.correction == "divergence":

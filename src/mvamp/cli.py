@@ -330,7 +330,12 @@ def _run_trial(profile: BlockPriorProfile, couplings: CouplingSet, n: int,
 
 def cmd_se(cfg: ExperimentConfig, out_dir: str, seed: int) -> int:
     _, _, traj = _se(cfg, cfg.model.profile, cfg.model.couplings)
-    traj.to_csv(os.path.join(out_dir, "se.csv"), seed=seed, version=VERSION_TAG)
+    d = cfg.model.profile.d
+    header = ["t"] + [f"q_{j + 1}" for j in range(d)] + [f"s_{j + 1}" for j in range(d)]
+    rows = ([i + 1] + [_fmt(v) for v in np.concatenate([np.diag(q), np.diag(s)])]
+            + [int(traj.converged), seed, VERSION_TAG]
+            for i, (q, s) in enumerate(zip(traj.Q, traj.S)))
+    _write_csv(os.path.join(out_dir, "se.csv"), header + ["converged", "seed", "version"], rows)
     if not traj.converged:
         print("state evolution did not converge within max_iter", file=sys.stderr)
         return 3

@@ -1,14 +1,14 @@
 """Bayes-optimal conditional-mean denoisers and their analytic derivatives.
 
 All scalar denoisers act on the standardized channel  y = sqrt(s) X + Z  with
-Z ~ N(0,1) independent of X, and return E[X | y]. The Bernoulli-Gaussian case
+Z ~ N(0,1) independent of X, and return E[X | y]; the block denoiser takes the
+raw AMP iterate and standardizes each column itself. The Bernoulli-Gaussian case
 is evaluated through the mixture responsibility in log space so it stays
 finite for arbitrarily large |y|.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +24,6 @@ class NumericalConditioningError(RuntimeError):
     pass
 
 
-class DiagonalProjectionWarning(UserWarning):
-    """Off-diagonal effective SNR projected away in strict block mode."""
-
-
 @dataclass(frozen=True)
 class DenoiserEval:
     """Denoised matrix together with the averaged-derivative matrix D_hat.
@@ -38,27 +34,6 @@ class DenoiserEval:
 
     value: np.ndarray
     divergence: np.ndarray
-
-
-@dataclass(frozen=True)
-class ChannelParams:
-    """Effective SNR matrix S (symmetrized on input, PSD within 1e-10)."""
-
-    S: np.ndarray
-
-    def __post_init__(self):
-        S = np.asarray(self.S, float)
-        S = (S + S.T) / 2.0
-        lo = float(np.linalg.eigvalsh(S).min()) if S.size else 0.0
-        if lo < -1e-10 * max(1.0, float(np.abs(S).max())):
-            raise DomainError(f"effective SNR not PSD (min eigenvalue {lo:.3e})")
-        S = S.copy()
-        S.flags.writeable = False
-        object.__setattr__(self, "S", S)
-
-    @property
-    def d(self) -> int:
-        return self.S.shape[0]
 
 
 def _check_snr(s: float) -> float:
@@ -140,39 +115,38 @@ def posterior_variance_scalar(prior: ScalarPrior, s: float, y):
     return second - (r * mean_spike) ** 2
 
 
-def block_denoiser(
-    profile: BlockPriorProfile,
-    params: ChannelParams,
-    Y: np.ndarray,
-) -> DenoiserEval:
-    """Separable Bayes denoiser for block-diagonal signals.
+def block_denoiser(profile: BlockPriorProfile, S: np.ndarray, Y: np.ndarray) -> DenoiserEval:
+    """Separable Bayes denoiser of the raw AMP iterate Y = X S + Z, where the
+    rows of Z are N(0, S) and column j of X is zero outside block j.
 
     Entry (i, j) with i in block j is the scalar posterior mean at SNR
-    s_j = S[j, j]; all off-block entries are zero. An off-diagonal S is
-    projected to its diagonal with a warning (finite-n AMP bookkeeping can
-    carry O(1/sqrt(n)) off-diagonal residue).
+    s_j = S[j, j] (clipped at 0) of the standardized input Y[i, j] / sqrt(s_j);
+    all off-block entries are zero. The divergence is taken with respect to Y,
+    so D[j, j] = (1/n) sum_i eta_j'(Y[i, j] / sqrt(s_j)) / sqrt(s_j).
+
+    Reading only diag(S) is exact, not a projection: row i of block j is
+    y = x_ij S[j, :] + z with z ~ N(0, S), whose log-likelihood in x_ij is
+    x_ij S[j, :] S^{-1} y - x_ij^2 S[j, :] S^{-1} S[:, j] / 2
+    = x_ij e_j^T y - x_ij^2 s_j / 2. It depends on y only through entry j,
+    which is the scalar channel y_j = s_j x_ij + sqrt(s_j) N(0, 1).
     """
-    S = params.S
     d = profile.d
+    S = np.asarray(S, float)
     if S.shape != (d, d):
         raise DomainError(f"SNR shape {S.shape} != ({d}, {d})")
     Y = np.asarray(Y, float)
     n = Y.shape[0]
     if Y.shape[1] != d:
         raise DomainError(f"iterate width {Y.shape[1]} != d={d}")
-    off = S - np.diag(np.diag(S))
-    if np.abs(off).max() > 1e-8 * (1.0 + np.abs(np.diag(S)).max()):
-        warnings.warn(
-            f"projecting off-diagonal effective SNR (max |off| = {np.abs(off).max():.2e})",
-            DiagonalProjectionWarning,
-        )
     s = np.clip(np.diag(S), 0.0, None)
     value = np.zeros_like(Y)
     div = np.zeros((d, d))
     for j, sl in enumerate(profile.block_slices(n)):
-        col = Y[sl, j]
-        value[sl, j] = posterior_mean_scalar(profile.priors[j], s[j], col)
-        div[j, j] = posterior_mean_derivative_scalar(profile.priors[j], s[j], col).sum() / n
+        scale = 1.0 / np.sqrt(s[j]) if s[j] > 0 else 0.0
+        col = Y[sl, j] * scale
+        prior = profile.priors[j]
+        value[sl, j] = posterior_mean_scalar(prior, s[j], col)
+        div[j, j] = scale * (posterior_mean_derivative_scalar(prior, s[j], col).sum() / n)
     return DenoiserEval(value, div)
 
 

@@ -293,29 +293,6 @@ def _sqrt_entrywise(H: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class InclusionReport:
-    residuals: list
-    max_residual: float
-    ok: bool
-
-
-def critical_point_inclusion_check(
-    result: VariationalResult,
-    model: OverlapModel,
-    op: OperatorT,
-    tol: float = 1e-6,
-) -> InclusionReport:
-    """Every returned maximizer must satisfy the SE fixed-point equation
-    q = psi(H q) within tol (sup norm)."""
-    H = op.hadamard_matrix
-    residuals = []
-    for q, _ in result.candidates:
-        residuals.append(float(np.abs(q - model.psi_vector(H @ q)).max()))
-    worst = max(residuals)
-    return InclusionReport(residuals, worst, worst < tol)
-
-
-@dataclass
 class SweepRow:
     c: float
     norm_Tc: float

@@ -17,8 +17,6 @@ trials run concurrently.
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -163,16 +161,6 @@ class BlockPriorProfile:
         offsets = np.concatenate([[0], np.cumsum(sizes)])
         return [slice(int(offsets[j]), int(offsets[j + 1])) for j in range(self.d)]
 
-    def to_dict(self) -> dict:
-        return {"priors": [p.name for p in self.priors], "beta": list(self.beta)}
-
-    @staticmethod
-    def from_dict(dd: dict) -> "BlockPriorProfile":
-        return BlockPriorProfile(
-            tuple(ScalarPrior.from_name(s) for s in dd["priors"]),
-            tuple(float(b) for b in dd["beta"]),
-        )
-
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float, copy=True)
@@ -219,13 +207,6 @@ class CouplingSet:
         cs = CouplingSet((lam,))
         cs.require_symmetric()
         return cs
-
-    def to_dict(self) -> dict:
-        return {"matrices": [m.tolist() for m in self.matrices]}
-
-    @staticmethod
-    def from_dict(dd: dict) -> "CouplingSet":
-        return CouplingSet(tuple(np.asarray(m, float) for m in dd["matrices"]))
 
 
 @dataclass(frozen=True)
@@ -275,21 +256,6 @@ class MTPInstance:
     @property
     def K(self) -> int:
         return len(self.observations)
-
-    def noiseless_part(self, k: int) -> np.ndarray:
-        return _exact_sym(self.X @ self.couplings.matrices[k] @ self.X.T) / self.n
-
-    def snr_profile(self) -> np.ndarray:
-        """The n x n SNR matrix (Lambda entries tiled over blocks); built on demand."""
-        if self.profile is None or self.couplings.K != 1:
-            raise InvalidProfileError("snr profile needs a single-view block instance")
-        lam = self.couplings.matrices[0]
-        slices = self.profile.block_slices(self.n)
-        delta = np.empty((self.n, self.n))
-        for j, sj in enumerate(slices):
-            for l, sl in enumerate(slices):
-                delta[sj, sl] = lam[j, l]
-        return delta
 
 
 def _exact_sym(a: np.ndarray) -> np.ndarray:
@@ -399,39 +365,3 @@ def embed_asymmetric(
     X[n1:, d1:] = X2
     inst = synthesize_symmetric(X, CouplingSet(tuple(mats)), seed)
     return dataclasses.replace(inst, embedding=EmbeddingInfo(n1, n2, d1, d2, alpha))
-
-
-# ---------------------------------------------------------------------------
-# serialization: X and each Y_k as CSV, metadata as JSON
-# ---------------------------------------------------------------------------
-
-def save_instance(inst: MTPInstance, directory: str):
-    os.makedirs(directory, exist_ok=True)
-    np.savetxt(os.path.join(directory, "X.csv"), inst.X, delimiter=",")
-    for k, y in enumerate(inst.observations):
-        np.savetxt(os.path.join(directory, f"Y_{k}.csv"), y, delimiter=",")
-    meta = {
-        "n": inst.n,
-        "d": inst.d,
-        "K": inst.K,
-        "seed": inst.seed,
-        "profile": inst.profile.to_dict() if inst.profile is not None else None,
-        "couplings": inst.couplings.to_dict(),
-    }
-    with open(os.path.join(directory, "instance.json"), "w") as fh:
-        json.dump(meta, fh, indent=2)
-
-
-def load_instance(directory: str) -> MTPInstance:
-    with open(os.path.join(directory, "instance.json")) as fh:
-        meta = json.load(fh)
-    X = np.loadtxt(os.path.join(directory, "X.csv"), delimiter=",", ndmin=2)
-    obs = tuple(
-        np.loadtxt(os.path.join(directory, f"Y_{k}.csv"), delimiter=",", ndmin=2)
-        for k in range(meta["K"])
-    )
-    profile = BlockPriorProfile.from_dict(meta["profile"]) if meta["profile"] else None
-    return MTPInstance(
-        meta["n"], meta["d"], X, obs, meta["seed"],
-        CouplingSet.from_dict(meta["couplings"]), profile,
-    )

@@ -15,7 +15,6 @@ Every evaluation is re-done at doubled order and must agree to 1e-8.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -257,28 +256,6 @@ class SETrajectory:
     def q_star(self) -> np.ndarray:
         return np.diag(self.Q_star)
 
-    def to_csv(self, path: str, seed=None, version: str | None = None):
-        d = self.Q[0].shape[0]
-        extra = ([] if seed is None else ["seed"]) + ([] if version is None else ["version"])
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(
-                ["t"]
-                + [f"q_{j + 1}" for j in range(d)]
-                + [f"s_{j + 1}" for j in range(d)]
-                + ["converged"]
-                + extra
-            )
-            for i, (q, s) in enumerate(zip(self.Q, self.S)):
-                wr.writerow(
-                    [i + 1]
-                    + [repr(float(v)) for v in np.diag(q)]
-                    + [repr(float(v)) for v in np.diag(s)]
-                    + [int(self.converged)]
-                    + ([] if seed is None else [seed])
-                    + ([] if version is None else [version])
-                )
-
 
 def run_se(
     model: OverlapModel,
@@ -359,11 +336,6 @@ def gaussian_overlap(V: np.ndarray, S: np.ndarray, n: int) -> np.ndarray:
         for l in range(d):
             psi[k, l] = np.einsum("ip,pq,iq->", Vb[k], M, Vb[l]) / n
     return (psi + psi.T) / 2.0
-
-
-def mmse_matrix(model: OverlapModel, S: np.ndarray) -> np.ndarray:
-    """Limiting matrix MMSE for centered block priors: diag(beta) - psi(S)."""
-    return np.diag(model.beta) - model.psi_matrix(S)
 
 
 @dataclass

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denoise import DomainError
-from .model import CouplingSet, rng_from
+from .model import rng_from
 from .se import OperatorT, OverlapModel
 
 
@@ -292,14 +292,6 @@ def restricted_orthant_norm(
     return (best_val, best_x) if return_direction else best_val
 
 
-def zero_point_operator(couplings: CouplingSet, p: int) -> CPOperator:
-    """Reduced coupling operator at the zero fixed point: Kraus factors are the
-    top-left p x p blocks of the Lambda_k."""
-    if p > couplings.d or p < 1:
-        raise DomainError(f"effective rank p={p} outside [1, {couplings.d}]")
-    return CPOperator(tuple(m[:p, :p] for m in couplings.matrices))
-
-
 @dataclass
 class StabilityVerdict:
     fixed_point: np.ndarray
@@ -358,39 +350,3 @@ def classify_fixed_point(
     else:
         cls = "marginal"
     return StabilityVerdict(q, float(nu), cls, delta, direction)
-
-
-@dataclass
-class PerronResult:
-    irreducible: bool
-    leading_eig: float
-    leading_vec: np.ndarray | None
-
-
-def perron_frobenius_check(T: np.ndarray) -> PerronResult:
-    """Irreducibility (strong connectivity of the support digraph) and, when
-    irreducible, the Perron eigenvalue with its positive eigenvector."""
-    T = np.asarray(T, float)
-    if T.min() < 0:
-        raise DomainError("matrix must be entrywise nonnegative")
-    d = T.shape[0]
-    reach = np.eye(d, dtype=np.int64) + (T > 0)
-    closure = np.linalg.matrix_power(reach, d) > 0
-    irreducible = bool(closure.all())
-    evals, evecs = np.linalg.eig(T)
-    rho = float(np.abs(evals).max())
-    # the spectral radius of a nonnegative matrix is itself an eigenvalue
-    real_tops = [
-        i
-        for i, e in enumerate(evals)
-        if abs(e.imag) < 1e-9 * max(1.0, rho) and abs(abs(e) - rho) < 1e-9 * max(1.0, rho)
-    ]
-    k = max(real_tops, key=lambda i: evals[i].real) if real_tops else int(np.argmax(np.abs(evals)))
-    leading = float(evals[k].real)
-    vec = None
-    if irreducible:
-        v = np.real(evecs[:, k])
-        if v.sum() < 0:
-            v = -v
-        vec = v / np.linalg.norm(v)
-    return PerronResult(irreducible, leading, vec)

@@ -134,14 +134,15 @@ def test_early_stop():
     assert tr.iterations < 80
 
 
-def test_divergence_error_reports_iteration():
+def test_divergence_error_reports_iteration(monkeypatch):
     inst = scalar_instance(1.0, n=200, seed=51)
 
-    def bad_denoiser(Y, params):
+    def bad_denoiser(profile, S, Y):
         return denoise.DenoiserEval(np.full_like(Y, np.inf), np.zeros((1, 1)))
 
+    monkeypatch.setattr(amp, "block_denoiser", bad_denoiser)
     with pytest.raises(amp.DivergenceError) as exc:
-        amp.run_symmetric(inst, amp.AMPConfig(max_iter=5, rho=0.1, seed=52), denoiser=bad_denoiser)
+        amp.run_symmetric(inst, amp.AMPConfig(max_iter=5, rho=0.1, seed=52))
     assert exc.value.iteration == 1
 
 
@@ -162,27 +163,20 @@ def _assert_traces_agree(a, b, tol=1e-12):
     assert np.abs(a.M_final - b.M_final).max() <= tol
 
 
-def test_block_product_equals_dense_product():
-    # the profile denoiser takes the block product; the same denoiser passed
-    # as a hook takes the dense product Y_k @ M
+def test_block_product_equals_dense_product(monkeypatch):
+    # the engine's block product against the dense product Y_k @ M
     X = model.sample_signal(PROF_RAD_BG, 600, seed=101)
     inst = model.synthesize_symmetric(X, NONCOMMUTING_VIEWS, seed=102, profile=PROF_RAD_BG)
     cfg = amp.AMPConfig(max_iter=30, rho=0.05, seed=103, keep_iterates=True)
     block = amp.run_symmetric(inst, cfg)
-    dense = amp.run_symmetric(
-        inst, cfg, denoiser=lambda Y, p: denoise.block_denoiser(PROF_RAD_BG, p, Y)
-    )
-    _assert_traces_agree(block, dense)
     assert block.Q_hat[-1][0, 0] > 0.3  # an informative run, not a trivial one
-
     rng = model.rng_from(104)
     X1, X2 = RAD.sample(rng, (400, 1)), GAUSS.sample(rng, (200, 1))
     res = amp.run_asymmetric(X1, X2, [np.array([[1.8]])], (RAD, GAUSS), cfg)
-    emb = res.instance
-    dense = amp.run_symmetric(
-        emb, cfg, denoiser=lambda Y, p: denoise.block_denoiser(emb.profile, p, Y)
-    )
-    _assert_traces_agree(res.trace, dense)
+
+    monkeypatch.setattr(amp, "_block_product", lambda Y, M, slices: Y @ M)
+    _assert_traces_agree(block, amp.run_symmetric(inst, cfg))
+    _assert_traces_agree(res.trace, amp.run_symmetric(res.instance, cfg))
 
 
 def test_block_product_rejects_signal_off_its_block():
@@ -194,8 +188,6 @@ def test_block_product_rejects_signal_off_its_block():
     cfg = amp.AMPConfig(max_iter=3, rho=0.1, seed=113)
     with pytest.raises(denoise.DomainError, match="outside block 2"):
         amp.run_symmetric(inst, cfg)
-    # a denoiser hook runs the dense product, which needs no block support
-    amp.run_symmetric(inst, cfg, denoiser=lambda Y, p: denoise.block_denoiser(PROF_RAD_BG, p, Y))
 
 
 def test_init_noise_covers_bg_block():
@@ -229,16 +221,6 @@ def test_multiview_recursion_tracks_se():
     assert q_amp.shape == np.shape(traj.Q) == (t_max + 1, 2, 2)
     assert np.abs(q_amp - np.array(traj.Q)).max() <= 0.05
     assert traj.Q[-1][0, 0] > 0.4  # the run leaves the uninformative start
-
-
-def test_trace_csv_export(tmp_path):
-    inst = scalar_instance(1.5, n=300, seed=61)
-    tr = amp.run_symmetric(inst, amp.AMPConfig(max_iter=4, rho=0.1, seed=62))
-    path = tmp_path / "trace.csv"
-    tr.to_csv(str(path), trial=3, seed=61, version="test")
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].startswith("trial,t,F_hat_11,Q_hat_11,mse_block_1")
-    assert len(lines) == len(tr.Q_hat) + 1
 
 
 # ---------------------------------------------------------------------------

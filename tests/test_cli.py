@@ -67,7 +67,10 @@ def test_invalid_values_exit_2(tmp_path):
 def test_se_command_writes_csv(tmp_path):
     path = scalar_cfg(tmp_path)
     assert cli.main(["se", "--config", path]) == 0
+    lines = (tmp_path / "out" / "se.csv").read_text().strip().splitlines()
+    assert lines[0] == "t,q_1,s_1,converged,seed,version"
     rows = list(csv.DictReader(open(tmp_path / "out" / "se.csv")))
+    assert len(lines) == len(rows) + 1
     assert rows[0]["t"] == "1"
     assert float(rows[0]["q_1"]) == pytest.approx(0.1)
     assert rows[-1]["converged"] == "1"
@@ -92,7 +95,10 @@ def test_simulate_outputs_and_manifest_round_trip(tmp_path):
     assert cli.main(["simulate", "--config", str(manifest), "--out", str(out2)]) == 0
     assert (out2 / "trace.csv").read_bytes() == trace1
     assert (out2 / "aggregate.csv").read_bytes() == agg1
-    # rows carry seed and version
+    # one row per trial and iteration, carrying seed and version
+    lines = trace1.decode().strip().splitlines()
+    assert lines[0].startswith("trial,t,F_hat_11,Q_hat_11,mse_block_1")
+    assert len(lines) == 2 * (8 + 1) + 1
     rows = list(csv.DictReader(open(out / "trace.csv")))
     assert rows[0]["version"] == cli.VERSION_TAG
     assert rows[0]["seed"] != ""

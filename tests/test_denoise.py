@@ -128,14 +128,13 @@ def _profile2():
 def test_block_denoiser_at_zero_input():
     prof = _profile2()
     n = 20
-    params = denoise.ChannelParams(np.diag([1.0, 2.0]))
-    ev = denoise.block_denoiser(prof, params, np.zeros((n, 2)))
+    ev = denoise.block_denoiser(prof, np.diag([1.0, 2.0]), np.zeros((n, 2)))
     assert np.abs(ev.value).max() == 0.0
-    # D_jj = (n_j/n) eta'(s_j, 0)
+    # D_jj = (n_j/n) eta'(s_j, 0) / sqrt(s_j), the divergence w.r.t. the raw iterate
     for j, (sl_size, s) in enumerate([(12, 1.0), (8, 2.0)]):
         expected = sl_size / n * denoise.posterior_mean_derivative_scalar(
             prof.priors[j], s, 0.0
-        )
+        ) / np.sqrt(s)
         assert np.isclose(ev.divergence[j, j], expected)
     assert ev.divergence[0, 1] == 0.0 == ev.divergence[1, 0]
 
@@ -143,30 +142,53 @@ def test_block_denoiser_at_zero_input():
 def test_block_denoiser_single_block_matches_scalar():
     prof = model.BlockPriorProfile((RAD,), (1.0,))
     Y = np.random.default_rng(3).standard_normal((15, 1))
-    ev = denoise.block_denoiser(prof, denoise.ChannelParams(np.array([[1.3]])), Y)
-    assert np.allclose(ev.value, np.tanh(np.sqrt(1.3) * Y))
+    ev = denoise.block_denoiser(prof, np.array([[1.3]]), Y)
+    # the raw iterate is y = s x + sqrt(s) z; its Rademacher posterior mean is tanh(y)
+    assert np.allclose(ev.value, np.tanh(Y))
 
 
 def test_block_denoiser_gaussian_blocks_divergence():
-    # eps=1 both blocks: linear denoiser; D_jj = beta_j sqrt(s_j)/(1+s_j) up to rounding
+    # eps=1 both blocks: linear denoiser; D_jj = beta_j/(1+s_j) up to rounding
     prof = model.BlockPriorProfile((BG1, BG1), (0.6, 0.4))
     n = 1000
     Y = np.random.default_rng(4).standard_normal((n, 2))
     s = np.array([0.8, 2.5])
-    ev = denoise.block_denoiser(prof, denoise.ChannelParams(np.diag(s)), Y)
+    ev = denoise.block_denoiser(prof, np.diag(s), Y)
     for j in range(2):
         beta_j = prof.block_sizes(n)[j] / n
-        assert np.isclose(ev.divergence[j, j], beta_j * np.sqrt(s[j]) / (1 + s[j]))
+        assert np.isclose(ev.divergence[j, j], beta_j / (1 + s[j]))
 
 
-def test_block_denoiser_warns_and_projects_off_diagonal():
+def test_block_denoiser_reads_only_diag():
     prof = _profile2()
     S = np.array([[1.0, 0.2], [0.2, 1.0]])
     Y = np.ones((10, 2))
-    with pytest.warns(denoise.DiagonalProjectionWarning):
-        ev = denoise.block_denoiser(prof, denoise.ChannelParams(S), Y)
-    ref = denoise.block_denoiser(prof, denoise.ChannelParams(np.eye(2)), Y)
-    assert np.allclose(ev.value, ref.value)
+    ev = denoise.block_denoiser(prof, S, Y)
+    ref = denoise.block_denoiser(prof, np.eye(2), Y)
+    assert np.array_equal(ev.value, ref.value)
+    assert np.array_equal(ev.divergence, ref.divergence)
+
+
+def test_block_denoiser_is_the_exact_posterior_mean():
+    # two BG(1) blocks are a Gaussian prior N(0, V V^T) on vec(X), V the n*d x n
+    # selector of the block entries; the raw iterate Xt = X S + Z, rows of Z
+    # N(0, S), is the channel Xt S^{-1/2} = X S^{1/2} + N(0, I) of the
+    # matrix denoiser, whose posterior mean uses the full non-diagonal S
+    prof = model.BlockPriorProfile((BG1, BG1), (0.6, 0.4))
+    n = 10
+    S = np.array([[1.3, 0.5], [0.5, 0.8]])
+    V = np.zeros((2 * n, n))
+    for j, sl in enumerate(prof.block_slices(n)):
+        for i in range(sl.start, sl.stop):
+            V[j * n + i, i] = 1.0
+    Xt = np.random.default_rng(9).standard_normal((n, 2))
+    evals, evecs = np.linalg.eigh(S)
+    inv_root = evecs @ np.diag(evals ** -0.5) @ evecs.T
+    ev = denoise.block_denoiser(prof, S, Xt)
+    ref = denoise.gaussian_matrix_denoiser(V, S, Xt @ inv_root)
+    assert np.abs(ev.value - ref.value).max() < 1e-12
+    # chain rule: d/dXt = S^{-1/2} d/d(Xt S^{-1/2})
+    assert np.abs(ev.divergence - inv_root @ ref.divergence).max() < 1e-12
 
 
 def test_gaussian_matrix_denoiser_isotropic_reduction():
@@ -215,13 +237,6 @@ def test_gaussian_matrix_denoiser_conditioning_error():
     Y = np.ones((n, 1))
     with pytest.raises(denoise.NumericalConditioningError):
         denoise.gaussian_matrix_denoiser(V, np.array([[1.0]]), Y)
-
-
-def test_channel_params_validation():
-    with pytest.raises(denoise.DomainError):
-        denoise.ChannelParams(np.array([[-1.0]]))
-    p = denoise.ChannelParams(np.array([[1.0, 0.4], [0.2, 1.0]]))
-    assert np.allclose(p.S, p.S.T)  # symmetrized on input
 
 
 @settings(max_examples=40, deadline=None)

@@ -207,16 +207,6 @@ def test_se_order_preserving_on_diagonals():
         assert np.all(hi >= lo - 1e-12)
 
 
-def test_se_csv_export(tmp_path):
-    m, op = _scalar_setup(2.0)
-    traj = se.run_se(m, op, np.array([[0.1]]), max_iter=50)
-    path = tmp_path / "se.csv"
-    traj.to_csv(str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,q_1,s_1,converged"
-    assert len(lines) == len(traj.Q) + 1
-
-
 # ---------------------------------------------------------------------------
 # Gaussian overlap and MMSE gradient identity
 # ---------------------------------------------------------------------------
@@ -255,20 +245,6 @@ def test_gaussian_overlap_matches_monte_carlo():
                 vals = prod
     band = 4 * vals.std() / np.sqrt(N)
     assert np.abs(acc - psi).max() < band + 1e-3
-
-
-def test_mmse_matrix_forms():
-    prof = model.BlockPriorProfile((RAD, BG5), (0.6, 0.4))
-    m = se.OverlapModel(prof)
-    assert np.allclose(se.mmse_matrix(m, np.zeros((2, 2))), np.diag([0.6, 0.4]))
-    # Gaussian d=1: dM/ds = -1/(1+s)^2
-    mg = se.OverlapModel(model.BlockPriorProfile((GAUSS,), (1.0,)))
-    s, h = 1.5, 1e-6
-    fd = (
-        se.mmse_matrix(mg, np.array([[s + h]]))[0, 0]
-        - se.mmse_matrix(mg, np.array([[s - h]]))[0, 0]
-    ) / (2 * h)
-    assert abs(fd + 1 / (1 + s) ** 2) < 1e-6
 
 
 def test_mmse_gradient_check_rademacher():

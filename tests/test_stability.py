@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mvamp import denoise, model, se, stability
+from mvamp import model, se, stability
 
 RAD = model.ScalarPrior.rademacher()
 XI = np.array([[0.7, 0.3], [0.3, 0.7]])
@@ -87,6 +87,8 @@ def test_restricted_norm_scaling_law():
     base = stability.restricted_psd_norm(op)
     scaled = stability.CPOperator(tuple(np.sqrt(2.7) * L for L in op.kraus))
     assert abs(stability.restricted_psd_norm(scaled) - 2.7 * base) < 1e-8 * max(1, base)
+    zero = stability.CPOperator((np.zeros((2, 2)),))
+    assert stability.restricted_psd_norm(zero) == 0.0
 
 
 def test_orthant_norm_equals_operator_norm_for_nonneg():
@@ -96,22 +98,8 @@ def test_orthant_norm_equals_operator_norm_for_nonneg():
 
 
 # ---------------------------------------------------------------------------
-# zero-point operator and classification
+# classification
 # ---------------------------------------------------------------------------
-
-def test_zero_point_operator_blocks():
-    lams = (np.arange(9.0).reshape(3, 3),)
-    lams = (lams[0] + lams[0].T,)
-    cs = model.CouplingSet(lams)
-    full = stability.zero_point_operator(cs, 3)
-    assert np.allclose(full.kraus[0], cs.matrices[0])
-    red = stability.zero_point_operator(cs, 2)
-    assert np.allclose(red.kraus[0], cs.matrices[0][:2, :2])
-    with pytest.raises(denoise.DomainError):
-        stability.zero_point_operator(cs, 4)
-    zero = stability.CPOperator((np.zeros((2, 2)),))
-    assert stability.restricted_psd_norm(zero) == 0.0
-
 
 def _hetero(eps, target_norm):
     prof = model.BlockPriorProfile((RAD, model.ScalarPrior.bernoulli_gaussian(eps)), BETA)
@@ -175,27 +163,6 @@ def test_verdict_json_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# Perron-Frobenius
-# ---------------------------------------------------------------------------
-
-def test_perron_example_matrix():
-    pr = stability.perron_frobenius_check(np.array([[0.42, 0.18], [0.12, 0.28]]))
-    assert pr.irreducible
-    assert abs(pr.leading_eig - (0.7 + np.sqrt(0.106)) / 2) < 1e-12
-    assert np.all(pr.leading_vec > 0)
-
-
-def test_perron_reducible_cases():
-    pr = stability.perron_frobenius_check(np.diag([1.0, 2.0]))
-    assert not pr.irreducible and pr.leading_vec is None
-    assert pr.leading_eig == 2.0
-    pr_id = stability.perron_frobenius_check(np.eye(2))
-    assert not pr_id.irreducible
-    with pytest.raises(denoise.DomainError):
-        stability.perron_frobenius_check(np.array([[1.0, -0.1], [0.0, 1.0]]))
-
-
-# ---------------------------------------------------------------------------
 # structural invariants
 # ---------------------------------------------------------------------------
 
@@ -227,7 +194,7 @@ def test_eigenvalue_sufficient_condition_implies_stable():
         a = np.abs(rng.standard_normal((d, d)))
         lam = (a + a.T) / 2 * rng.uniform(0.1, 0.8)
         cs = model.CouplingSet.heteroskedastic(lam)
-        sf = stability.choi_and_kraus(stability.zero_point_operator(cs, d))
+        sf = stability.choi_and_kraus(stability.CPOperator(cs.matrices))
         lam_max = np.abs(sf.eigenvalues[sf.symmetric_flags]).max()
         if lam_max >= 1.0:
             continue
