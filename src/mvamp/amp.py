@@ -68,7 +68,6 @@ class AMPTrace:
     F_hat: list
     Q_hat: list
     mse: list
-    n: int
     d: int
     M_final: np.ndarray
     iterates: list | None = None     # pre-denoising X^t, t = 1.., when requested
@@ -186,7 +185,7 @@ def run_symmetric(instance: MTPInstance, config: AMPConfig) -> AMPTrace:
         return F, Q, _block_mse(X, M, slices)
 
     F0, Q0, mse0 = stats(M_prev)
-    trace = AMPTrace([F0], [Q0], [mse0], n, d, M_prev, [] if config.keep_iterates else None)
+    trace = AMPTrace([F0], [Q0], [mse0], d, M_prev, [] if config.keep_iterates else None)
     flat_count = 0
     for t in range(1, config.max_iter + 1):
         with np.errstate(invalid="ignore", over="ignore"):
@@ -229,8 +228,6 @@ def run_symmetric(instance: MTPInstance, config: AMPConfig) -> AMPTrace:
 class AsymmetricResult:
     trace: AMPTrace
     instance: MTPInstance
-    side1: np.ndarray   # final denoised estimate for X1
-    side2: np.ndarray
     mse1: np.ndarray
     mse2: np.ndarray
 
@@ -255,13 +252,10 @@ def run_asymmetric(
     inst = embed_asymmetric(X1, X2, gammas, config.seed)
     inst = replace(inst, profile=profile)
     trace = run_symmetric(inst, config)
-    emb = inst.embedding
     M = trace.M_final
-    side1 = M[emb.rows1, emb.cols1]
-    side2 = M[emb.rows2, emb.cols2]
-    mse1 = np.square(X1 - side1).mean(axis=0)
-    mse2 = np.square(X2 - side2).mean(axis=0)
-    return AsymmetricResult(trace, inst, side1, side2, mse1, mse2)
+    mse1 = np.square(X1 - M[:n1, :1]).mean(axis=0)
+    mse2 = np.square(X2 - M[n1:, 1:]).mean(axis=0)
+    return AsymmetricResult(trace, inst, mse1, mse2)
 
 
 # ---------------------------------------------------------------------------

@@ -213,7 +213,6 @@ def _parse_model(section: dict) -> ModelSection:
         raise ConfigError("model.priors", str(exc))
     try:
         couplings = _parse_couplings(_need(section, "model", "couplings", dict), profile.d)
-        couplings.require_symmetric()
     except CouplingValidationError as exc:
         raise ConfigError("model.couplings", str(exc))
     _check(couplings.d == profile.d, "model.couplings", "size inconsistent with priors")

@@ -16,7 +16,6 @@ trials run concurrently.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,21 +40,10 @@ GAUSSIAN = "gaussian"
 
 
 def rng_from(seed) -> np.random.Generator:
-    """Accept an int seed, a SeedSequence, or an existing Generator."""
+    """Accept an int seed or an existing Generator."""
     if isinstance(seed, np.random.Generator):
         return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.default_rng(seed)
     return np.random.default_rng(np.random.SeedSequence(seed))
-
-
-def spawn_streams(seed, k: int) -> list[np.random.Generator]:
-    """k independent substreams derived from one seed (one per view / trial)."""
-    if isinstance(seed, np.random.SeedSequence):
-        ss = seed
-    else:
-        ss = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in ss.spawn(k)]
 
 
 def tagged_stream(seed: int, tag: int) -> np.random.Generator:
@@ -170,7 +158,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CouplingSet:
-    """The K coupling matrices Lambda_k (d x d) defining the multi-view model."""
+    """The K symmetric coupling matrices Lambda_k (d x d) defining the multi-view model."""
 
     matrices: tuple[np.ndarray, ...]
 
@@ -179,9 +167,11 @@ class CouplingSet:
             raise CouplingValidationError("need at least one coupling matrix")
         mats = tuple(_freeze(m) for m in self.matrices)
         d = mats[0].shape[0]
-        for m in mats:
+        for k, m in enumerate(mats):
             if m.ndim != 2 or m.shape != (d, d):
                 raise CouplingValidationError("coupling matrices must be square with equal size")
+            if not np.array_equal(m, m.T):
+                raise CouplingValidationError(f"coupling matrix {k} is not symmetric")
         object.__setattr__(self, "matrices", mats)
 
     @property
@@ -192,66 +182,36 @@ class CouplingSet:
     def K(self) -> int:
         return len(self.matrices)
 
-    def require_symmetric(self):
-        for k, m in enumerate(self.matrices):
-            if not np.array_equal(m, m.T):
-                raise CouplingValidationError(f"coupling matrix {k} is not symmetric")
-
     def hadamard_square_sum(self) -> np.ndarray:
         """sum_k Lambda_k**2 (entrywise); drives the block-diagonal SNR reduction."""
         return sum(m * m for m in self.matrices)
 
     @staticmethod
     def heteroskedastic(lam: np.ndarray) -> "CouplingSet":
-        lam = np.asarray(lam, float)
-        cs = CouplingSet((lam,))
-        cs.require_symmetric()
-        return cs
-
-
-@dataclass(frozen=True)
-class EmbeddingInfo:
-    """Block coordinates of an asymmetric model inside its symmetric embedding."""
-
-    n1: int
-    n2: int
-    d1: int
-    d2: int
-    alpha: float
-
-    @property
-    def rows1(self) -> slice:
-        return slice(0, self.n1)
-
-    @property
-    def rows2(self) -> slice:
-        return slice(self.n1, self.n1 + self.n2)
-
-    @property
-    def cols1(self) -> slice:
-        return slice(0, self.d1)
-
-    @property
-    def cols2(self) -> slice:
-        return slice(self.d1, self.d1 + self.d2)
+        return CouplingSet((lam,))
 
 
 @dataclass(frozen=True)
 class MTPInstance:
-    """A sampled multi-view instance: signal X, observations Y_k, and metadata."""
+    """A sampled multi-view instance: signal X (n x d), one observation Y_k per
+    coupling Lambda_k, and the block profile of X when it has one."""
 
-    n: int
-    d: int
     X: np.ndarray
     observations: tuple[np.ndarray, ...]
-    seed: int
     couplings: CouplingSet
     profile: BlockPriorProfile | None = None
-    embedding: EmbeddingInfo | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "X", _freeze(self.X))
         object.__setattr__(self, "observations", tuple(_freeze(y) for y in self.observations))
+
+    @property
+    def n(self) -> int:
+        return self.X.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.X.shape[1]
 
     @property
     def K(self) -> int:
@@ -296,38 +256,11 @@ def synthesize_symmetric(
     n, d = X.shape
     if couplings.d != d:
         raise CouplingValidationError(f"coupling size {couplings.d} != signal width {d}")
-    couplings.require_symmetric()
-    streams = spawn_streams(seed, couplings.K)
     obs = []
-    for lam, rng in zip(couplings.matrices, streams):
-        y = _exact_sym(X @ lam @ X.T) / n + sample_goe(n, rng) / np.sqrt(n)
-        obs.append(y)
-    return MTPInstance(n, d, X, tuple(obs), int(seed), couplings, profile)
-
-
-def synthesize_heteroskedastic(
-    x: np.ndarray,
-    lam: np.ndarray,
-    profile: BlockPriorProfile,
-    seed: int,
-) -> MTPInstance:
-    """Rank-one spike with block-constant SNR profile, as a K=1 block-diagonal instance.
-
-    ``x`` is the length-n spike; its block-diagonal lifting X (n x d) carries
-    block j of x in column j. The Hadamard form (1/n) (x x^T) o Delta + noise
-    and the lifted form (1/n) X Lambda X^T + noise agree entrywise.
-    """
-    x = np.asarray(x, float).ravel()
-    n = x.shape[0]
-    lam = np.asarray(lam, float)
-    if lam.shape != (profile.d, profile.d):
-        raise InvalidDimensionError(
-            f"coupling shape {lam.shape} inconsistent with d={profile.d}"
-        )
-    X = np.zeros((n, profile.d))
-    for j, sl in enumerate(profile.block_slices(n)):
-        X[sl, j] = x[sl]
-    return synthesize_symmetric(X, CouplingSet.heteroskedastic(lam), seed, profile)
+    for lam, child in zip(couplings.matrices, np.random.SeedSequence(seed).spawn(couplings.K)):
+        rng = np.random.default_rng(child)
+        obs.append(_exact_sym(X @ lam @ X.T) / n + sample_goe(n, rng) / np.sqrt(n))
+    return MTPInstance(X, tuple(obs), couplings, profile)
 
 
 def embed_asymmetric(
@@ -363,5 +296,4 @@ def embed_asymmetric(
     X = np.zeros((n1 + n2, d1 + d2))
     X[:n1, :d1] = X1
     X[n1:, d1:] = X2
-    inst = synthesize_symmetric(X, CouplingSet(tuple(mats)), seed)
-    return dataclasses.replace(inst, embedding=EmbeddingInfo(n1, n2, d1, d2, alpha))
+    return synthesize_symmetric(X, CouplingSet(tuple(mats)), seed)

@@ -174,9 +174,6 @@ class OperatorT:
 
     couplings: CouplingSet
 
-    def __post_init__(self):
-        self.couplings.require_symmetric()
-
     @property
     def d(self) -> int:
         return self.couplings.d

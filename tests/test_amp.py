@@ -183,8 +183,7 @@ def test_block_product_rejects_signal_off_its_block():
     X = np.array(model.sample_signal(PROF_RAD_BG, 200, seed=111))
     X[5, 1] = 0.3  # row 5 lies in block 1, column 2 belongs to block 2
     base = model.synthesize_symmetric(X, NONCOMMUTING_VIEWS, seed=112)
-    inst = model.MTPInstance(base.n, base.d, X, base.observations, base.seed,
-                             base.couplings, PROF_RAD_BG)
+    inst = model.MTPInstance(X, base.observations, base.couplings, PROF_RAD_BG)
     cfg = amp.AMPConfig(max_iter=3, rho=0.1, seed=113)
     with pytest.raises(denoise.DomainError, match="outside block 2"):
         amp.run_symmetric(inst, cfg)

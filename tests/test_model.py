@@ -174,12 +174,11 @@ def test_heteroskedastic_matches_hadamard_form():
         (model.ScalarPrior.rademacher(), model.ScalarPrior.gaussian_unit()), (0.6, 0.4)
     )
     n = 20
-    rng = np.random.default_rng(11)
-    x = np.concatenate(
-        [prof.priors[0].sample(rng, 12), prof.priors[1].sample(rng, 8)]
-    )
+    X = model.sample_signal(prof, n, seed=11)
+    x = X.sum(axis=1)  # the spike; its block j is column j of X
     lam = np.array([[1.2, 0.5], [0.5, 0.8]])
-    inst = model.synthesize_heteroskedastic(x, lam, prof, seed=5)
+    inst = model.synthesize_symmetric(X, model.CouplingSet.heteroskedastic(lam), seed=5,
+                                      profile=prof)
     block = np.repeat([0, 1], [12, 8])
     delta = lam[np.ix_(block, block)]  # the n x n SNR matrix, Lambda tiled over blocks
     assert np.allclose(inst.X @ lam @ inst.X.T / n, np.outer(x, x) * delta / n)
@@ -187,18 +186,6 @@ def test_heteroskedastic_matches_hadamard_form():
     xi = np.array([[0.7, 0.3], [0.3, 0.7]])
     lam2 = np.sqrt(2.5 * xi)
     assert np.allclose(lam2 * lam2, 2.5 * xi)
-
-
-def test_heteroskedastic_gram_is_diagonal():
-    prof = model.BlockPriorProfile(
-        (model.ScalarPrior.bernoulli_gaussian(0.3), model.ScalarPrior.rademacher()),
-        (0.5, 0.5),
-    )
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(40)
-    inst = model.synthesize_heteroskedastic(x, np.eye(2), prof, seed=0)
-    gram = inst.X.T @ inst.X
-    assert np.abs(gram - np.diag(np.diag(gram))).max() == 0.0
 
 
 def test_embed_asymmetric_coupling_structure():
@@ -211,7 +198,6 @@ def test_embed_asymmetric_coupling_structure():
     lam = inst.couplings.matrices[0]
     expected = np.array([[0.0, np.sqrt(1 + alpha) * gam], [np.sqrt(1 + alpha) * gam, 0.0]])
     assert np.allclose(lam, expected)
-    assert inst.embedding.alpha == alpha
     assert np.array_equal(inst.X[:30, 0:1], X1)
     assert np.array_equal(inst.X[30:, 1:2], X2)
     # zero coupling -> pure noise
