@@ -444,10 +444,10 @@ def cmd_phase_diagram(cfg: ExperimentConfig, out_dir: str, seed: int, jobs: int,
             pending = [k for k, t in enumerate(sw.target_norms) if (eps, t) not in done]
             if not pending:
                 continue
-            # the bound is solved on the full target list, exactly as limits.csv,
-            # so a resumed point gets the same table range and transition flag
-            bounds = limits_sweep(_eps_priors(eps), sw.beta, sw.xi, sw.target_norms,
-                                  grid_res=sw.grid_res)
+            # the pending rows of limits.csv: same table range and transition flag
+            bounds = dict(zip(pending, limits_sweep(_eps_priors(eps), sw.beta, sw.xi,
+                                                    sw.target_norms, grid_res=sw.grid_res,
+                                                    indices=pending)))
             # a point's seed index is its 1-based position in the eps x target grid
             points = _pmap(lambda k: _phase_point(cfg, eps, bounds[k], seed,
                                                   e * len(sw.target_norms) + k + 1), pending, jobs)
@@ -470,7 +470,8 @@ def cmd_phase_diagram(cfg: ExperimentConfig, out_dir: str, seed: int, jobs: int,
 
 
 def _write_phase_svg(csv_path: str, svg_path: str):
-    """Minimal SVG line/point plot of MSE vs implied SNR, one panel per block."""
+    """Minimal SVG plot of MSE vs implied SNR, one panel per block: per eps the
+    variational bound as a solid line, SE as a dashed line and AMP as points."""
     with open(csv_path) as fh:
         rows = list(csv.DictReader(fh))
     if not rows:
@@ -509,11 +510,12 @@ def _write_phase_svg(csv_path: str, svg_path: str):
                 (r for r in rows if float(r["eps"]) == eps),
                 key=lambda r: float(r["norm_Tc"]),
             )
-            pts = " ".join(
-                f"{sx(float(r['norm_Tc'])):.1f},{sy(float(r[f'mmse_bound_{blk}'])):.1f}"
-                for r in sub
-            )
-            parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}"/>')
+            for col, dash in (("mmse_bound", ""), ("se_mse", ' stroke-dasharray="4 3"')):
+                pts = " ".join(
+                    f"{sx(float(r['norm_Tc'])):.1f},{sy(float(r[f'{col}_{blk}'])):.1f}"
+                    for r in sub
+                )
+                parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}"{dash}/>')
             for r in sub:
                 parts.append(
                     f'<circle cx="{sx(float(r["norm_Tc"])):.1f}" '

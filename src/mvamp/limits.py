@@ -307,9 +307,16 @@ def limits_sweep(
     xi: np.ndarray,
     target_norms,
     grid_res: int = 400,
+    indices=None,
 ) -> list[SweepRow]:
     """Variational solve along the single-scalar SNR sweep Lambda**2 = c Xi,
-    reporting the implied SNR ||T_c||op = c ||diag(beta) Xi||op per point."""
+    reporting the implied SNR ||T_c||op = c ||diag(beta) Xi||op per point.
+
+    Returns the rows of the target positions ``indices`` (default: all), in
+    target order. A row needs only its own solve and that of the previous
+    target, whose sign of q* sets the transition flag; the KL table range
+    comes from the whole target list, so a row does not depend on which
+    other rows are asked for."""
     beta = np.asarray(beta, float)
     xi = np.asarray(xi, float)
     base_norm = float(np.linalg.norm(np.diag(beta) @ xi, 2))
@@ -319,9 +326,12 @@ def limits_sweep(
     model = OverlapModel(BlockPriorProfile(tuple(priors), tuple(beta)))
     s_cap = float((cs.max() * xi @ beta).max()) * 1.001
     tables = [KLTable(p, max(s_cap, 1e-6)) for p in priors]
+    wanted = set(range(len(cs)) if indices is None else indices)
     rows = []
     prev_positive = None
-    for c, t in zip(cs, targets):
+    for i, (c, t) in enumerate(zip(cs, targets)):
+        if i not in wanted and i + 1 not in wanted:
+            continue
         res = variational_solve(
             priors, beta, c * xi, grid_res=grid_res, kl_tables=tables, model=model
         )
@@ -342,5 +352,6 @@ def limits_sweep(
         elif prev_positive is not None and positive != prev_positive:
             flag = "transition"
         prev_positive = positive
-        rows.append(SweepRow(float(c), float(t), res.q_star, res.mmse_bounds, flag))
+        if i in wanted:
+            rows.append(SweepRow(float(c), float(t), res.q_star, res.mmse_bounds, flag))
     return rows

@@ -139,25 +139,6 @@ def _symmetric_skew_basis(lam: np.ndarray, U: np.ndarray, d: int):
     return np.array(out_vals), out_mats, np.array(out_flags, bool)
 
 
-def _as_matrix_rep(mapping, d: int | None) -> np.ndarray:
-    """d^2 x d^2 matrix M with M vec(X) = vec(map(X)) for symmetric X
-    (column-major vec). Callables are probed on the symmetrized basis."""
-    if isinstance(mapping, CPOperator):
-        return mapping.matrix_rep()
-    if isinstance(mapping, np.ndarray):
-        return np.asarray(mapping, float)
-    if d is None:
-        raise DomainError("a callable map needs its dimension d")
-    M = np.zeros((d * d, d * d))
-    for b in range(d):
-        for a in range(d):
-            E = np.zeros((d, d))
-            E[a, b] += 0.5
-            E[b, a] += 0.5
-            M[:, b * d + a] = _vec(mapping(E))
-    return M
-
-
 def _project_psd(Y: np.ndarray) -> np.ndarray:
     Y = (Y + Y.T) / 2.0
     evals, evecs = np.linalg.eigh(Y)
@@ -179,27 +160,23 @@ def _symmetric_basis(d: int) -> np.ndarray:
 
 
 def restricted_psd_norm(
-    mapping,
-    d: int | None = None,
+    op: CPOperator,
     tol: float = 1e-8,
     restarts: int = 20,
     max_iter: int = 3000,
     seed=0,
     return_direction: bool = False,
 ):
-    """max { ||A(Y)||_F : Y PSD, ||Y||_F = 1 } by projected power ascent.
+    """max { ||op(Y)||_F : Y PSD, ||Y||_F = 1 } by projected power ascent.
 
-    The iteration runs on A*A with a PSD-cone projection, from ``restarts``
+    The iteration runs on op* op with a PSD-cone projection, from ``restarts``
     random PSD starts, and is cross-checked against the leading singular value
-    of A restricted to the symmetric subspace (an upper bound). If the
+    of op restricted to the symmetric subspace (an upper bound). If the
     unconstrained symmetric maximizer is itself (+/-) PSD the bound is attained
     and returned directly.
     """
-    if isinstance(mapping, np.ndarray):
-        d = int(round(np.sqrt(mapping.shape[1])))
-    elif isinstance(mapping, CPOperator):
-        d = mapping.d
-    M = _as_matrix_rep(mapping, d)
+    d = op.d
+    M = op.matrix_rep()
     B = _symmetric_basis(d)
     MB = M @ B
     u, sv, vt = np.linalg.svd(MB, full_matrices=False)

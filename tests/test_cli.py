@@ -1,12 +1,13 @@
 import csv
 import json
 import os
+import re
 import time
 
 import numpy as np
 import pytest
 
-from mvamp import cli
+from mvamp import cli, limits
 from mvamp.se import PrecisionError
 
 
@@ -203,6 +204,8 @@ def test_phase_diagram_svg(tmp_path):
     assert cli.main(["phase-diagram", "--config", path]) == 0
     svg = (tmp_path / "svg_out" / "phase_diagram.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
+    # the SE curve: one dashed line per eps and block
+    assert len(re.findall(r"<polyline[^>]*stroke-dasharray", svg)) == 2
 
 
 def test_env_var_overrides_output_dir(tmp_path, monkeypatch):
@@ -325,6 +328,26 @@ def test_resume_recomputes_a_torn_row(tmp_path):
         out.write_bytes(whole[:-cut])
         assert cli.main(["phase-diagram", "--config", path, "--resume"]) == 0
         assert out.read_bytes() == whole
+
+
+def test_resume_solves_only_the_pending_bounds(tmp_path, monkeypatch):
+    # the last of 4 rows is missing: the resume solves its bound and that of
+    # the target before it, which sets its transition flag
+    path = sweep_cfg(tmp_path, [0.6, 0.8, 0.9, 1.2], out="lazy", trials=1, n=200)
+    assert cli.main(["phase-diagram", "--config", path]) == 0
+    out = tmp_path / "lazy" / "phase_diagram.csv"
+    whole = out.read_bytes()
+    out.write_bytes(b"".join(whole.splitlines(keepends=True)[:-1]))
+    real, calls = limits.variational_solve, []
+
+    def variational_solve(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(limits, "variational_solve", variational_solve)
+    assert cli.main(["phase-diagram", "--config", path, "--resume"]) == 0
+    assert len(calls) == 2
+    assert out.read_bytes() == whole
 
 
 def test_pmap_close_cancels_queued_items():
