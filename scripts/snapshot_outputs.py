@@ -1,6 +1,8 @@
-"""Write the output files of every mvamp command into one directory.
+"""Write the output files of every mvamp command into one directory, or
+compare two such directories.
 
     PYTHONPATH=src python3 scripts/snapshot_outputs.py OUT
+    python3 scripts/snapshot_outputs.py --compare A B
 
 runs, each in its own subdirectory of OUT next to the config it used:
 
@@ -15,11 +17,19 @@ mvamp is imported from PYTHONPATH, so pointing it at another tree's ``src``
 snapshots that tree with the same inputs; ``diff -r`` of two snapshots then
 shows every output a change moved. The workload configs are read from this
 tree's ``perfbench/workloads.py``, which is not modified.
+
+``--compare A B`` prints one line per file of either snapshot: ``identical``
+when the bytes are equal, else how many numeric cells differ and the largest
+|delta|, and how many other cells differ. A cell is a field of a CSV file or
+a leaf of a JSON file; any other file is one cell holding its bytes. It
+exits 1 if a file is missing from one side or a non-numeric cell differs.
 """
 
 from __future__ import annotations
 
+import csv
 import json
+import math
 import os
 import sys
 
@@ -27,7 +37,6 @@ sys.dont_write_bytecode = True  # importing workloads leaves perfbench/ as it is
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "perfbench"))
 import workloads  # noqa: E402
-from mvamp import cli  # noqa: E402
 
 
 def small_config() -> dict:
@@ -46,6 +55,8 @@ def small_config() -> dict:
 
 
 def run(out: str, name: str, command: str, config: dict, jobs: int):
+    from mvamp import cli
+
     run_dir = os.path.join(out, name)
     os.makedirs(run_dir)
     path = os.path.join(run_dir, "config.json")
@@ -56,16 +67,99 @@ def run(out: str, name: str, command: str, config: dict, jobs: int):
     return code
 
 
+def _flatten(value, loc: tuple, out: dict):
+    if isinstance(value, (dict, list)) and value:
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, v in items:
+            _flatten(v, loc + (key,), out)
+    else:
+        out[loc] = value
+
+
+def cells(path: str) -> dict:
+    """Location -> cell: (row, column) of a CSV file, the key path of a JSON
+    leaf; any other file is the one cell () holding its bytes."""
+    if path.endswith(".csv"):
+        with open(path, newline="") as fh:
+            return {(r, c): cell for r, row in enumerate(csv.reader(fh))
+                    for c, cell in enumerate(row)}
+    if path.endswith(".json"):
+        out = {}
+        with open(path) as fh:
+            _flatten(json.load(fh), (), out)
+        return out
+    with open(path, "rb") as fh:
+        return {(): fh.read()}
+
+
+def _number(cell):
+    if isinstance(cell, (int, float)) and not isinstance(cell, bool):
+        return float(cell)
+    if isinstance(cell, str):
+        try:
+            return float(cell)
+        except ValueError:
+            return None
+    return None
+
+
+def compare_files(a: str, b: str) -> tuple[int, float, int]:
+    """(numeric cells that differ, their largest |delta|, other cells that differ)."""
+    ca, cb = cells(a), cells(b)
+    numeric, delta, other = 0, 0.0, 0
+    for loc in ca.keys() | cb.keys():
+        x, y = ca.get(loc), cb.get(loc)
+        if loc in ca and loc in cb and x == y:
+            continue
+        u, v = _number(x), _number(y)
+        if u is None or v is None:
+            other += 1
+        elif not (math.isnan(u) and math.isnan(v)):
+            numeric += 1
+            gap = abs(u - v) if u != v else 0.0
+            delta = max(delta, math.inf if math.isnan(gap) else gap)
+    return numeric, delta, other
+
+
+def compare(a_dir: str, b_dir: str) -> int:
+    def files(root):
+        return {os.path.relpath(os.path.join(d, f), root)
+                for d, _, names in os.walk(root) for f in names}
+
+    in_a, in_b = files(a_dir), files(b_dir)
+    status = 0
+    for name in sorted(in_a | in_b):
+        if name not in in_a or name not in in_b:
+            print(f"{name}: missing in {a_dir if name not in in_a else b_dir}")
+            status = 1
+            continue
+        a, b = os.path.join(a_dir, name), os.path.join(b_dir, name)
+        with open(a, "rb") as fa, open(b, "rb") as fb:
+            if fa.read() == fb.read():
+                print(f"{name}: identical")
+                continue
+        numeric, delta, other = compare_files(a, b)
+        print(f"{name}: {numeric} numeric cells differ (max |delta| {delta:.3g}), "
+              f"{other} other cells differ")
+        if other:
+            status = 1
+    return status
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
+    if len(args) == 3 and args[0] == "--compare":
+        return compare(args[1], args[2])
     if len(args) != 1:
-        print("usage: snapshot_outputs.py OUT", file=sys.stderr)
+        print("usage: snapshot_outputs.py OUT | --compare A B", file=sys.stderr)
         return 2
     out = args[0]
     os.makedirs(out, exist_ok=True)
     if os.listdir(out):
         print(f"{out} is not empty", file=sys.stderr)
         return 2
+    from mvamp import cli
+
     print(f"mvamp from {os.path.dirname(cli.__file__)}")
     codes = [run(out, wl.name, wl.command, wl.config(1), 1)
              for wl in workloads.WORKLOADS.values()]

@@ -15,7 +15,7 @@ Q^t = (1/n) (M^t)^T M^t, so a run is a deterministic function of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -141,6 +141,14 @@ def _block_product(Y, M, slices) -> np.ndarray:
     return out
 
 
+def _view_product(instance: MTPInstance, k: int, M, slices) -> np.ndarray:
+    """Y_k @ M without forming Y_k: the noise part G_k M / sqrt(n) by blocks
+    plus the rank-d spike X (Lambda_k (X^T M)) / n, which costs O(n d^2)."""
+    X, n = instance.X, instance.n
+    lam = instance.couplings.matrices[k]
+    return _block_product(instance.noise[k], M, slices) / np.sqrt(n) + X @ (lam @ (X.T @ M)) / n
+
+
 def run_symmetric(instance: MTPInstance, config: AMPConfig) -> AMPTrace:
     """Run the symmetric AMP recursion on an instance.
 
@@ -150,10 +158,12 @@ def run_symmetric(instance: MTPInstance, config: AMPConfig) -> AMPTrace:
     (unless ablated). The profile's block slices also place the init noise
     and the per-block MSE.
 
-    Every M^t is zero outside its blocks (column j lives on the rows of block
-    j), so each view's product Y_k M is formed block by block, column j as
-    Y_k[:, block j] @ M[block j, j]; this skips the structural zeros of M and
-    equals the dense product up to the last ulps. It requires X to be zero
+    Y_k is never formed: each view's product Y_k M is the noise part
+    G_k M / sqrt(n) plus the rank-d spike X Lambda_k (X^T M) / n. Every M^t is
+    zero outside its blocks (column j lives on the rows of block j), so the
+    noise part is formed block by block, column j as
+    G_k[:, block j] @ M[block j, j], skipping the structural zeros of M. The
+    sum equals the dense product up to the last ulps. It requires X to be zero
     outside its blocks, as every instance the package builds is (so
     M^0 = rho X + noise on the blocks is too); a DomainError naming the block
     is raised otherwise.
@@ -190,8 +200,8 @@ def run_symmetric(instance: MTPInstance, config: AMPConfig) -> AMPTrace:
     for t in range(1, config.max_iter + 1):
         with np.errstate(invalid="ignore", over="ignore"):
             Xt = -M_prev2 @ B_prev.T
-            for Yk, Ak in zip(instance.observations, A):
-                Xt += _block_product(Yk, M_prev, slices) @ Ak.T
+            for k, Ak in enumerate(A):
+                Xt += _view_product(instance, k, M_prev, slices) @ Ak.T
         if not np.isfinite(Xt).all():
             raise DivergenceError(t)
         # the iterate's law is X S_t + Z with row covariance S_t = T(Q_hat)
@@ -249,8 +259,7 @@ def run_asymmetric(
     n1, n2 = X1.shape[0], X2.shape[0]
     n = n1 + n2
     profile = BlockPriorProfile(tuple(priors), (n1 / n, n2 / n))
-    inst = embed_asymmetric(X1, X2, gammas, config.seed)
-    inst = replace(inst, profile=profile)
+    inst = embed_asymmetric(X1, X2, gammas, config.seed, profile)
     trace = run_symmetric(inst, config)
     M = trace.M_final
     mse1 = np.square(X1 - M[:n1, :1]).mean(axis=0)

@@ -7,6 +7,8 @@ couplings Lambda_k,
 
 with G_k drawn from a Gaussian Orthogonal Ensemble normalized so off-diagonal
 entries have unit variance (diagonal variance 2), i.e. G = (W + W^T)/sqrt(2).
+An instance stores X and the unscaled G_k only: AMP multiplies by G_k and by
+the rank-d spike, and Y_k is formed only when ``observations[k]`` is read.
 
 Randomness is driven by ``numpy.random.SeedSequence`` spawning: every consumer
 (signal, each of the K noise views, side-information init) gets its own child
@@ -16,8 +18,9 @@ trials run concurrently.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
+from operator import index
 
 import numpy as np
 
@@ -151,6 +154,11 @@ class BlockPriorProfile:
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
+    """A read-only float array: one that is already read-only and owns its
+    memory is taken as is, anything else is copied."""
+    if (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.owndata
+            and not a.flags.writeable):
+        return a
     a = np.array(a, dtype=float, copy=True)
     a.flags.writeable = False
     return a
@@ -193,17 +201,27 @@ class CouplingSet:
 
 @dataclass(frozen=True)
 class MTPInstance:
-    """A sampled multi-view instance: signal X (n x d), one observation Y_k per
-    coupling Lambda_k, and the block profile of X when it has one."""
+    """A sampled multi-view instance: signal X (n x d), the unscaled GOE noise
+    G_k of each coupling Lambda_k, and the block profile of X when it has one.
+
+    The views Y_k = (1/n) X Lambda_k X^T + (1/sqrt(n)) G_k are not stored;
+    ``observations[k]`` forms Y_k on demand."""
 
     X: np.ndarray
-    observations: tuple[np.ndarray, ...]
+    noise: tuple[np.ndarray, ...]
     couplings: CouplingSet
     profile: BlockPriorProfile | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "X", _freeze(self.X))
-        object.__setattr__(self, "observations", tuple(_freeze(y) for y in self.observations))
+        X = _freeze(self.X)
+        noise = tuple(_freeze(g) for g in self.noise)
+        n = X.shape[0]
+        if len(noise) != self.couplings.K or any(g.shape != (n, n) for g in noise):
+            raise InvalidDimensionError(
+                f"need {self.couplings.K} noise matrices of shape ({n}, {n})"
+            )
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "noise", noise)
 
     @property
     def n(self) -> int:
@@ -215,12 +233,37 @@ class MTPInstance:
 
     @property
     def K(self) -> int:
-        return len(self.observations)
+        return len(self.noise)
+
+    @property
+    def observations(self) -> "_Observations":
+        return _Observations(self)
+
+
+class _Observations(Sequence):
+    """The views Y_k of an instance, each formed when it is indexed."""
+
+    def __init__(self, instance: MTPInstance):
+        self._inst = instance
+
+    def __len__(self) -> int:
+        return self._inst.K
+
+    def __getitem__(self, k) -> np.ndarray:
+        k = index(k)
+        inst = self._inst
+        X, lam = inst.X, inst.couplings.matrices[k]
+        y = _exact_sym(X @ lam @ X.T) / inst.n + inst.noise[k] / np.sqrt(inst.n)
+        y.flags.writeable = False
+        return y
 
 
 def _exact_sym(a: np.ndarray) -> np.ndarray:
     """Bit-exact symmetrization (matmul round-off breaks A == A.T for d >= 2)."""
     return (a + a.T) / 2.0
+
+
+_GOE_TILE = 128
 
 
 def sample_goe(n: int, seed) -> np.ndarray:
@@ -229,7 +272,19 @@ def sample_goe(n: int, seed) -> np.ndarray:
         raise InvalidDimensionError(f"GOE size must be >= 1, got {n}")
     rng = rng_from(seed)
     w = rng.standard_normal((n, n))
-    return (w + w.T) / np.sqrt(2.0)
+    # (w + w.T)/sqrt(2) in place, one pair of square tiles at a time: the
+    # strided reads of w.T stay in cache, and the sum of each entry pair is
+    # formed once (addition commutes exactly, so the bits do not change)
+    s = np.sqrt(2.0)
+    for i in range(0, n, _GOE_TILE):
+        ri = slice(i, i + _GOE_TILE)
+        for j in range(i, n, _GOE_TILE):
+            rj = slice(j, j + _GOE_TILE)
+            tile = w[ri, rj] + w[rj, ri].T
+            tile /= s
+            w[ri, rj] = tile
+            w[rj, ri] = tile.T
+    return w
 
 
 def sample_signal(profile: BlockPriorProfile, n: int, seed) -> np.ndarray:
@@ -251,16 +306,18 @@ def synthesize_symmetric(
     seed: int,
     profile: BlockPriorProfile | None = None,
 ) -> MTPInstance:
-    """Y_k = (1/n) X Lambda_k X^T + (1/sqrt(n)) G_k with independent GOE noise per view."""
+    """Y_k = (1/n) X Lambda_k X^T + (1/sqrt(n)) G_k with independent GOE noise
+    per view; the instance keeps G_k only, read-only and not copied."""
     X = np.asarray(X, float)
     n, d = X.shape
     if couplings.d != d:
         raise CouplingValidationError(f"coupling size {couplings.d} != signal width {d}")
-    obs = []
-    for lam, child in zip(couplings.matrices, np.random.SeedSequence(seed).spawn(couplings.K)):
-        rng = np.random.default_rng(child)
-        obs.append(_exact_sym(X @ lam @ X.T) / n + sample_goe(n, rng) / np.sqrt(n))
-    return MTPInstance(X, tuple(obs), couplings, profile)
+    noise = []
+    for child in np.random.SeedSequence(seed).spawn(couplings.K):
+        g = sample_goe(n, np.random.default_rng(child))
+        g.flags.writeable = False
+        noise.append(g)
+    return MTPInstance(X, tuple(noise), couplings, profile)
 
 
 def embed_asymmetric(
@@ -268,6 +325,7 @@ def embed_asymmetric(
     X2: np.ndarray,
     gammas: Sequence[np.ndarray],
     seed: int,
+    profile: BlockPriorProfile | None = None,
 ) -> MTPInstance:
     """Symmetric embedding of the two-signal model.
 
@@ -296,4 +354,4 @@ def embed_asymmetric(
     X = np.zeros((n1 + n2, d1 + d2))
     X[:n1, :d1] = X1
     X[n1:, d1:] = X2
-    return synthesize_symmetric(X, CouplingSet(tuple(mats)), seed)
+    return synthesize_symmetric(X, CouplingSet(tuple(mats)), seed, profile)

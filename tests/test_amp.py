@@ -155,6 +155,12 @@ NONCOMMUTING_VIEWS = model.CouplingSet((
 ))
 
 
+FIXED_NONSYMMETRIC = (
+    np.array([[1.4, 0.2], [0.8, 1.1]]),
+    np.array([[0.9, -0.9], [-0.3, 1.3]]),
+)
+
+
 def _assert_traces_agree(a, b, tol=1e-12):
     assert a.iterations == b.iterations
     for name in ("F_hat", "Q_hat", "mse", "iterates"):
@@ -164,18 +170,25 @@ def _assert_traces_agree(a, b, tol=1e-12):
 
 
 def test_block_product_equals_dense_product(monkeypatch):
-    # the engine's block product against the dense product Y_k @ M
+    # the engine's factored product (G_k by blocks plus the rank-d spike)
+    # against the dense product Y_k @ M with the formed view
     X = model.sample_signal(PROF_RAD_BG, 600, seed=101)
     inst = model.synthesize_symmetric(X, NONCOMMUTING_VIEWS, seed=102, profile=PROF_RAD_BG)
     cfg = amp.AMPConfig(max_iter=30, rho=0.05, seed=103, keep_iterates=True)
     block = amp.run_symmetric(inst, cfg)
     assert block.Q_hat[-1][0, 0] > 0.3  # an informative run, not a trivial one
+    # fixed non-symmetric reweighting A_k != Lambda_k pins the A_k^T orientation
+    fixed_cfg = amp.AMPConfig(max_iter=30, rho=0.05, seed=103, keep_iterates=True,
+                              reweighting=FIXED_NONSYMMETRIC)
+    fixed = amp.run_symmetric(inst, fixed_cfg)
     rng = model.rng_from(104)
     X1, X2 = RAD.sample(rng, (400, 1)), GAUSS.sample(rng, (200, 1))
     res = amp.run_asymmetric(X1, X2, [np.array([[1.8]])], (RAD, GAUSS), cfg)
 
-    monkeypatch.setattr(amp, "_block_product", lambda Y, M, slices: Y @ M)
+    monkeypatch.setattr(amp, "_view_product",
+                        lambda instance, k, M, slices: instance.observations[k] @ M)
     _assert_traces_agree(block, amp.run_symmetric(inst, cfg))
+    _assert_traces_agree(fixed, amp.run_symmetric(inst, fixed_cfg))
     _assert_traces_agree(res.trace, amp.run_symmetric(res.instance, cfg))
 
 
@@ -183,7 +196,7 @@ def test_block_product_rejects_signal_off_its_block():
     X = np.array(model.sample_signal(PROF_RAD_BG, 200, seed=111))
     X[5, 1] = 0.3  # row 5 lies in block 1, column 2 belongs to block 2
     base = model.synthesize_symmetric(X, NONCOMMUTING_VIEWS, seed=112)
-    inst = model.MTPInstance(X, base.observations, base.couplings, PROF_RAD_BG)
+    inst = model.MTPInstance(X, base.noise, base.couplings, PROF_RAD_BG)
     cfg = amp.AMPConfig(max_iter=3, rho=0.1, seed=113)
     with pytest.raises(denoise.DomainError, match="outside block 2"):
         amp.run_symmetric(inst, cfg)
@@ -234,6 +247,25 @@ def test_asymmetric_zero_coupling_uninformative():
         X1, X2, [np.zeros((1, 1))], (GAUSS, GAUSS), amp.AMPConfig(max_iter=6, rho=0.0, seed=72)
     )
     assert res.mse1[0] > 0.7 and res.mse2[0] > 0.7
+
+
+def test_asymmetric_builds_one_instance_with_its_profile(monkeypatch):
+    # the profile goes into the embedding's synthesis, so the instance (and
+    # its (n1+n2) x (n1+n2) noise) is built once, not rebuilt to attach it
+    calls = []
+    post_init = model.MTPInstance.__post_init__
+
+    def counting(self):
+        calls.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(model.MTPInstance, "__post_init__", counting)
+    rng = model.rng_from(75)
+    X1, X2 = RAD.sample(rng, (60, 1)), GAUSS.sample(rng, (30, 1))
+    res = amp.run_asymmetric(X1, X2, [np.array([[1.2]])], (RAD, GAUSS),
+                             amp.AMPConfig(max_iter=2, rho=0.1, seed=76))
+    assert len(calls) == 1
+    assert res.instance.profile == model.BlockPriorProfile((RAD, GAUSS), (60 / 90, 30 / 90))
 
 
 def test_asymmetric_matches_bipartite_se_oracle():

@@ -439,3 +439,35 @@ def test_shipped_phase_diagram_config_resolves():
     path = os.path.join(os.path.dirname(__file__), "..", "scripts", "phase_diagram_config.json")
     sw = cli.load_config(path).sweep
     assert (len(sw.eps), len(sw.target_norms), sw.trials, sw.n) == (4, 52, 10, 4000)
+
+
+def test_snapshot_compare(tmp_path):
+    # --compare counts differing numeric cells and their largest |delta|, and
+    # fails on a non-numeric change or a missing file
+    import subprocess
+    import sys
+
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "snapshot_outputs.py")
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root, x, tag in ((a, "0.5", "lower"), (b, "0.5000000000000002", "lower")):
+        (root / "run").mkdir(parents=True)
+        (root / "run" / "out.csv").write_text(f"q,flag\n{x},{tag}\n1.0,upper\n")
+        (root / "run" / "v.json").write_text(json.dumps({"nu": 0.25, "kind": "stable"}))
+        (root / "plot.svg").write_text("<svg/>")
+
+    def compare():
+        proc = subprocess.run([sys.executable, script, "--compare", str(a), str(b)],
+                              capture_output=True, text=True)
+        return proc.returncode, proc.stdout
+
+    code, out = compare()
+    assert code == 0, out
+    assert "run/out.csv: 1 numeric cells differ (max |delta| 2.22e-16), 0 other" in out
+    assert "run/v.json: identical" in out and "plot.svg: identical" in out
+    (b / "run" / "v.json").write_text(json.dumps({"nu": 0.25, "kind": "unstable"}))
+    code, out = compare()
+    assert code == 1 and "run/v.json: 0 numeric cells differ (max |delta| 0), 1 other" in out
+    (b / "run" / "v.json").write_text(json.dumps({"nu": 0.25, "kind": "stable"}))
+    (b / "plot.svg").unlink()
+    code, out = compare()
+    assert code == 1 and f"plot.svg: missing in {b}" in out

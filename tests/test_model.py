@@ -19,6 +19,14 @@ def test_goe_rejects_empty():
         model.sample_goe(0, seed=1)
 
 
+def test_goe_tiles_keep_the_bits():
+    # the tiled symmetrization equals (w + w.T)/sqrt(2) bit for bit, also at
+    # the tile edges
+    for n in (1, 127, 128, 129, 300):
+        w = model.rng_from(40 + n).standard_normal((n, n))
+        assert np.array_equal(model.sample_goe(n, seed=40 + n), (w + w.T) / np.sqrt(2.0)), n
+
+
 def test_goe_1x1_diagonal_variance():
     # single entry is sqrt(2) * standard normal: variance 2 over seeds
     vals = np.array([model.sample_goe(1, seed=s)[0, 0] for s in range(4000)])
@@ -137,6 +145,36 @@ def test_synthesize_symmetric_contracts():
     assert np.abs(inst0.X @ cs.matrices[0] @ inst0.X.T / 50).max() == 0.0
     with pytest.raises(model.CouplingValidationError):
         model.synthesize_symmetric(X, model.CouplingSet((np.array([[0.0, 1.0], [0.0, 0.0]]),)), 3)
+
+
+def test_instance_holds_only_the_noise():
+    import tracemalloc
+
+    prof = model.BlockPriorProfile(
+        (model.ScalarPrior.rademacher(), model.ScalarPrior.gaussian_unit()), (0.5, 0.5)
+    )
+    n = 300
+    X = model.sample_signal(prof, n, seed=19)
+    cs = model.CouplingSet((np.array([[1.0, 0.5], [0.5, 2.0]]), np.array([[0.3, 0.0], [0.0, 0.7]])))
+    inst = model.synthesize_symmetric(X, cs, seed=20, profile=prof)
+    assert sum(g.nbytes for g in inst.noise) == 8 * cs.K * n * n
+    assert all(not g.flags.writeable for g in inst.noise)
+    # the synthesized noise is taken as is; a writeable array passed in is copied
+    again = model.MTPInstance(X, inst.noise, cs, prof)
+    assert all(a is b for a, b in zip(again.noise, inst.noise))
+    mine = np.array(inst.noise[1])
+    copied = model.MTPInstance(X, (inst.noise[0], mine), cs, prof)
+    assert not np.shares_memory(copied.noise[1], mine)
+    assert not copied.noise[1].flags.writeable
+    tracemalloc.start()
+    try:
+        assert len(inst.observations) == cs.K
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n
+    with pytest.raises(model.InvalidDimensionError):
+        model.MTPInstance(X, inst.noise[:1], cs, prof)
 
 
 def test_synthesize_symmetric_bit_level_d2():
