@@ -7,7 +7,9 @@ compare two such directories.
 runs, each in its own subdirectory of OUT next to the config it used:
 
 - the ``config(1)`` of every perfbench workload with that workload's command
-  at ``--jobs 1``;
+  at ``--jobs 1``; theory-curves also writes ``theory_rows.json``, the rows
+  of ``workloads.theory_points`` (``run_se`` and ``classify_fixed_point`` at
+  every limits grid point);
 - a two-block K = 2 config (the two non-commuting amp-long views, Rademacher /
   BG(0.1), n = 400, 3 trials, 15 iterations, and a 2 eps x 2 target sweep
   with grid_res 100 and ``svg: true``) through all five commands at
@@ -65,6 +67,14 @@ def run(out: str, name: str, command: str, config: dict, jobs: int):
     code = cli.main([command, "--config", path, "--out", run_dir, "--jobs", str(jobs)])
     print(f"{name}: {command} exited {code}")
     return code
+
+
+def write_theory_rows(run_dir: str):
+    from mvamp import cli
+
+    rows = workloads.theory_points(cli.load_config(os.path.join(run_dir, "config.json")))
+    with open(os.path.join(run_dir, "theory_rows.json"), "w") as fh:
+        json.dump(rows, fh, indent=2, sort_keys=True)
 
 
 def _flatten(value, loc: tuple, out: dict):
@@ -161,8 +171,11 @@ def main(argv=None) -> int:
     from mvamp import cli
 
     print(f"mvamp from {os.path.dirname(cli.__file__)}")
-    codes = [run(out, wl.name, wl.command, wl.config(1), 1)
-             for wl in workloads.WORKLOADS.values()]
+    codes = []
+    for wl in workloads.WORKLOADS.values():
+        codes.append(run(out, wl.name, wl.command, wl.config(1), 1))
+        if wl.theory:
+            write_theory_rows(os.path.join(out, wl.name))
     small = small_config()
     codes += [run(out, f"small-{command}", command, small, 2)
               for command in ("se", "stability", "simulate", "limits", "phase-diagram")]

@@ -82,9 +82,11 @@ def _kl_integrand_panels(prior: ScalarPrior, s: float):
     return f, sorted(v for v in breaks if v <= L)
 
 
-def _kl_once(prior: ScalarPrior, s: float, order: int) -> float:
+def _kl_once(prior: ScalarPrior, s: float, order: int) -> tuple[float, float]:
+    """D(s) by panel integration at order and at 2 * order."""
     f, breaks = _kl_integrand_panels(prior, s)
-    return 2.0 * _panel_sum(f, breaks, order)
+    v1, v2 = _panel_sum(f, breaks, order)
+    return 2.0 * v1, 2.0 * v2
 
 
 def kl_channel(prior: ScalarPrior, s: float, order: int = 80) -> float:
@@ -95,8 +97,7 @@ def kl_channel(prior: ScalarPrior, s: float, order: int = 80) -> float:
         raise DomainError(f"SNR must be nonnegative, got {s}")
     if s == 0.0:
         return 0.0
-    v1 = _kl_once(prior, s, order)
-    v2 = _kl_once(prior, s, 2 * order)
+    v1, v2 = _kl_once(prior, s, order)
     if abs(v1 - v2) > max(1e-12, 1e-8 * abs(v2)):
         raise PrecisionError(
             f"KL integration not converged for {prior.name} at s={s}: "

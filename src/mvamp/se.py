@@ -7,10 +7,13 @@ psi_j reads only S[j, j] and carries the block fraction beta_j, so state
 evolution Q^{t+1} = psi(T(Q^t)) reduces to the vector recursion
 q^{t+1} = psi(sum_k Lambda_k**2 q^t).
 
-Quadrature: Gauss-Hermite for the Rademacher and Gaussian overlaps; the
-Bernoulli-Gaussian mixture is integrated with panel Gauss-Legendre split at
-the responsibility transition (Gauss-Hermite converges too slowly there).
-Every evaluation is re-done at doubled order and must agree to 1e-8.
+Quadrature: Gauss-Hermite for the Gaussian overlap; the Rademacher overlap
+and the Bernoulli-Gaussian mixture are integrated with panel Gauss-Legendre,
+split where the integrand turns (for BG, at the responsibility transition,
+where Gauss-Hermite converges too slowly). Every evaluation is also made at
+doubled order and must agree to 1e-8. One integrand call covers both orders
+and every panel: the nodes form one (panels, 3 * order) array, and each value
+is then summed panel by panel, so it has the bits of a per-panel loop.
 """
 
 from __future__ import annotations
@@ -46,16 +49,32 @@ class InconclusiveCheckError(RuntimeError):
     pass
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    # cached rules are shared by every caller; a write would corrupt them all
+    a.setflags(write=False)
+    return a
+
+
 @lru_cache(maxsize=64)
 def _hermegauss(order: int):
     # probabilists' Hermite nodes/weights: integral against exp(-x^2/2)
     x, w = np.polynomial.hermite_e.hermegauss(order)
-    return x, w / np.sqrt(2.0 * np.pi)
+    return _read_only(x), _read_only(w / np.sqrt(2.0 * np.pi))
 
 
 @lru_cache(maxsize=64)
 def _leggauss(order: int):
-    return np.polynomial.legendre.leggauss(order)
+    x, w = np.polynomial.legendre.leggauss(order)
+    return _read_only(x), _read_only(w)
+
+
+@lru_cache(maxsize=64)
+def _paired_rule(rule, order: int):
+    """(nodes, w_order, w_2order): the nodes of ``rule`` at order and at 2 * order
+    concatenated, so one integrand call serves both orders."""
+    x1, w1 = rule(order)
+    x2, w2 = rule(2 * order)
+    return _read_only(np.concatenate([x1, x2])), w1, w2
 
 
 def gauss_expect(f, order: int) -> float:
@@ -64,15 +83,30 @@ def gauss_expect(f, order: int) -> float:
     return float(np.dot(w, f(x)))
 
 
-def _panel_sum(f, breaks, order: int) -> float:
-    """int f(y) dy over [breaks[0], breaks[-1]] by Gauss-Legendre of the given
-    order on each panel between consecutive breakpoints."""
-    x, w = _leggauss(order)
-    total = 0.0
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        mid, half = (a + b) / 2.0, (b - a) / 2.0
-        total += half * float(np.dot(w, f(mid + half * x)))
-    return total
+def _gauss_expect_pair(f, order: int) -> tuple[float, float]:
+    """gauss_expect at order and at 2 * order from one call of f."""
+    x, w1, w2 = _paired_rule(_hermegauss, order)
+    fx = f(x)
+    return float(np.dot(w1, fx[:order])), float(np.dot(w2, fx[order:]))
+
+
+def _panel_sum(f, breaks, order: int) -> tuple[float, float]:
+    """int f(y) dy over [breaks[0], breaks[-1]] by Gauss-Legendre on each panel
+    between consecutive breakpoints, at order and at 2 * order.
+
+    f is called once, on the (panels, 3 * order) array of every panel's nodes
+    at both orders. Each value is accumulated panel by panel with one dot
+    product per panel, so it has the bits of a loop that calls f per panel
+    and per order (a matrix-vector product would move the last ulp)."""
+    x, w1, w2 = _paired_rule(_leggauss, order)
+    b = np.asarray(breaks, float)
+    mid, half = (b[:-1] + b[1:]) / 2.0, (b[1:] - b[:-1]) / 2.0
+    fy = f(mid[:, None] + half[:, None] * x)
+    v1 = v2 = 0.0
+    for h, row in zip(half.tolist(), fy):
+        v1 += h * float(np.dot(w1, row[:order]))
+        v2 += h * float(np.dot(w2, row[order:]))
+    return v1, v2
 
 
 def _bg_breaks(s: float, eps: float) -> list[float]:
@@ -94,7 +128,7 @@ def _bg_breaks(s: float, eps: float) -> list[float]:
     return sorted(pts)
 
 
-def _psi_bg(s: float, eps: float, order: int) -> float:
+def _psi_bg(s: float, eps: float, order: int) -> tuple[float, float]:
     # psi = eps * kappa^2 * E_{N(0, sig2)}[y^2 r(y)] with kappa = sqrt(s)/(eps+s),
     # using r(y) p(y) = eps * phi_spike(y) to collapse the mixture; the
     # integrand is even, so it is integrated over [0, L] and doubled
@@ -105,14 +139,16 @@ def _psi_bg(s: float, eps: float, order: int) -> float:
         return np.square(y) * _bg_responsibility(y, s, eps) * np.exp(-np.square(y / sig) / 2.0)
 
     norm = 1.0 / (sig * np.sqrt(2.0 * np.pi))
-    return eps * kappa2 * (2.0 * _panel_sum(integrand, _bg_breaks(s, eps), order) * norm)
+    return tuple(eps * kappa2 * (2.0 * v * norm)
+                 for v in _panel_sum(integrand, _bg_breaks(s, eps), order))
 
 
-def _psi_once(prior: ScalarPrior, s: float, order: int) -> float:
+def _psi_once(prior: ScalarPrior, s: float, order: int) -> tuple[float, float]:
+    """psi(s) by quadrature at order and at 2 * order."""
     if prior.kind == GAUSSIAN:
         # eta is linear, so the integrand is quadratic and quadrature is exact
         c = np.sqrt(s) / (1.0 + s)
-        return gauss_expect(lambda u: np.square(c * np.sqrt(1.0 + s) * u), order)
+        return _gauss_expect_pair(lambda u: np.square(c * np.sqrt(1.0 + s) * u), order)
     if prior.kind == RADEMACHER:
         # by symmetry condition on X = +1: E_{y~N(sqrt(s),1)}[tanh^2(sqrt(s) y)]
         # over rs +- 10; tanh transitions on scale 1/sqrt(s) around y = 0, so
@@ -126,7 +162,7 @@ def _psi_once(prior: ScalarPrior, s: float, order: int) -> float:
         def integrand(y):
             return np.square(np.tanh(rs * y)) * np.exp(-np.square(y - rs) / 2.0)
 
-        return _panel_sum(integrand, breaks, order) * (1.0 / np.sqrt(2.0 * np.pi))
+        return tuple(v * (1.0 / np.sqrt(2.0 * np.pi)) for v in _panel_sum(integrand, breaks, order))
     return _psi_bg(s, prior.eps, order)
 
 
@@ -138,8 +174,7 @@ def overlap_psi_scalar(prior: ScalarPrior, s: float, order: int = 61) -> float:
         raise DomainError(f"SNR must be nonnegative, got {s}")
     if s == 0.0:
         return 0.0
-    v1 = _psi_once(prior, s, order)
-    v2 = _psi_once(prior, s, 2 * order)
+    v1, v2 = _psi_once(prior, s, order)
     if abs(v1 - v2) > 1e-8:
         raise PrecisionError(
             f"overlap quadrature not converged for {prior.name} at s={s}: "

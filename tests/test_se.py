@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mvamp import denoise, model, se
+from mvamp import denoise, limits, model, se
 
 RAD = model.ScalarPrior.rademacher()
 GAUSS = model.ScalarPrior.gaussian_unit()
@@ -56,9 +56,66 @@ def test_quadrature_doubling_converged():
     # doubling the order changes psi by < 1e-9 across s in [0, 100]
     for prior in PRIORS:
         for s in [0.01, 0.5, 3.0, 20.0, 100.0]:
-            a = se._psi_once(prior, s, 61)
-            b = se._psi_once(prior, s, 122)
+            a, b = se._psi_once(prior, s, 61)
             assert abs(a - b) < 1e-9, (prior.name, s)
+
+
+def _loop_panel_sum(f, breaks, order):
+    # reference: one integrand call and one dot product per panel, summed in order
+    x, w = np.polynomial.legendre.leggauss(order)
+    total = 0.0
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        mid, half = (a + b) / 2.0, (b - a) / 2.0
+        total += half * float(np.dot(w, f(mid + half * x)))
+    return total
+
+
+def _loop_pair(f, breaks, order):
+    return _loop_panel_sum(f, breaks, order), _loop_panel_sum(f, breaks, 2 * order)
+
+
+def test_paired_rule_keeps_the_bits(monkeypatch):
+    # one call over every panel at both orders gives exactly the per-panel,
+    # per-order loop's values
+    grid = np.geomspace(1e-4, 80.0, 40)
+    bg01, bg1 = model.ScalarPrior.bernoulli_gaussian(0.1), model.ScalarPrior.bernoulli_gaussian(1.0)
+    cases = [(se._psi_once, p, 61) for p in (RAD, GAUSS, BG05, bg01, bg1)]
+    cases += [(limits._kl_once, p, 80) for p in (GAUSS, RAD, bg01)]
+    paired = [[fn(p, s, order) for s in grid] for fn, p, order in cases]
+    with monkeypatch.context() as m:
+        m.setattr(se, "_panel_sum", _loop_pair)
+        m.setattr(limits, "_panel_sum", _loop_pair)
+        m.setattr(se, "_gauss_expect_pair",
+                  lambda f, order: (se.gauss_expect(f, order), se.gauss_expect(f, 2 * order)))
+        looped = [[fn(p, s, order) for s in grid] for fn, p, order in cases]
+    for (fn, p, _), got, want in zip(cases, paired, looped):
+        for s, g, w in zip(grid, got, want):
+            assert g[0] == w[0] and g[1] == w[1], (fn.__name__, p.name, s, g, w)
+
+
+def test_one_integrand_call_per_overlap(monkeypatch):
+    # a BG overlap evaluates its integrand once for both orders and every panel
+    calls = []
+    inner = se._bg_responsibility
+
+    def counted(y, s, eps):
+        calls.append(np.shape(y))
+        return inner(y, s, eps)
+
+    monkeypatch.setattr(se, "_bg_responsibility", counted)
+    s = 2.0
+    se.overlap_psi_scalar(BG05, s, 61)
+    panels = len(se._bg_breaks(s, BG05.eps)) - 1
+    assert calls == [(panels, 3 * 61)]
+
+
+def test_cached_rules_are_read_only():
+    # the cached nodes and weights are shared by every caller, so they refuse writes
+    arrays = [*se._hermegauss(61), *se._leggauss(61), *se._paired_rule(se._leggauss, 61),
+              *se._paired_rule(se._hermegauss, 61)]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = 1.0
 
 
 def test_overlap_matches_monte_carlo():
