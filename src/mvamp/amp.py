@@ -1,6 +1,5 @@
 """The AMP engine: symmetric multi-view recursion with reweighting and Onsager
-correction, the asymmetric recursion via the symmetric embedding, and
-per-iteration empirical diagnostics.
+correction, and per-iteration empirical diagnostics.
 
 Recursion (symmetric, rescaled observations):
 
@@ -20,14 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denoise import DomainError, block_denoiser, posterior_mean_derivative_scalar
-from .model import (
-    BlockPriorProfile,
-    MTPInstance,
-    ScalarPrior,
-    embed_asymmetric,
-    rng_from,
-    tagged_stream,
-)
+from .model import MTPInstance, ScalarPrior, rng_from, tagged_stream
 from .se import OperatorT, SETrajectory, _hermegauss, gauss_expect
 
 _INIT_TAG = 0x5149  # distinguishes the side-information stream from noise views
@@ -179,8 +171,6 @@ def run_symmetric(instance: MTPInstance, config: AMPConfig) -> AMPTrace:
             raise DomainError("need one reweighting matrix per view")
     op = OperatorT(instance.couplings)
     profile = instance.profile
-    if profile is None:
-        raise DomainError("instance has no profile; AMP needs its block slices")
     slices = profile.block_slices(n)
     _check_block_support(X, slices)
 
@@ -232,39 +222,6 @@ def run_symmetric(instance: MTPInstance, config: AMPConfig) -> AMPTrace:
                 break
         M_prev2, M_prev, B_prev = M_prev, M_t, B_t
     return trace
-
-
-@dataclass
-class AsymmetricResult:
-    trace: AMPTrace
-    instance: MTPInstance
-    mse1: np.ndarray
-    mse2: np.ndarray
-
-
-def run_asymmetric(
-    X1: np.ndarray,
-    X2: np.ndarray,
-    gammas,
-    priors: tuple[ScalarPrior, ScalarPrior],
-    config: AMPConfig,
-) -> AsymmetricResult:
-    """Asymmetric AMP via the symmetric embedding: stack X1 (+) X2, couple with
-    sqrt(1+alpha) Gamma_k in the off-diagonal blocks, run the symmetric
-    recursion with the block denoiser, then read the two sides back off."""
-    X1 = np.atleast_2d(np.asarray(X1, float))
-    X2 = np.atleast_2d(np.asarray(X2, float))
-    if X1.shape[1] != 1 or X2.shape[1] != 1:
-        raise DomainError("separable priors support one signal column per side")
-    n1, n2 = X1.shape[0], X2.shape[0]
-    n = n1 + n2
-    profile = BlockPriorProfile(tuple(priors), (n1 / n, n2 / n))
-    inst = embed_asymmetric(X1, X2, gammas, config.seed, profile)
-    trace = run_symmetric(inst, config)
-    M = trace.M_final
-    mse1 = np.square(X1 - M[:n1, :1]).mean(axis=0)
-    mse2 = np.square(X2 - M[n1:, 1:]).mean(axis=0)
-    return AsymmetricResult(trace, inst, mse1, mse2)
 
 
 # ---------------------------------------------------------------------------

@@ -155,16 +155,21 @@ class SweepSection:
     grid_res: int = 400
 
     def __post_init__(self):
-        for eps in self.eps:  # every sweep profile is Rademacher plus BG(eps) with beta
-            try:
-                BlockPriorProfile(tuple(_eps_priors(eps)), self.beta)
-            except InvalidProfileError as exc:
-                raise ConfigError("sweep", str(exc))
+        try:  # every sweep profile is Rademacher plus BG(eps) with beta
+            profiles = [BlockPriorProfile(tuple(_eps_priors(eps)), self.beta) for eps in self.eps]
+        except InvalidProfileError as exc:
+            raise ConfigError("sweep", str(exc))
         _check(self.xi.shape == (2, 2) and (self.xi >= 0).all() and (self.xi == self.xi.T).all(),
                "sweep.xi", "must be a symmetric 2x2 matrix with nonnegative entries")
+        _check(bool((self.xi > 0).any()), "sweep.xi", "needs a positive entry")
         _check(min(self.target_norms, default=0) > 0, "sweep.target_norms", "need positive entries")
         for key in ("n", "trials", "grid_res"):
             _check(getattr(self, key) >= 1, f"sweep.{key}", "must be >= 1")
+        try:
+            for profile in profiles:
+                profile.block_sizes(self.n)
+        except InvalidProfileError as exc:
+            raise ConfigError("sweep.n", str(exc))
 
 
 @dataclass
@@ -211,6 +216,10 @@ def _parse_model(section: dict) -> ModelSection:
         profile = BlockPriorProfile(tuple(ScalarPrior.from_name(s) for s in priors), beta)
     except ValueError as exc:  # InvalidProfileError, or a bg:<eps> that is no number
         raise ConfigError("model.priors", str(exc))
+    try:
+        profile.block_sizes(n)
+    except InvalidProfileError as exc:
+        raise ConfigError("model.n", str(exc))
     try:
         couplings = _parse_couplings(_need(section, "model", "couplings", dict), profile.d)
     except CouplingValidationError as exc:
@@ -372,10 +381,10 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str, seed: int, jobs: int) -> i
 def cmd_stability(cfg: ExperimentConfig, out_dir: str, seed: int) -> int:
     model, op, traj = _se(cfg, cfg.model.profile, cfg.model.couplings)
     zero = classify_fixed_point(model, op, np.zeros(cfg.model.profile.d))
-    payload = {"zero_point": json.loads(zero.to_json()), "version": VERSION_TAG, "seed": seed}
+    payload = {"zero_point": zero.to_dict(), "version": VERSION_TAG, "seed": seed}
     if traj.converged and float(np.abs(traj.q_star).max()) > 1e-8:
         star = classify_fixed_point(model, op, traj.q_star)
-        payload["converged_point"] = json.loads(star.to_json())
+        payload["converged_point"] = star.to_dict()
     with open(os.path.join(out_dir, "verdict.json"), "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
     return 0

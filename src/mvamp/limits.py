@@ -184,7 +184,10 @@ def _exact_objective(q, beta, H, priors) -> float:
 
 def _inner_inf_objective(q, beta, H, priors, model: OverlapModel) -> float:
     """Non-PSD fallback: the inner inf over s >= 0 separates per coordinate;
-    the minimizer solves beta_j psi_j(s_j) = q_j (monotone, bisection)."""
+    the minimizer solves beta_j psi_j(s_j) = q_j (monotone, bisection). The
+    derivative of b D(s) - s q_j / 2 is (b / 2)(psi(s) - q_j / b), so when psi
+    stays below the target on the whole bracket (q_j at or near beta_j) the
+    term decreases there and its inf over the bracket is at its top."""
     from scipy.optimize import brentq
 
     total = 0.25 * float(q @ H @ q)
@@ -196,9 +199,11 @@ def _inner_inf_objective(q, beta, H, priors, model: OverlapModel) -> float:
             target = 1.0 - 1e-12
         g = lambda s: overlap_psi_scalar(p, s) - target
         hi = 1.0
-        while g(hi) < 0 and hi < 1e8:
+        below = g(hi) < 0
+        while below and hi < 1e8:
             hi *= 4.0
-        sj = brentq(g, 0.0, hi, xtol=1e-12)
+            below = g(hi) < 0
+        sj = hi if below else brentq(g, 0.0, hi, xtol=1e-12)
         total += b * kl_channel(p, sj) - 0.5 * sj * qj
     return total
 

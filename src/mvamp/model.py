@@ -202,7 +202,7 @@ class CouplingSet:
 @dataclass(frozen=True)
 class MTPInstance:
     """A sampled multi-view instance: signal X (n x d), the unscaled GOE noise
-    G_k of each coupling Lambda_k, and the block profile of X when it has one.
+    G_k of each coupling Lambda_k, and the block profile of X.
 
     The views Y_k = (1/n) X Lambda_k X^T + (1/sqrt(n)) G_k are not stored;
     ``observations[k]`` forms Y_k on demand."""
@@ -210,7 +210,7 @@ class MTPInstance:
     X: np.ndarray
     noise: tuple[np.ndarray, ...]
     couplings: CouplingSet
-    profile: BlockPriorProfile | None = None
+    profile: BlockPriorProfile
 
     def __post_init__(self):
         X = _freeze(self.X)
@@ -304,7 +304,7 @@ def synthesize_symmetric(
     X: np.ndarray,
     couplings: CouplingSet,
     seed: int,
-    profile: BlockPriorProfile | None = None,
+    profile: BlockPriorProfile,
 ) -> MTPInstance:
     """Y_k = (1/n) X Lambda_k X^T + (1/sqrt(n)) G_k with independent GOE noise
     per view; the instance keeps G_k only, read-only and not copied."""
@@ -319,39 +319,3 @@ def synthesize_symmetric(
         noise.append(g)
     return MTPInstance(X, tuple(noise), couplings, profile)
 
-
-def embed_asymmetric(
-    X1: np.ndarray,
-    X2: np.ndarray,
-    gammas: Sequence[np.ndarray],
-    seed: int,
-    profile: BlockPriorProfile | None = None,
-) -> MTPInstance:
-    """Symmetric embedding of the two-signal model.
-
-    The stacked signal is X1 (+) X2 of size (n1+n2) x (d1+d2) and each coupling
-    Gamma_k becomes the symmetric block matrix with sqrt(1+alpha) Gamma_k in the
-    off-diagonal blocks, alpha = n2/n1. With the instance-level rescaling this
-    reproduces the bipartite observations in the off-diagonal blocks.
-    """
-    X1 = np.atleast_2d(np.asarray(X1, float))
-    X2 = np.atleast_2d(np.asarray(X2, float))
-    if X1.shape[0] < X1.shape[1] or X2.shape[0] < X2.shape[1]:
-        raise InvalidDimensionError("signals must be tall matrices")
-    n1, d1 = X1.shape
-    n2, d2 = X2.shape
-    alpha = n2 / n1
-    scale = np.sqrt(1.0 + alpha)
-    mats = []
-    for g in gammas:
-        g = np.atleast_2d(np.asarray(g, float))
-        if g.shape != (d1, d2):
-            raise InvalidDimensionError(f"coupling shape {g.shape} != ({d1}, {d2})")
-        lam = np.zeros((d1 + d2, d1 + d2))
-        lam[:d1, d1:] = scale * g
-        lam[d1:, :d1] = scale * g.T
-        mats.append(lam)
-    X = np.zeros((n1 + n2, d1 + d2))
-    X[:n1, :d1] = X1
-    X[n1:, d1:] = X2
-    return synthesize_symmetric(X, CouplingSet(tuple(mats)), seed, profile)

@@ -16,7 +16,6 @@ diag(beta) Lambda**2 weak-recovery threshold).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -277,21 +276,19 @@ class StabilityVerdict:
     margin: float
     maximizing_direction: np.ndarray | None
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "fixed_point": np.asarray(self.fixed_point).tolist(),
-                "nu": self.nu,
-                "classification": self.classification,
-                "margin": self.margin,
-                "maximizing_direction": (
-                    None
-                    if self.maximizing_direction is None
-                    else np.asarray(self.maximizing_direction).tolist()
-                ),
-            },
-            indent=2,
-        )
+    def to_dict(self) -> dict:
+        """The verdict as plain JSON-ready values (arrays become lists)."""
+        return {
+            "fixed_point": np.asarray(self.fixed_point).tolist(),
+            "nu": self.nu,
+            "classification": self.classification,
+            "margin": self.margin,
+            "maximizing_direction": (
+                None
+                if self.maximizing_direction is None
+                else np.asarray(self.maximizing_direction).tolist()
+            ),
+        }
 
 
 def classify_fixed_point(

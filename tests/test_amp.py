@@ -15,6 +15,20 @@ def scalar_instance(lam, n=4000, seed=0):
     return model.synthesize_symmetric(X, cs, seed=seed + 1, profile=PROF1)
 
 
+def bipartite_instance(X1, X2, gam, priors, seed):
+    """The bipartite model with sides X1 (n1 x 1), X2 (n2 x 1) and coupling gam
+    as a two-block instance: X = X1 (+) X2, beta = (n1/n, n2/n) and
+    Lambda = [[0, sqrt(1+alpha) gam], [sqrt(1+alpha) gam, 0]] with alpha = n2/n1."""
+    n1, n2 = len(X1), len(X2)
+    n = n1 + n2
+    prof = model.BlockPriorProfile(tuple(priors), (n1 / n, n2 / n))
+    off = np.sqrt(1.0 + n2 / n1) * gam
+    cs = model.CouplingSet.heteroskedastic(np.array([[0.0, off], [off, 0.0]]))
+    X = np.zeros((n, 2))
+    X[:n1, 0], X[n1:, 1] = np.ravel(X1), np.ravel(X2)
+    return model.synthesize_symmetric(X, cs, seed, prof)
+
+
 # ---------------------------------------------------------------------------
 # initialization
 # ---------------------------------------------------------------------------
@@ -183,20 +197,20 @@ def test_block_product_equals_dense_product(monkeypatch):
     fixed = amp.run_symmetric(inst, fixed_cfg)
     rng = model.rng_from(104)
     X1, X2 = RAD.sample(rng, (400, 1)), GAUSS.sample(rng, (200, 1))
-    res = amp.run_asymmetric(X1, X2, [np.array([[1.8]])], (RAD, GAUSS), cfg)
+    bipartite = bipartite_instance(X1, X2, 1.8, (RAD, GAUSS), cfg.seed)
+    off_diagonal = amp.run_symmetric(bipartite, cfg)
 
     monkeypatch.setattr(amp, "_view_product",
                         lambda instance, k, M, slices: instance.observations[k] @ M)
     _assert_traces_agree(block, amp.run_symmetric(inst, cfg))
     _assert_traces_agree(fixed, amp.run_symmetric(inst, fixed_cfg))
-    _assert_traces_agree(res.trace, amp.run_symmetric(res.instance, cfg))
+    _assert_traces_agree(off_diagonal, amp.run_symmetric(bipartite, cfg))
 
 
 def test_block_product_rejects_signal_off_its_block():
     X = np.array(model.sample_signal(PROF_RAD_BG, 200, seed=111))
     X[5, 1] = 0.3  # row 5 lies in block 1, column 2 belongs to block 2
-    base = model.synthesize_symmetric(X, NONCOMMUTING_VIEWS, seed=112)
-    inst = model.MTPInstance(X, base.noise, base.couplings, PROF_RAD_BG)
+    inst = model.synthesize_symmetric(X, NONCOMMUTING_VIEWS, seed=112, profile=PROF_RAD_BG)
     cfg = amp.AMPConfig(max_iter=3, rho=0.1, seed=113)
     with pytest.raises(denoise.DomainError, match="outside block 2"):
         amp.run_symmetric(inst, cfg)
@@ -236,36 +250,18 @@ def test_multiview_recursion_tracks_se():
 
 
 # ---------------------------------------------------------------------------
-# asymmetric recursion via the embedding
+# the bipartite (asymmetric) model as a two-block instance
 # ---------------------------------------------------------------------------
 
 def test_asymmetric_zero_coupling_uninformative():
+    # a zero explicit coupling: the views are pure noise
     rng = model.rng_from(71)
     X1 = GAUSS.sample(rng, (400, 1))
     X2 = GAUSS.sample(rng, (200, 1))
-    res = amp.run_asymmetric(
-        X1, X2, [np.zeros((1, 1))], (GAUSS, GAUSS), amp.AMPConfig(max_iter=6, rho=0.0, seed=72)
-    )
-    assert res.mse1[0] > 0.7 and res.mse2[0] > 0.7
-
-
-def test_asymmetric_builds_one_instance_with_its_profile(monkeypatch):
-    # the profile goes into the embedding's synthesis, so the instance (and
-    # its (n1+n2) x (n1+n2) noise) is built once, not rebuilt to attach it
-    calls = []
-    post_init = model.MTPInstance.__post_init__
-
-    def counting(self):
-        calls.append(1)
-        post_init(self)
-
-    monkeypatch.setattr(model.MTPInstance, "__post_init__", counting)
-    rng = model.rng_from(75)
-    X1, X2 = RAD.sample(rng, (60, 1)), GAUSS.sample(rng, (30, 1))
-    res = amp.run_asymmetric(X1, X2, [np.array([[1.2]])], (RAD, GAUSS),
-                             amp.AMPConfig(max_iter=2, rho=0.1, seed=76))
-    assert len(calls) == 1
-    assert res.instance.profile == model.BlockPriorProfile((RAD, GAUSS), (60 / 90, 30 / 90))
+    inst = bipartite_instance(X1, X2, 0.0, (GAUSS, GAUSS), seed=72)
+    assert not inst.couplings.matrices[0].any()
+    mse = amp.run_symmetric(inst, amp.AMPConfig(max_iter=6, rho=0.0, seed=72)).mse[-1]
+    assert mse[0] > 0.7 and mse[1] > 0.7
 
 
 def test_asymmetric_matches_bipartite_se_oracle():
@@ -285,20 +281,20 @@ def test_asymmetric_matches_bipartite_se_oracle():
         )
     assert abs(traj.q_star[0] - prof.beta[0] * gu) < 1e-9
     assert abs(traj.q_star[1] - prof.beta[1] * gv) < 1e-9
-    # the AMP run lands near the SE-predicted side MSEs
+    # the AMP run on the two-block instance lands near the SE-predicted side MSEs
     rng = model.rng_from(73)
     X1 = GAUSS.sample(rng, (n1, 1))
     X2 = GAUSS.sample(rng, (n2, 1))
-    res = amp.run_asymmetric(
-        X1, X2, [np.array([[gam]])], (GAUSS, GAUSS), amp.AMPConfig(max_iter=30, rho=rho, seed=74)
-    )
-    assert abs(res.mse1[0] - (1 - gu)) < 0.05
-    assert abs(res.mse2[0] - (1 - gv)) < 0.05
+    inst = bipartite_instance(X1, X2, gam, (GAUSS, GAUSS), seed=74)
+    assert inst.profile == prof and inst.couplings.matrices[0].tolist() == lam.tolist()
+    mse = amp.run_symmetric(inst, amp.AMPConfig(max_iter=30, rho=rho, seed=74)).mse[-1]
+    assert abs(mse[0] - (1 - gu)) < 0.05
+    assert abs(mse[1] - (1 - gv)) < 0.05
 
 
 def test_duplicated_symmetric_equals_direct_se():
-    # X1 = X2, symmetric Gamma: embedded SE on the duplicated block equals the
-    # direct d=1 symmetric SE
+    # X1 = X2, symmetric Gamma: the two-block SE on the duplicated signal equals
+    # the direct d=1 symmetric SE
     gam, rho = 1.8, 0.1
     prof = model.BlockPriorProfile((RAD, RAD), (0.5, 0.5))
     m = se.OverlapModel(prof)
@@ -318,12 +314,11 @@ def test_duplicated_symmetric_equals_direct_se():
         X, model.CouplingSet.heteroskedastic(np.array([[gam]])), seed=82, profile=PROF1
     )
     tr_sym = amp.run_symmetric(inst, amp.AMPConfig(max_iter=15, rho=rho, seed=83))
-    res = amp.run_asymmetric(
-        X, X, [np.array([[gam]])], (RAD, RAD), amp.AMPConfig(max_iter=15, rho=rho, seed=84)
-    )
-    q_emb = np.array([q[0, 0] + q[1, 1] for q in res.trace.Q_hat])
+    duplicated = bipartite_instance(X, X, gam, (RAD, RAD), seed=84)
+    tr_dup = amp.run_symmetric(duplicated, amp.AMPConfig(max_iter=15, rho=rho, seed=84))
+    q_dup = np.array([q[0, 0] + q[1, 1] for q in tr_dup.Q_hat])
     q_sym = np.array([q[0, 0] for q in tr_sym.Q_hat])
-    assert np.abs(q_emb - q_sym).max() < 0.06
+    assert np.abs(q_dup - q_sym).max() < 0.06
 
 
 # ---------------------------------------------------------------------------

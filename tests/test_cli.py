@@ -395,6 +395,10 @@ def test_resume_refuses_a_mismatch(tmp_path, capsys):
     ({"model": {"couplings": {"kind": "explicit", "matrices": [[["2"]]]}}}, "model.couplings"),
     ({"model": {"priors": ["rademacher", "bg:0.3"], "beta": [0.6, 0.4],
                 "couplings": {"matrices": [[[1.0, 0.5], [0.0, 1.0]]]}}}, "model.couplings"),
+    ({"model": {"n": 1, "priors": ["rademacher", "gaussian"], "beta": [0.5, 0.5],
+                "couplings": {"matrices": [[[1.0, 0.5], [0.5, 1.0]]]}}}, "model.n"),
+    ({"sweep": {"n": 1}}, "sweep.n"),
+    ({"sweep": {"xi": [[0.0, 0.0], [0.0, 0.0]]}}, "sweep.xi"),
     ({"output": {"svg": "yes"}}, "output.svg"),
     ({"sweeps": {}}, "sweeps"),
 ])
@@ -425,6 +429,32 @@ def test_sweep_section_checked_at_load(tmp_path, capsys, patch):
     raw["sweep"].update(patch)
     assert cli.main(["limits", "--config", write_cfg(tmp_path, raw, name="bad.json")]) == 2
     assert "config error at sweep" in capsys.readouterr().err
+
+
+def test_bipartite_model_is_a_two_block_config(tmp_path):
+    # the bipartite model with sides n1, n2 and coupling gam is the two-block
+    # config beta = (n1/n, n2/n), Lambda = [[0, sqrt(1+alpha) gam], [sqrt(1+alpha) gam, 0]]
+    # with alpha = n2/n1; its SE fixed point is the alternating scalar recursion's
+    n1, n2, gam, rho = 600, 300, 1.6, 0.2
+    n, alpha = n1 + n2, n2 / n1
+    off = float(np.sqrt(1 + alpha) * gam)
+    path = write_cfg(tmp_path, {
+        "model": {"n": n, "priors": ["gaussian", "gaussian"], "beta": [n1 / n, n2 / n],
+                  "couplings": {"kind": "explicit", "matrices": [[[0.0, off], [off, 0.0]]]}},
+        "amp": {"max_iter": 8, "rho": rho, "trials": 2, "seed": 3},
+        "output": {"dir": str(tmp_path / "out")},
+    })
+    assert cli.main(["se", "--config", path]) == 0
+    last = list(csv.DictReader(open(tmp_path / "out" / "se.csv")))[-1]
+    gu = gv = rho
+    for _ in range(800):
+        gu, gv = (
+            alpha * gam**2 * gv / (1 + alpha * gam**2 * gv),
+            gam**2 * gu / (1 + gam**2 * gu),
+        )
+    assert abs(float(last["q_1"]) - n1 / n * gu) < 1e-9
+    assert abs(float(last["q_2"]) - n2 / n * gv) < 1e-9
+    assert cli.main(["simulate", "--config", path]) == 0
 
 
 def test_simulate_one_trial_has_zero_stderr(tmp_path):

@@ -144,6 +144,12 @@ def test_variational_non_psd_fallback():
     res = limits.variational_solve([RAD, RAD], [0.5, 0.5], H, grid_res=60)
     assert np.all(res.q_star >= 0) and np.all(res.q_star <= 0.5 + 1e-12)
     assert np.isfinite(res.objective)
+    # a BG block's psi stays below the target up to the bracket cap on the face
+    # q_2 = beta_2 of the grid, where the inner inf lies at the cap
+    bg = model.ScalarPrior.bernoulli_gaussian(0.5)
+    res = limits.variational_solve([RAD, bg], [0.5, 0.5], H, grid_res=20)
+    assert np.all(res.q_star >= 0) and np.all(res.q_star <= 0.5 + 1e-12)
+    assert np.isfinite(res.objective)
 
 
 def test_kl_table_accuracy():

@@ -144,7 +144,9 @@ def test_synthesize_symmetric_contracts():
     inst0 = model.synthesize_symmetric(np.zeros((50, 1)), cs, seed=2, profile=prof)
     assert np.abs(inst0.X @ cs.matrices[0] @ inst0.X.T / 50).max() == 0.0
     with pytest.raises(model.CouplingValidationError):
-        model.synthesize_symmetric(X, model.CouplingSet((np.array([[0.0, 1.0], [0.0, 0.0]]),)), 3)
+        model.synthesize_symmetric(
+            X, model.CouplingSet((np.array([[0.0, 1.0], [0.0, 0.0]]),)), 3, profile=prof
+        )
 
 
 def test_instance_holds_only_the_noise():
@@ -175,6 +177,8 @@ def test_instance_holds_only_the_noise():
     assert peak < 8 * n * n
     with pytest.raises(model.InvalidDimensionError):
         model.MTPInstance(X, inst.noise[:1], cs, prof)
+    with pytest.raises(TypeError):  # the block profile is required
+        model.MTPInstance(X, inst.noise, cs)
 
 
 def test_synthesize_symmetric_bit_level_d2():
@@ -224,23 +228,6 @@ def test_heteroskedastic_matches_hadamard_form():
     xi = np.array([[0.7, 0.3], [0.3, 0.7]])
     lam2 = np.sqrt(2.5 * xi)
     assert np.allclose(lam2 * lam2, 2.5 * xi)
-
-
-def test_embed_asymmetric_coupling_structure():
-    rng = np.random.default_rng(2)
-    X1 = rng.standard_normal((30, 1))
-    X2 = rng.standard_normal((15, 1))
-    gam = 1.3
-    inst = model.embed_asymmetric(X1, X2, [np.array([[gam]])], seed=4)
-    alpha = 0.5
-    lam = inst.couplings.matrices[0]
-    expected = np.array([[0.0, np.sqrt(1 + alpha) * gam], [np.sqrt(1 + alpha) * gam, 0.0]])
-    assert np.allclose(lam, expected)
-    assert np.array_equal(inst.X[:30, 0:1], X1)
-    assert np.array_equal(inst.X[30:, 1:2], X2)
-    # zero coupling -> pure noise
-    inst0 = model.embed_asymmetric(X1, X2, [np.zeros((1, 1))], seed=4)
-    assert np.abs(inst0.X @ inst0.couplings.matrices[0] @ inst0.X.T / 45).max() == 0.0
 
 
 @settings(max_examples=20, deadline=None)

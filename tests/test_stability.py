@@ -157,7 +157,8 @@ def test_verdict_json_round_trip():
 
     m, op = _hetero(0.5, 0.9)
     v = stability.classify_fixed_point(m, op, np.zeros(2))
-    payload = json.loads(v.to_json())
+    payload = json.loads(json.dumps(v.to_dict()))
+    assert payload == v.to_dict()
     assert payload["classification"] == "stable"
     assert abs(payload["nu"] - 0.9) < 1e-3
 
