@@ -395,12 +395,12 @@ def test_resume_refuses_a_mismatch(tmp_path, capsys):
     ({"model": {"couplings": {"kind": "explicit", "matrices": [[["2"]]]}}}, "model.couplings"),
     ({"model": {"priors": ["rademacher", "bg:0.3"], "beta": [0.6, 0.4],
                 "couplings": {"matrices": [[[1.0, 0.5], [0.0, 1.0]]]}}}, "model.couplings"),
+    ({"output": {"svg": "yes"}}, "output.svg"),
+    ({"sweeps": {}}, "sweeps"),
     ({"model": {"n": 1, "priors": ["rademacher", "gaussian"], "beta": [0.5, 0.5],
                 "couplings": {"matrices": [[[1.0, 0.5], [0.5, 1.0]]]}}}, "model.n"),
     ({"sweep": {"n": 1}}, "sweep.n"),
     ({"sweep": {"xi": [[0.0, 0.0], [0.0, 0.0]]}}, "sweep.xi"),
-    ({"output": {"svg": "yes"}}, "output.svg"),
-    ({"sweeps": {}}, "sweeps"),
 ])
 def test_strict_config_values_exit_2(tmp_path, capsys, patch, field):
     raw = json.loads(open(scalar_cfg(tmp_path)).read())
