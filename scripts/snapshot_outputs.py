@@ -13,7 +13,10 @@ runs, each in its own subdirectory of OUT next to the config it used:
 - a two-block K = 2 config (the two non-commuting amp-long views, Rademacher /
   BG(0.1), n = 400, 3 trials, 15 iterations, and a 2 eps x 2 target sweep
   with grid_res 100 and ``svg: true``) through all five commands at
-  ``--jobs 2``.
+  ``--jobs 2``;
+- that config's ``simulate`` once more with ``"correction": "disabled"``,
+  so both branches of the AMP loop, with and without the Onsager term, are
+  covered.
 
 mvamp is imported from PYTHONPATH, so pointing it at another tree's ``src``
 snapshots that tree with the same inputs; ``diff -r`` of two snapshots then
@@ -179,6 +182,8 @@ def main(argv=None) -> int:
     small = small_config()
     codes += [run(out, f"small-{command}", command, small, 2)
               for command in ("se", "stability", "simulate", "limits", "phase-diagram")]
+    small["amp"]["correction"] = "disabled"
+    codes.append(run(out, "small-simulate-disabled", "simulate", small, 2))
     return max(codes)
 
 

@@ -1,14 +1,15 @@
-"""The AMP engine: symmetric multi-view recursion with reweighting and Onsager
-correction, and per-iteration empirical diagnostics.
+"""The AMP engine: symmetric multi-view recursion with Bayes view weights and
+Onsager correction, and per-iteration empirical diagnostics.
 
 Recursion (symmetric, rescaled observations):
 
-    X^t = sum_k Y_k M^{t-1} (A_k^t)^T - M^{t-2} (B^{t-1})^T,   M^t = f_t(X^t),
+    X^t = sum_k Y_k M^{t-1} Lambda_k^T - M^{t-2} (B^{t-1})^T,   M^t = f_t(X^t),
 
-with M^{-1} = 0, B^0 = 0, and B^t = sum_k A_k^{t+1} D^t A_k^t built from the
-empirical divergence of the denoiser. In the Bayes-optimal setting A_k^t =
-Lambda_k and the denoiser channel SNR is the empirical S^t = T(Q^t) with
-Q^t = (1/n) (M^t)^T M^t, so a run is a deterministic function of
+with M^{-1} = 0, B^0 = 0, and B^t = sum_k Lambda_k D^t Lambda_k built from
+the empirical divergence D^t of the denoiser. Each view is weighted by its
+coupling Lambda_k, the Bayes choice, and the denoiser channel SNR is the
+empirical S^t = T(Q^t) with Q^t = (1/n) (M^t)^T M^t; this is the recursion
+state evolution describes. A run is a deterministic function of
 (instance, config).
 """
 
@@ -23,7 +24,6 @@ from .model import MTPInstance, ScalarPrior, rng_from, tagged_stream
 from .se import OperatorT, SETrajectory, _hermegauss, gauss_expect
 
 _INIT_TAG = 0x5149  # distinguishes the side-information stream from noise views
-_EARLY_STOP_TOL = 1e-6  # early stop after 3 iterations that move Q_hat by less than this
 
 
 class DivergenceError(RuntimeError):
@@ -38,8 +38,6 @@ class AMPConfig:
     rho: float = 0.1
     seed: int = 0
     correction: str = "divergence"      # "divergence" | "disabled" (ablation)
-    reweighting: str | tuple = "bayes"  # "bayes" (A_k = Lambda_k) or fixed matrices
-    early_stop: bool = False
     keep_iterates: bool = False
 
     def __post_init__(self):
@@ -63,7 +61,6 @@ class AMPTrace:
     d: int
     M_final: np.ndarray
     iterates: list | None = None     # pre-denoising X^t, t = 1.., when requested
-    stopped_early: bool = False
 
     @property
     def iterations(self) -> int:
@@ -163,12 +160,6 @@ def run_symmetric(instance: MTPInstance, config: AMPConfig) -> AMPTrace:
     X = instance.X
     n, d = X.shape
     lams = instance.couplings.matrices
-    if config.reweighting == "bayes":
-        A = [np.asarray(l) for l in lams]
-    else:
-        A = [np.asarray(a, float) for a in config.reweighting]
-        if len(A) != len(lams):
-            raise DomainError("need one reweighting matrix per view")
     op = OperatorT(instance.couplings)
     profile = instance.profile
     slices = profile.block_slices(n)
@@ -178,50 +169,37 @@ def run_symmetric(instance: MTPInstance, config: AMPConfig) -> AMPTrace:
     M_prev2 = np.zeros_like(M_prev)
     B_prev = np.zeros((d, d))
 
-    def stats(M):
-        F = X.T @ M / n
-        Q = M.T @ M / n
-        Q = (Q + Q.T) / 2.0
-        return F, Q, _block_mse(X, M, slices)
+    F_hat, Q_hat, mse = [], [], []
+    iterates = [] if config.keep_iterates else None
 
-    F0, Q0, mse0 = stats(M_prev)
-    trace = AMPTrace([F0], [Q0], [mse0], d, M_prev, [] if config.keep_iterates else None)
-    flat_count = 0
+    def record(M):
+        F_hat.append(X.T @ M / n)
+        Q = M.T @ M / n
+        Q_hat.append((Q + Q.T) / 2.0)
+        mse.append(_block_mse(X, M, slices))
+
+    record(M_prev)
     for t in range(1, config.max_iter + 1):
         with np.errstate(invalid="ignore", over="ignore"):
             Xt = -M_prev2 @ B_prev.T
-            for k, Ak in enumerate(A):
-                Xt += _view_product(instance, k, M_prev, slices) @ Ak.T
+            for k, lam in enumerate(lams):
+                Xt += _view_product(instance, k, M_prev, slices) @ lam.T
         if not np.isfinite(Xt).all():
             raise DivergenceError(t)
         # the iterate's law is X S_t + Z with row covariance S_t = T(Q_hat)
-        ev = block_denoiser(profile, op.apply(trace.Q_hat[-1]), Xt)
+        ev = block_denoiser(profile, op.apply(Q_hat[-1]), Xt)
         M_t, D_t = ev.value, ev.divergence
         if not (np.isfinite(M_t).all() and np.isfinite(D_t).all()):
             raise DivergenceError(t)
+        B_t = np.zeros((d, d))
         if config.correction == "divergence":
-            B_t = np.zeros((d, d))
-            for Ak in A:
-                B_t += Ak @ D_t @ Ak
-        else:
-            B_t = np.zeros((d, d))
-        F, Q, mse = stats(M_t)
-        trace.F_hat.append(F)
-        trace.Q_hat.append(Q)
-        trace.mse.append(mse)
-        if config.keep_iterates:
-            trace.iterates.append(Xt)
-        trace.M_final = M_t
-        if config.early_stop:
-            if np.linalg.norm(Q - trace.Q_hat[-2]) < _EARLY_STOP_TOL:
-                flat_count += 1
-            else:
-                flat_count = 0
-            if flat_count >= 3:
-                trace.stopped_early = True
-                break
+            for lam in lams:
+                B_t += lam @ D_t @ lam
+        record(M_t)
+        if iterates is not None:
+            iterates.append(Xt)
         M_prev2, M_prev, B_prev = M_prev, M_t, B_t
-    return trace
+    return AMPTrace(F_hat, Q_hat, mse, d, M_prev, iterates)
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +251,9 @@ def gaussianity_diagnostic(
 ) -> GaussianityReport:
     """Compare iterates X^t against their SE-predicted law X K^t + N(0, Sigma^t).
 
-    Under Bayes-optimal reweighting K^t = Sigma^t = S^t = T(Q^t_SE). Requires
-    the trace to have been run with keep_iterates=True.
+    For the recursion X^t = sum_k Y_k M^{t-1} Lambda_k^T - M^{t-2} (B^{t-1})^T
+    that ``run_symmetric`` runs, K^t = Sigma^t = S^t = T(Q^t_SE). Requires the
+    trace to have been run with keep_iterates=True.
     """
     if trace.iterates is None:
         raise DomainError("run AMP with keep_iterates=True for the diagnostic")

@@ -35,7 +35,7 @@ from .model import (
     synthesize_symmetric,
 )
 from .se import OperatorT, OverlapModel, PrecisionError, run_se
-from .stability import NonconvergenceError, classify_fixed_point
+from .stability import FixedPointPreconditionError, NonconvergenceError, classify_fixed_point
 
 VERSION_TAG = f"mvamp-{__version__}"
 
@@ -163,6 +163,11 @@ class SweepSection:
                "sweep.xi", "must be a symmetric 2x2 matrix with nonnegative entries")
         _check(bool((self.xi > 0).any()), "sweep.xi", "needs a positive entry")
         _check(min(self.target_norms, default=0) > 0, "sweep.target_norms", "need positive entries")
+        # limits_sweep flags a transition against the previous target, and
+        # --resume keys finished rows by (eps, norm_Tc)
+        _check(all(a < b for a, b in zip(self.target_norms, self.target_norms[1:])),
+               "sweep.target_norms", "must strictly increase")
+        _check(len(set(self.eps)) == len(self.eps), "sweep.eps", "entries must be distinct")
         for key in ("n", "trials", "grid_res"):
             _check(getattr(self, key) >= 1, f"sweep.{key}", "must be >= 1")
         try:
@@ -369,7 +374,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str, seed: int, jobs: int) -> i
     header += [f"Q_hat_mean_{a + 1}{b + 1}" for a in range(d) for b in range(d)]
     header += ["seed", "version"]
     rows = []
-    for i in range(min(len(tr.Q_hat) for tr in traces)):
+    for i in range(cfg.amp.max_iter + 1):
         mean, stderr = _mean_stderr([tr.mse[i] for tr in traces])
         qh = np.mean([tr.Q_hat[i] for tr in traces], axis=0)
         rows.append([i] + [_fmt(v) for v in np.concatenate([mean, stderr, qh.ravel()])]
@@ -382,11 +387,19 @@ def cmd_stability(cfg: ExperimentConfig, out_dir: str, seed: int) -> int:
     model, op, traj = _se(cfg, cfg.model.profile, cfg.model.couplings)
     zero = classify_fixed_point(model, op, np.zeros(cfg.model.profile.d))
     payload = {"zero_point": zero.to_dict(), "version": VERSION_TAG, "seed": seed}
-    if traj.converged and float(np.abs(traj.q_star).max()) > 1e-8:
-        star = classify_fixed_point(model, op, traj.q_star)
-        payload["converged_point"] = star.to_dict()
+    failure = None
+    if not traj.converged:
+        failure = "state evolution did not converge within max_iter"
+    elif float(np.abs(traj.q_star).max()) > 1e-8:
+        try:
+            payload["converged_point"] = classify_fixed_point(model, op, traj.q_star).to_dict()
+        except FixedPointPreconditionError as exc:
+            failure = f"state evolution stopped at se.tol short of its fixed point: {exc}"
     with open(os.path.join(out_dir, "verdict.json"), "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
+    if failure:
+        print(failure, file=sys.stderr)
+        return 3
     return 0
 
 

@@ -277,8 +277,14 @@ class SETrajectory:
     Q: list
     S: list
     converged: bool
-    iterations: int
-    Q_star: np.ndarray
+
+    @property
+    def iterations(self) -> int:
+        return len(self.Q) - 1
+
+    @property
+    def Q_star(self) -> np.ndarray:
+        return self.Q[-1]
 
     @property
     def q_vectors(self) -> np.ndarray:
@@ -305,8 +311,7 @@ def run_se(
     Qs = [Q]
     Ss = [op.apply(Q)]
     converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
+    for _ in range(max_iter):
         Qn = model.psi_matrix(Ss[-1])
         step = float(np.linalg.norm(Qn - Qs[-1]))
         Qs.append(Qn)
@@ -314,7 +319,7 @@ def run_se(
         if step < tol:
             converged = True
             break
-    return SETrajectory(Qs, Ss, converged, it, Qs[-1])
+    return SETrajectory(Qs, Ss, converged)
 
 
 def refine_fixed_point(

@@ -131,6 +131,29 @@ def test_stability_command(tmp_path):
     assert payload["converged_point"]["classification"] == "stable"
 
 
+@pytest.mark.parametrize("se, cause", [
+    ({"tol": 1e-5}, "stopped at se.tol short of its fixed point"),
+    ({"max_iter": 2}, "did not converge within max_iter"),
+], ids=["loose-tol", "max-iter"])
+def test_stability_without_a_fixed_point_exits_3(tmp_path, capsys, se, cause):
+    # amp-long's two views: an orbit cut by a loose tol or by max_iter has no
+    # fixed point to classify, so stability exits 3 as se does, and
+    # verdict.json keeps the zero-point verdict
+    path = write_cfg(tmp_path, {
+        "model": {"n": 400, "priors": ["rademacher", "bg:0.1"], "beta": [0.6, 0.4],
+                  "couplings": {"kind": "explicit", "matrices": [
+                      [[1.6, 0.6], [0.6, 1.0]], [[0.9, -0.7], [-0.7, 1.4]]]}},
+        "se": se,
+        "output": {"dir": str(tmp_path / "out")},
+    })
+    assert cli.main(["stability", "--config", path]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and cause in err[0], err
+    payload = json.load(open(tmp_path / "out" / "verdict.json"))
+    assert payload["zero_point"]["classification"] == "unstable"
+    assert "converged_point" not in payload
+
+
 def sweep_cfg(tmp_path, targets, out="sweep_out", trials=2, n=400, eps=(0.5,)):
     return write_cfg(
         tmp_path,
@@ -401,6 +424,9 @@ def test_resume_refuses_a_mismatch(tmp_path, capsys):
                 "couplings": {"matrices": [[[1.0, 0.5], [0.5, 1.0]]]}}}, "model.n"),
     ({"sweep": {"n": 1}}, "sweep.n"),
     ({"sweep": {"xi": [[0.0, 0.0], [0.0, 0.0]]}}, "sweep.xi"),
+    ({"sweep": {"target_norms": [0.8, 1.2, 0.9]}}, "sweep.target_norms"),
+    ({"sweep": {"target_norms": [0.8, 1.2, 1.2]}}, "sweep.target_norms"),
+    ({"sweep": {"eps": [0.5, 1.0, 0.5]}}, "sweep.eps"),
 ])
 def test_strict_config_values_exit_2(tmp_path, capsys, patch, field):
     raw = json.loads(open(scalar_cfg(tmp_path)).read())
@@ -463,6 +489,24 @@ def test_simulate_one_trial_has_zero_stderr(tmp_path):
     rows = list(csv.DictReader(open(tmp_path / "out" / "aggregate.csv")))
     assert len(rows) == 4
     assert all(float(r["mse_stderr_1"]) == 0.0 for r in rows)
+
+
+def test_simulate_correction_reaches_the_engine(tmp_path):
+    # B^0 = 0, so the Onsager term first acts at t = 2: the ablated run's
+    # rows agree with the corrected run's at t = 0, 1 and differ from t = 2 on
+    raw = json.loads(open(scalar_cfg(tmp_path, trials=1, n=200, max_iter=4)).read())
+    rows = {}
+    for correction in ("divergence", "disabled"):
+        raw["amp"]["correction"] = correction
+        path = write_cfg(tmp_path, raw, name=f"{correction}.json")
+        out = tmp_path / correction
+        assert cli.main(["simulate", "--config", path, "--out", str(out)]) == 0
+        rows[correction] = list(csv.DictReader(open(out / "trace.csv")))
+    on, off = rows["divergence"], rows["disabled"]
+    assert [r["t"] for r in on] == [r["t"] for r in off] == ["0", "1", "2", "3", "4"]
+    assert on[:2] == off[:2]
+    for a, b in zip(on[2:], off[2:]):
+        assert a["Q_hat_11"] != b["Q_hat_11"] and a["mse_block_1"] != b["mse_block_1"]
 
 
 def test_shipped_phase_diagram_config_resolves():
