@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denoise import DomainError, block_denoiser, posterior_mean_derivative_scalar
-from .model import MTPInstance, ScalarPrior, rng_from, tagged_stream
+from .model import MTPInstance, ScalarPrior, rng_from
 from .se import OperatorT, SETrajectory, _hermegauss, gauss_expect
 
 _INIT_TAG = 0x5149  # distinguishes the side-information stream from noise views
@@ -165,7 +165,7 @@ def run_symmetric(instance: MTPInstance, config: AMPConfig) -> AMPTrace:
     slices = profile.block_slices(n)
     _check_block_support(X, slices)
 
-    M_prev = init_side_information(X, config.rho, slices, tagged_stream(config.seed, _INIT_TAG))
+    M_prev = init_side_information(X, config.rho, slices, [config.seed, _INIT_TAG])
     M_prev2 = np.zeros_like(M_prev)
     B_prev = np.zeros((d, d))
 
@@ -252,8 +252,9 @@ def gaussianity_diagnostic(
     """Compare iterates X^t against their SE-predicted law X K^t + N(0, Sigma^t).
 
     For the recursion X^t = sum_k Y_k M^{t-1} Lambda_k^T - M^{t-2} (B^{t-1})^T
-    that ``run_symmetric`` runs, K^t = Sigma^t = S^t = T(Q^t_SE). Requires the
-    trace to have been run with keep_iterates=True.
+    that ``run_symmetric`` runs, K^t = Sigma^t = S^t = T(Q^t_SE) with
+    Q^t_SE = diag(q^t) of the SE orbit. Requires the trace to have been run
+    with keep_iterates=True.
     """
     if trace.iterates is None:
         raise DomainError("run AMP with keep_iterates=True for the diagnostic")
@@ -261,12 +262,13 @@ def gaussianity_diagnostic(
     n, d = X.shape
     profile = instance.profile
     slices = profile.block_slices(n)
+    op = OperatorT(instance.couplings)
     n_t = len(trace.iterates) if t_max is None else min(t_max, len(trace.iterates))
     cov_dist = np.zeros(n_t)
     battery = {name: np.zeros((n_t, d)) for name in _BATTERY}
     lip = np.zeros((n_t, d))
     for i in range(n_t):
-        K = se_traj.S[i]          # S^{t} for t = i+1, = Sigma^t under Bayes weights
+        K = op.apply(np.diag(se_traj.q[i]))  # S^t for t = i+1, = Sigma^t under Bayes weights
         Xt = trace.iterates[i]
         R = Xt - X @ K
         C = R.T @ R / n

@@ -168,8 +168,9 @@ class SweepSection:
         _check(all(a < b for a, b in zip(self.target_norms, self.target_norms[1:])),
                "sweep.target_norms", "must strictly increase")
         _check(len(set(self.eps)) == len(self.eps), "sweep.eps", "entries must be distinct")
-        for key in ("n", "trials", "grid_res"):
+        for key in ("n", "trials"):
             _check(getattr(self, key) >= 1, f"sweep.{key}", "must be >= 1")
+        _check(self.grid_res >= 2, "sweep.grid_res", "must be >= 2")
         try:
             for profile in profiles:
                 profile.block_sizes(self.n)
@@ -345,9 +346,9 @@ def cmd_se(cfg: ExperimentConfig, out_dir: str, seed: int) -> int:
     _, _, traj = _se(cfg, cfg.model.profile, cfg.model.couplings)
     d = cfg.model.profile.d
     header = ["t"] + [f"q_{j + 1}" for j in range(d)] + [f"s_{j + 1}" for j in range(d)]
-    rows = ([i + 1] + [_fmt(v) for v in np.concatenate([np.diag(q), np.diag(s)])]
+    rows = ([i + 1] + [_fmt(v) for v in np.concatenate([q, s])]
             + [int(traj.converged), seed, VERSION_TAG]
-            for i, (q, s) in enumerate(zip(traj.Q, traj.S)))
+            for i, (q, s) in enumerate(zip(traj.q, traj.s)))
     _write_csv(os.path.join(out_dir, "se.csv"), header + ["converged", "seed", "version"], rows)
     if not traj.converged:
         print("state evolution did not converge within max_iter", file=sys.stderr)
@@ -412,7 +413,7 @@ def cmd_limits(cfg: ExperimentConfig, out_dir: str, seed: int) -> int:
         + [row.branch_flag, seed, VERSION_TAG]
         for eps in sw.eps
         for row in limits_sweep(_eps_priors(eps), sw.beta, sw.xi, sw.target_norms,
-                                grid_res=sw.grid_res)
+                                grid_res=sw.grid_res, quad_order=cfg.se.quad_order)
     )
     _write_csv(os.path.join(out_dir, "limits.csv"), header, rows)
     return 0
@@ -469,7 +470,8 @@ def cmd_phase_diagram(cfg: ExperimentConfig, out_dir: str, seed: int, jobs: int,
             # the pending rows of limits.csv: same table range and transition flag
             bounds = dict(zip(pending, limits_sweep(_eps_priors(eps), sw.beta, sw.xi,
                                                     sw.target_norms, grid_res=sw.grid_res,
-                                                    indices=pending)))
+                                                    indices=pending,
+                                                    quad_order=cfg.se.quad_order)))
             # a point's seed index is its 1-based position in the eps x target grid
             points = _pmap(lambda k: _phase_point(cfg, eps, bounds[k], seed,
                                                   e * len(sw.target_norms) + k + 1), pending, jobs)

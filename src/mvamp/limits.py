@@ -25,12 +25,10 @@ from .model import (
     GAUSSIAN,
     RADEMACHER,
     BlockPriorProfile,
-    CouplingSet,
     ScalarPrior,
     rng_from,
 )
 from .se import (
-    OperatorT,
     OverlapModel,
     PrecisionError,
     _bg_breaks,
@@ -197,7 +195,7 @@ def _inner_inf_objective(q, beta, H, priors, model: OverlapModel) -> float:
         target = qj / b
         if target >= 1.0 - 1e-12:
             target = 1.0 - 1e-12
-        g = lambda s: overlap_psi_scalar(p, s) - target
+        g = lambda s: model.psi_scalar(j, s) - target
         hi = 1.0
         below = g(hi) < 0
         while below and hi < 1e8:
@@ -218,19 +216,23 @@ def variational_solve(
 ) -> VariationalResult:
     """Maximize <beta, D(H q)> - (1/4) <q, H q> over the box [0, beta].
 
-    Dense grid scan (spline-tabulated D) plus Newton polish of every candidate
-    branch against the exact fixed-point equation q = psi(H q). Candidate
-    branches additionally include the SE fixed points reached from a near-zero
-    and a near-saturated start, so jump discontinuities are resolved by exact
+    Dense grid scan (spline-tabulated D, ``grid_res`` >= 2 points per axis)
+    plus Newton polish of every candidate branch against the exact
+    fixed-point equation q = psi(H q). The candidates also include the
+    Newton polishes (``refine_fixed_point``) from a near-zero and a
+    near-saturated start, so jump discontinuities are resolved by exact
     objective comparison.
     """
     beta = np.asarray(beta, float)
     H = np.asarray(lam_sq, float)
     d = beta.shape[0]
     priors = list(priors)
+    if np.any(H < 0):
+        raise DomainError("Lambda**2 must be entrywise nonnegative")
+    if grid_res < 2:
+        raise DomainError(f"grid_res must be >= 2, got {grid_res}")
     if model is None:
         model = OverlapModel(BlockPriorProfile(tuple(priors), tuple(beta)))
-    op = OperatorT(CouplingSet((_sqrt_entrywise(H),)))
 
     psd = bool(np.linalg.eigvalsh((H + H.T) / 2.0).min() >= -1e-10)
     if kl_tables is None:
@@ -270,13 +272,13 @@ def variational_solve(
             reps.append(qv)
     near_degenerate = len(reps) > 1
 
-    # branch candidates: grid representatives plus SE orbits from both ends
+    # branch candidates: grid representatives plus polishes from both ends
     cand_starts = [r.copy() for r in reps]
     cand_starts.append(np.full(d, 1e-8) * beta)
     cand_starts.append(beta * (1.0 - 1e-6))
     candidates = []
     for q0 in cand_starts:
-        qr, _ = refine_fixed_point(model, op, q0)
+        qr, _ = refine_fixed_point(model, H, q0)
         if all(np.abs(qr - qc).max() > 1e-7 for qc, _ in candidates):
             obj = (
                 _exact_objective(qr, beta, H, priors)
@@ -290,12 +292,6 @@ def variational_solve(
     return VariationalResult(
         q_star, objective, bounds, per_axis, candidates, near_degenerate
     )
-
-
-def _sqrt_entrywise(H: np.ndarray) -> np.ndarray:
-    if np.any(H < 0):
-        raise DomainError("Lambda**2 must be entrywise nonnegative")
-    return np.sqrt(H)
 
 
 @dataclass
@@ -314,6 +310,7 @@ def limits_sweep(
     target_norms,
     grid_res: int = 400,
     indices=None,
+    quad_order: int = 61,
 ) -> list[SweepRow]:
     """Variational solve along the single-scalar SNR sweep Lambda**2 = c Xi,
     reporting the implied SNR ||T_c||op = c ||diag(beta) Xi||op per point.
@@ -322,14 +319,15 @@ def limits_sweep(
     target order. A row needs only its own solve and that of the previous
     target, whose sign of q* sets the transition flag; the KL table range
     comes from the whole target list, so a row does not depend on which
-    other rows are asked for."""
+    other rows are asked for. ``quad_order`` is the overlap quadrature order
+    of the fixed-point polish and its residual check."""
     beta = np.asarray(beta, float)
     xi = np.asarray(xi, float)
     base_norm = float(np.linalg.norm(np.diag(beta) @ xi, 2))
     targets = np.asarray(target_norms, float)
     cs = targets / base_norm
     priors = list(priors)
-    model = OverlapModel(BlockPriorProfile(tuple(priors), tuple(beta)))
+    model = OverlapModel(BlockPriorProfile(tuple(priors), tuple(beta)), quad_order)
     s_cap = float((cs.max() * xi @ beta).max()) * 1.001
     tables = [KLTable(p, max(s_cap, 1e-6)) for p in priors]
     wanted = set(range(len(cs)) if indices is None else indices)

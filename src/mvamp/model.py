@@ -43,16 +43,11 @@ GAUSSIAN = "gaussian"
 
 
 def rng_from(seed) -> np.random.Generator:
-    """Accept an int seed or an existing Generator."""
+    """Accept an int seed, a sequence of ints (SeedSequence entropy, so
+    [seed, tag] keys a stream by a tag) or an existing Generator."""
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(np.random.SeedSequence(seed))
-
-
-def tagged_stream(seed: int, tag: int) -> np.random.Generator:
-    """Stream keyed by (seed, tag); independent of the spawn children of
-    SeedSequence(seed) used for observation noise."""
-    return np.random.default_rng(np.random.SeedSequence([int(seed), int(tag)]))
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,12 @@ fixed-point machinery.
 
 The overlap of a scalar prior at SNR s is psi(s) = E[E[X | sqrt(s) X + Z]^2],
 a nondecreasing map from [0, inf) to [0, 1). Block profiles act diagonally:
-psi_j reads only S[j, j] and carries the block fraction beta_j, so state
-evolution Q^{t+1} = psi(T(Q^t)) reduces to the vector recursion
-q^{t+1} = psi(sum_k Lambda_k**2 q^t).
+block j sees only its own SNR s_j, so state evolution carries the overlap
+vector q alone,
+
+    q^{t+1} = beta * psi(H q^t),    s^t = H q^t,    H = sum_k Lambda_k**2,
+
+entrywise in beta and psi, and every caller forms s the same way, as H @ q.
 
 Quadrature: Gauss-Hermite for the Gaussian overlap; the Rademacher overlap
 and the Bernoulli-Gaussian mixture are integrated with panel Gauss-Legendre,
@@ -255,10 +258,6 @@ class OverlapModel:
             [b * self.psi_scalar(j, max(sj, 0.0)) for j, (b, sj) in enumerate(zip(self.beta, s))]
         )
 
-    def psi_matrix(self, S: np.ndarray) -> np.ndarray:
-        """Matrix overlap for block priors: reads only diag(S), returns a diagonal."""
-        return np.diag(self.psi_vector(np.diag(np.asarray(S, float))))
-
     def dpsi_vector(self, s: np.ndarray) -> np.ndarray:
         """Diagonal of the overlap gradient: beta_j * psi_j'(s_j)."""
         s = np.asarray(s, float)
@@ -272,27 +271,20 @@ class OverlapModel:
 
 @dataclass
 class SETrajectory:
-    """State-evolution orbit: Q[i] = Q^{i+1}, S[i] = T(Q[i])."""
+    """State-evolution orbit as (iterations + 1, d) arrays: q[i] = q^{i+1} and
+    s[i] = H q[i], the SNRs that produce q[i + 1]."""
 
-    Q: list
-    S: list
+    q: np.ndarray
+    s: np.ndarray
     converged: bool
 
     @property
     def iterations(self) -> int:
-        return len(self.Q) - 1
-
-    @property
-    def Q_star(self) -> np.ndarray:
-        return self.Q[-1]
-
-    @property
-    def q_vectors(self) -> np.ndarray:
-        return np.array([np.diag(q) for q in self.Q])
+        return len(self.q) - 1
 
     @property
     def q_star(self) -> np.ndarray:
-        return np.diag(self.Q_star)
+        return self.q[-1]
 
 
 def run_se(
@@ -302,36 +294,39 @@ def run_se(
     tol: float = 1e-10,
     max_iter: int = 10_000,
 ) -> SETrajectory:
-    """Iterate Q^{t+1} = psi(T(Q^t)) from Q1 until the Frobenius step < tol."""
-    Q = np.asarray(Q1, float)
-    Q = (Q + Q.T) / 2.0
-    lo = float(np.linalg.eigvalsh(Q).min()) if Q.size else 0.0
-    if lo < -1e-10 * max(1.0, float(np.abs(Q).max())):
-        raise DomainError(f"Q1 must be PSD (min eigenvalue {lo:.3e})")
-    Qs = [Q]
-    Ss = [op.apply(Q)]
+    """Iterate q^{t+1} = beta * psi(H q^t) from Q1 = diag(q^1) until the
+    Euclidean step < tol. Q1 must be diagonal and nonnegative: the block
+    recursion has no off-diagonal state to carry."""
+    Q1 = np.asarray(Q1, float)
+    d = op.d
+    if Q1.shape != (d, d) or model.d != d:
+        raise DomainError(f"Q1 shape {Q1.shape} and {model.d} blocks do not match d={d}")
+    q = np.diag(Q1).copy()
+    if np.any(Q1 != np.diag(q)) or np.any(q < 0):
+        raise DomainError(f"Q1 must be diagonal and nonnegative, got {Q1.tolist()}")
+    H = op.hadamard_matrix
+    qs, ss = [q], [H @ q]
     converged = False
     for _ in range(max_iter):
-        Qn = model.psi_matrix(Ss[-1])
-        step = float(np.linalg.norm(Qn - Qs[-1]))
-        Qs.append(Qn)
-        Ss.append(op.apply(Qn))
+        qn = model.psi_vector(ss[-1])
+        step = float(np.linalg.norm(qn - qs[-1]))
+        qs.append(qn)
+        ss.append(H @ qn)
         if step < tol:
             converged = True
             break
-    return SETrajectory(Qs, Ss, converged)
+    return SETrajectory(np.array(qs), np.array(ss), converged)
 
 
 def refine_fixed_point(
     model: OverlapModel,
-    op: OperatorT,
+    H: np.ndarray,
     q: np.ndarray,
     tol: float = 1e-12,
     max_iter: int = 200,
 ) -> tuple[np.ndarray, float]:
-    """Polish a block fixed point of q = psi(H q) by damped Newton with a
-    fixed-point fallback; returns (q_star, residual)."""
-    H = op.hadamard_matrix
+    """Polish a block fixed point of q = beta * psi(H q) by damped Newton with
+    a fixed-point fallback; returns (q_star, residual)."""
     beta = model.beta
     q = np.clip(np.asarray(q, float), 0.0, beta)
 

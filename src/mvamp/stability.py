@@ -6,12 +6,12 @@ sum_k vec(L_k) vec(L_k)^T encodes a canonical Kraus form, and when T commutes
 with transposition its eigenbasis splits into d(d+1)/2 symmetric and
 d(d-1)/2 skew-symmetric matrices.
 
-Stability of a fixed point Q* is decided by the norm of the linearized SE map
-restricted to the admissible perturbation cone. For block-diagonal signal
-profiles the overlap state is diagonal, so the linearization reduces to the
-nonnegative matrix J = diag(beta_j psi_j'(s_j)) H with H = sum_k Lambda_k**2,
-and the cone is the nonnegative orthant (at zero overlap this is the
-diag(beta) Lambda**2 weak-recovery threshold).
+Stability of a fixed point is decided by the norm of the linearized SE map
+restricted to the admissible perturbation cone. For block profiles state
+evolution is the vector recursion q <- beta * psi(H q) with s = H q and
+H = sum_k Lambda_k**2, so the linearization at q* is the nonnegative matrix
+J = diag(beta_j psi_j'(s_j)) H and the cone is the nonnegative orthant (at
+zero overlap this is the diag(beta) Lambda**2 weak-recovery threshold).
 """
 
 from __future__ import annotations
@@ -299,14 +299,14 @@ def classify_fixed_point(
 ) -> StabilityVerdict:
     """Classify a block SE fixed point by the restricted norm of the linearized map.
 
-    For block profiles the overlap state is diagonal, so the linearization at
-    q* is J = diag(beta_j psi_j'(s_j)) H on overlap vectors (H = sum_k
-    Lambda_k**2) and admissible perturbations form the nonnegative orthant;
-    nu < 1 - delta is stable, nu > 1 + delta unstable, otherwise marginal.
+    q_star is the overlap vector, shape (d,). The linearization at q* is
+    J = diag(beta_j psi_j'(s_j)) H with s = H q* (H = sum_k Lambda_k**2) and
+    admissible perturbations form the nonnegative orthant; nu < 1 - delta is
+    stable, nu > 1 + delta unstable, otherwise marginal.
     """
     q = np.asarray(q_star, float)
-    if q.ndim == 2:
-        q = np.diag(q)
+    if q.shape != (op.d,):
+        raise DomainError(f"q_star must be an overlap vector of shape ({op.d},), got {q.shape}")
     H = op.hadamard_matrix
     s = H @ q
     resid = float(np.abs(model.psi_vector(s) - q).max())

@@ -56,7 +56,7 @@ def test_criterion_1_se_amp_agreement():
         inst = model.synthesize_symmetric(X, op.couplings, inst_seed, profile=profile)
         tr = amp.run_symmetric(inst, amp.AMPConfig(max_iter=20, rho=0.05, seed=inst_seed))
         for t in range(min(21, len(tr.Q_hat))):
-            q_se = traj.Q[t] if t < len(traj.Q) else traj.Q[-1]
+            q_se = np.diag(traj.q[t] if t < len(traj.q) else traj.q[-1])
             worst = max(worst, float(np.abs(tr.Q_hat[t] - q_se).max()))
     elapsed = time.time() - t0
     _report(

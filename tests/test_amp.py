@@ -205,9 +205,10 @@ def test_multiview_recursion_tracks_se():
         runs.append(amp.run_symmetric(inst, amp.AMPConfig(max_iter=t_max, rho=rho,
                                                           seed=150 + trial)).Q_hat)
     q_amp = np.mean(runs, axis=0)
-    assert q_amp.shape == np.shape(traj.Q) == (t_max + 1, 2, 2)
-    assert np.abs(q_amp - np.array(traj.Q)).max() <= 0.05
-    assert traj.Q[-1][0, 0] > 0.4  # the run leaves the uninformative start
+    q_se = np.array([np.diag(q) for q in traj.q])
+    assert q_amp.shape == q_se.shape == (t_max + 1, 2, 2)
+    assert np.abs(q_amp - q_se).max() <= 0.05
+    assert traj.q[-1][0] > 0.4  # the run leaves the uninformative start
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +309,7 @@ def test_first_iteration_residual_variance():
     tr = amp.run_symmetric(inst, cfg)
     traj = se.run_se(M1, se.OperatorT(inst.couplings), np.array([[0.3]]), max_iter=10)
     rep = amp.gaussianity_diagnostic(tr, inst, traj)
-    assert abs(traj.S[0][0, 0] - 0.3) < 1e-12  # Sigma^1 = lam^2 rho with lam = 1
+    assert abs(traj.s[0][0] - 0.3) < 1e-12  # Sigma^1 = lam^2 rho with lam = 1
     assert rep.cov_distance[0] < 0.05
 
 

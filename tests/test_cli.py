@@ -78,6 +78,25 @@ def test_se_command_writes_csv(tmp_path):
     assert float(rows[-1]["q_1"]) > 0.9
 
 
+def test_se_csv_s_columns_are_H_times_q(tmp_path):
+    # two non-commuting views: every row's s equals H q of that row's q, bit
+    # for bit, with H = sum_k Lambda_k**2
+    views = [[[1.6, 0.6], [0.6, 1.0]], [[0.9, -0.7], [-0.7, 1.4]]]
+    path = write_cfg(tmp_path, {
+        "model": {"n": 400, "priors": ["rademacher", "bg:0.1"], "beta": [0.6, 0.4],
+                  "couplings": {"kind": "explicit", "matrices": views}},
+        "amp": {"rho": 0.05},
+        "output": {"dir": str(tmp_path / "out")},
+    })
+    assert cli.main(["se", "--config", path]) == 0
+    H = sum(np.square(np.array(m)) for m in views)
+    rows = list(csv.DictReader(open(tmp_path / "out" / "se.csv")))
+    assert len(rows) > 2 and rows[-1]["converged"] == "1"
+    for row in rows:
+        q = np.array([float(row["q_1"]), float(row["q_2"])])
+        assert [float(row["s_1"]), float(row["s_2"])] == (H @ q).tolist()
+
+
 def test_se_nonconvergence_exit_3(tmp_path):
     path = scalar_cfg(tmp_path, se_max_iter=3)
     assert cli.main(["se", "--config", path]) == 3
@@ -288,6 +307,25 @@ def test_phase_diagram_se_uses_se_section(tmp_path):
             assert float(row[f"se_mse_{j + 1}"]) == 1.0 - traj.q_star[j] / beta[j]
 
 
+def test_bounds_use_se_quad_order(tmp_path, monkeypatch):
+    # limits and the bound columns of phase-diagram polish their fixed points
+    # at se.quad_order, as phase-diagram's SE columns do
+    raw = json.loads(open(sweep_cfg(tmp_path, [0.8, 1.8], out="quad", trials=1, n=200)).read())
+    raw["se"] = {"quad_order": 41}
+    path = write_cfg(tmp_path, raw, name="quad.json")
+    real, orders = limits.refine_fixed_point, []
+
+    def refine_fixed_point(model, *args, **kwargs):
+        orders.append(model.quad_order)
+        return real(model, *args, **kwargs)
+
+    monkeypatch.setattr(limits, "refine_fixed_point", refine_fixed_point)
+    for command in ("limits", "phase-diagram"):
+        orders.clear()
+        assert cli.main([command, "--config", path]) == 0
+        assert orders and set(orders) == {41}, command
+
+
 def test_phase_diagram_reports_unconverged_se(tmp_path, monkeypatch, capsys):
     # eps 0.5 completes with SE cut at 2 iterations; the sweep is interrupted
     # when it reaches eps 1.0, so the exit code is 4 and eps 0.5 is reported
@@ -427,6 +465,7 @@ def test_resume_refuses_a_mismatch(tmp_path, capsys):
     ({"sweep": {"target_norms": [0.8, 1.2, 0.9]}}, "sweep.target_norms"),
     ({"sweep": {"target_norms": [0.8, 1.2, 1.2]}}, "sweep.target_norms"),
     ({"sweep": {"eps": [0.5, 1.0, 0.5]}}, "sweep.eps"),
+    ({"sweep": {"eps": [1.0], "target_norms": [0.8, 1.5], "grid_res": 1}}, "sweep.grid_res"),
 ])
 def test_strict_config_values_exit_2(tmp_path, capsys, patch, field):
     raw = json.loads(open(scalar_cfg(tmp_path)).read())

@@ -152,6 +152,15 @@ def test_variational_non_psd_fallback():
     assert np.isfinite(res.objective)
 
 
+def test_variational_rejects_negative_H_and_coarse_grid():
+    with pytest.raises(denoise.DomainError):
+        limits.variational_solve([RAD, RAD], [0.5, 0.5], np.array([[1.0, -0.1], [-0.1, 1.0]]))
+    for grid_res in (0, 1):
+        with pytest.raises(denoise.DomainError):
+            limits.variational_solve([GAUSS], [1.0], np.array([[4.0]]), grid_res=grid_res)
+    assert limits.variational_solve([GAUSS], [1.0], np.array([[4.0]]), grid_res=2).grid_res == 2
+
+
 def test_kl_table_accuracy():
     table = limits.KLTable(RAD, 8.0, n_nodes=400)
     for s in [0.123, 1.7, 5.5]:

@@ -229,11 +229,11 @@ def test_run_se_supercritical_monotone():
     traj = se.run_se(m, op, np.array([[0.01]]))
     assert traj.converged
     assert traj.q_star[0] > 0.9
-    q = traj.q_vectors.ravel()
+    q = traj.q.ravel()
     assert np.all(np.diff(q) >= -1e-12)
     # Loewner monotonicity: min eigenvalue of Q^{t+1} - Q^t >= -1e-9
-    for a, b in zip(traj.Q[:-1], traj.Q[1:]):
-        assert np.linalg.eigvalsh(b - a).min() >= -1e-9
+    for a, b in zip(traj.q[:-1], traj.q[1:]):
+        assert np.linalg.eigvalsh(np.diag(b) - np.diag(a)).min() >= -1e-9
 
 
 def test_run_se_heteroskedastic_saturates_at_beta():
@@ -249,6 +249,20 @@ def test_run_se_rejects_non_psd_start():
     m, op = _scalar_setup(1.0)
     with pytest.raises(denoise.DomainError):
         se.run_se(m, op, np.array([[-0.1]]))
+
+
+def test_run_se_rejects_non_diagonal_or_negative_start():
+    # the block recursion carries only diag(Q): an off-diagonal start entry
+    # would be folded into the first step and then dropped, so it is refused
+    m = se.OverlapModel(model.BlockPriorProfile((RAD, BG5), (0.6, 0.4)))
+    op = se.OperatorT(model.CouplingSet((np.array([[1.6, 0.6], [0.6, 1.0]]),)))
+    for Q1 in ([[0.05, 0.01], [0.01, 0.05]], [[0.05, 0.0], [0.0, -1e-3]], np.eye(3)):
+        with pytest.raises(denoise.DomainError):
+            se.run_se(m, op, np.array(Q1))
+    traj = se.run_se(m, op, np.diag([0.05, 0.0]), max_iter=3)
+    assert traj.q.shape == traj.s.shape == (4, 2)
+    for q, s in zip(traj.q, traj.s):
+        assert s.tolist() == (op.hadamard_matrix @ q).tolist()
 
 
 def test_se_order_preserving_on_diagonals():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mvamp import model, se, stability
+from mvamp import denoise, model, se, stability
 
 RAD = model.ScalarPrior.rademacher()
 XI = np.array([[0.7, 0.3], [0.3, 0.7]])
@@ -131,7 +131,7 @@ def test_classify_saturated_fixed_point_is_stable():
     # very high SNR: q* ~ beta, psi' ~ 0, nu ~ 0
     m, op = _hetero(0.5, 40.0)
     traj = se.run_se(m, op, np.diag([1e-4, 1e-4]), max_iter=5000)
-    q, resid = se.refine_fixed_point(m, op, traj.q_star)
+    q, resid = se.refine_fixed_point(m, op.hadamard_matrix, traj.q_star)
     assert resid < 1e-9
     v = stability.classify_fixed_point(m, op, q)
     assert v.classification == "stable"
@@ -142,6 +142,14 @@ def test_classify_requires_fixed_point():
     m, op = _hetero(0.5, 2.0)
     with pytest.raises(stability.FixedPointPreconditionError):
         stability.classify_fixed_point(m, op, np.array([0.3, 0.1]))
+
+
+def test_classify_requires_overlap_vector():
+    # a matrix or a vector of the wrong length is refused, not read for its diagonal
+    m, op = _hetero(0.5, 2.0)
+    for q in (np.zeros((2, 2)), np.zeros(3), np.zeros((2, 1))):
+        with pytest.raises(denoise.DomainError):
+            stability.classify_fixed_point(m, op, q)
 
 
 def test_classify_marginal_band():
