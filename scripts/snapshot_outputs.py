@@ -25,9 +25,11 @@ tree's ``perfbench/workloads.py``, which is not modified.
 
 ``--compare A B`` prints one line per file of either snapshot: ``identical``
 when the bytes are equal, else how many numeric cells differ and the largest
-|delta|, and how many other cells differ. A cell is a field of a CSV file or
-a leaf of a JSON file; any other file is one cell holding its bytes. It
-exits 1 if a file is missing from one side or a non-numeric cell differs.
+|delta|, how many other cells differ, and where: the header names of the CSV
+columns, or the key paths of the JSON leaves with list positions written
+``[*]``. A cell is a field of a CSV file or a leaf of a JSON file; any other
+file is one cell holding its bytes. It exits 1 if a file is missing from one
+side or a non-numeric cell differs.
 """
 
 from __future__ import annotations
@@ -116,14 +118,27 @@ def _number(cell):
     return None
 
 
-def compare_files(a: str, b: str) -> tuple[int, float, int]:
-    """(numeric cells that differ, their largest |delta|, other cells that differ)."""
+def _place(path: str, loc: tuple, header: dict) -> tuple:
+    """(sort key, name) of a cell's place: its CSV column by header name, its
+    JSON key path with list positions written [*], or <bytes>."""
+    if path.endswith(".csv"):
+        return loc[1], header.get(loc[1], f"column {loc[1] + 1}")
+    if path.endswith(".json"):
+        return 0, "".join("[*]" if isinstance(k, int) else f".{k}" for k in loc).lstrip(".")
+    return 0, "<bytes>"
+
+
+def compare_files(a: str, b: str) -> tuple[int, float, int, list]:
+    """(numeric cells that differ, their largest |delta|, other cells that
+    differ, the names of the places where they differ in column or key order)."""
     ca, cb = cells(a), cells(b)
-    numeric, delta, other = 0, 0.0, 0
+    header = {c: cell for (r, c), cell in (cb | ca).items() if r == 0} if a.endswith(".csv") else {}
+    numeric, delta, other, places = 0, 0.0, 0, set()
     for loc in ca.keys() | cb.keys():
         x, y = ca.get(loc), cb.get(loc)
         if loc in ca and loc in cb and x == y:
             continue
+        places.add(_place(a, loc, header))
         u, v = _number(x), _number(y)
         if u is None or v is None:
             other += 1
@@ -131,7 +146,7 @@ def compare_files(a: str, b: str) -> tuple[int, float, int]:
             numeric += 1
             gap = abs(u - v) if u != v else 0.0
             delta = max(delta, math.inf if math.isnan(gap) else gap)
-    return numeric, delta, other
+    return numeric, delta, other, [name for _, name in sorted(places)]
 
 
 def compare(a_dir: str, b_dir: str) -> int:
@@ -151,9 +166,9 @@ def compare(a_dir: str, b_dir: str) -> int:
             if fa.read() == fb.read():
                 print(f"{name}: identical")
                 continue
-        numeric, delta, other = compare_files(a, b)
+        numeric, delta, other, places = compare_files(a, b)
         print(f"{name}: {numeric} numeric cells differ (max |delta| {delta:.3g}), "
-              f"{other} other cells differ")
+              f"{other} other cells differ, in {', '.join(places)}")
         if other:
             status = 1
     return status

@@ -268,7 +268,9 @@ def gaussianity_diagnostic(
     battery = {name: np.zeros((n_t, d)) for name in _BATTERY}
     lip = np.zeros((n_t, d))
     for i in range(n_t):
-        K = op.apply(np.diag(se_traj.q[i]))  # S^t for t = i+1, = Sigma^t under Bayes weights
+        # S^t for t = i+1, = Sigma^t under Bayes weights; an orbit that
+        # converged in fewer steps sits at its fixed point
+        K = op.apply(np.diag(se_traj.q[min(i, se_traj.iterations)]))
         Xt = trace.iterates[i]
         R = Xt - X @ K
         C = R.T @ R / n

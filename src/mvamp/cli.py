@@ -321,12 +321,18 @@ def _pmap(fn, items, jobs: int):
         yield from pool.map(fn, items)
 
 
-def _se(cfg: ExperimentConfig, profile: BlockPriorProfile, couplings: CouplingSet):
+def _eps_model(cfg: ExperimentConfig, eps: float) -> OverlapModel:
+    """The overlap model of one sweep curve: Rademacher + BG(eps) with sweep.beta."""
+    profile = BlockPriorProfile(tuple(_eps_priors(eps)), cfg.sweep.beta)
+    return OverlapModel(profile, cfg.se.quad_order)
+
+
+def _se(cfg: ExperimentConfig, model: OverlapModel, couplings: CouplingSet):
     """State evolution from the amp.rho init with the se.* settings; returns the
-    overlap model, the operator T and the trajectory."""
-    model, op = OverlapModel(profile, cfg.se.quad_order), OperatorT(couplings)
-    Q1 = np.diag(cfg.amp.rho * np.asarray(profile.beta))
-    return model, op, run_se(model, op, Q1, tol=cfg.se.tol, max_iter=cfg.se.max_iter)
+    operator T and the trajectory."""
+    op = OperatorT(couplings)
+    Q1 = np.diag(cfg.amp.rho * model.beta)
+    return op, run_se(model, op, Q1, tol=cfg.se.tol, max_iter=cfg.se.max_iter)
 
 
 def _run_trial(profile: BlockPriorProfile, couplings: CouplingSet, n: int,
@@ -343,7 +349,7 @@ def _run_trial(profile: BlockPriorProfile, couplings: CouplingSet, n: int,
 # ---------------------------------------------------------------------------
 
 def cmd_se(cfg: ExperimentConfig, out_dir: str, seed: int) -> int:
-    _, _, traj = _se(cfg, cfg.model.profile, cfg.model.couplings)
+    _, traj = _se(cfg, OverlapModel(cfg.model.profile, cfg.se.quad_order), cfg.model.couplings)
     d = cfg.model.profile.d
     header = ["t"] + [f"q_{j + 1}" for j in range(d)] + [f"s_{j + 1}" for j in range(d)]
     rows = ([i + 1] + [_fmt(v) for v in np.concatenate([q, s])]
@@ -385,7 +391,8 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str, seed: int, jobs: int) -> i
 
 
 def cmd_stability(cfg: ExperimentConfig, out_dir: str, seed: int) -> int:
-    model, op, traj = _se(cfg, cfg.model.profile, cfg.model.couplings)
+    model = OverlapModel(cfg.model.profile, cfg.se.quad_order)
+    op, traj = _se(cfg, model, cfg.model.couplings)
     zero = classify_fixed_point(model, op, np.zeros(cfg.model.profile.d))
     payload = {"zero_point": zero.to_dict(), "version": VERSION_TAG, "seed": seed}
     failure = None
@@ -412,24 +419,23 @@ def cmd_limits(cfg: ExperimentConfig, out_dir: str, seed: int) -> int:
         [_fmt(v) for v in (eps, row.c, row.norm_Tc, *row.q_star, *row.mmse_bounds)]
         + [row.branch_flag, seed, VERSION_TAG]
         for eps in sw.eps
-        for row in limits_sweep(_eps_priors(eps), sw.beta, sw.xi, sw.target_norms,
-                                grid_res=sw.grid_res, quad_order=cfg.se.quad_order)
+        for row in limits_sweep(_eps_model(cfg, eps), sw.xi, sw.target_norms,
+                                grid_res=sw.grid_res)
     )
     _write_csv(os.path.join(out_dir, "limits.csv"), header, rows)
     return 0
 
 
-def _phase_point(cfg: ExperimentConfig, eps: float, bound: SweepRow, seed: int,
-                 idx: int) -> tuple[list, bool]:
+def _phase_point(cfg: ExperimentConfig, eps: float, model: OverlapModel, bound: SweepRow,
+                 seed: int, idx: int) -> tuple[list, bool]:
     """One (eps, c) CSV row: AMP Monte Carlo and the SE prediction next to the
-    variational bound row of the same point; also whether that SE converged."""
+    variational bound row of the same point, all on the bound's couplings;
+    also whether that SE converged."""
     sw = cfg.sweep
-    profile = BlockPriorProfile(tuple(_eps_priors(eps)), sw.beta)
-    couplings = CouplingSet.heteroskedastic(np.sqrt(bound.c * sw.xi))
-    _, _, traj = _se(cfg, profile, couplings)
-    se_mse = np.clip(1.0 - traj.q_star / np.asarray(sw.beta), 0.0, None)
+    _, traj = _se(cfg, model, bound.couplings)
+    se_mse = np.clip(1.0 - traj.q_star / model.beta, 0.0, None)
     mean, stderr = _mean_stderr([
-        _run_trial(profile, couplings, sw.n, cfg.amp,
+        _run_trial(model.profile, bound.couplings, sw.n, cfg.amp,
                    _trial_seed(seed, idx, trial, 0), _trial_seed(seed, idx, trial, 1)).mse[-1]
         for trial in range(sw.trials)
     ])
@@ -467,13 +473,12 @@ def cmd_phase_diagram(cfg: ExperimentConfig, out_dir: str, seed: int, jobs: int,
             pending = [k for k, t in enumerate(sw.target_norms) if (eps, t) not in done]
             if not pending:
                 continue
+            model = _eps_model(cfg, eps)
             # the pending rows of limits.csv: same table range and transition flag
-            bounds = dict(zip(pending, limits_sweep(_eps_priors(eps), sw.beta, sw.xi,
-                                                    sw.target_norms, grid_res=sw.grid_res,
-                                                    indices=pending,
-                                                    quad_order=cfg.se.quad_order)))
+            bounds = dict(zip(pending, limits_sweep(model, sw.xi, sw.target_norms,
+                                                    grid_res=sw.grid_res, indices=pending)))
             # a point's seed index is its 1-based position in the eps x target grid
-            points = _pmap(lambda k: _phase_point(cfg, eps, bounds[k], seed,
+            points = _pmap(lambda k: _phase_point(cfg, eps, model, bounds[k], seed,
                                                   e * len(sw.target_norms) + k + 1), pending, jobs)
             for k, (row, converged) in zip(pending, points):
                 if not converged:

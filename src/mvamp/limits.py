@@ -7,10 +7,12 @@ The Gaussian-channel relative entropy per block,
 is computed by numerical integration of p_s log(p_s / phi) with the mixture
 marginal p_s. The achievable-overlap formula is the box-constrained program
 
-    max_{q in [0, beta]}  <beta, D(H q)> - (1/4) <q, H q>,    H = Lambda**2,
+    max_{q in [0, beta]}  <beta, D(H q)> - (1/4) <q, H q>,    H = sum_k Lambda_k**2,
 
 whose interior critical points are exactly the fixed points q = psi(H q) of
-state evolution; the block MMSE lower bound is 1 - q_j*/beta_j.
+state evolution; the block MMSE lower bound is 1 - q_j*/beta_j. The solvers
+take the ``OverlapModel`` and the H of state evolution, so both read the
+same numbers.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .denoise import DomainError, _bg_log_terms
 from .model import (
     GAUSSIAN,
     RADEMACHER,
-    BlockPriorProfile,
+    CouplingSet,
     ScalarPrior,
     rng_from,
 )
@@ -172,15 +174,15 @@ class VariationalResult:
         return self.q_star.shape[0]
 
 
-def _exact_objective(q, beta, H, priors) -> float:
+def _exact_objective(q, model: OverlapModel, H) -> float:
     s = H @ q
     return float(
-        sum(b * kl_channel(p, si) for p, b, si in zip(priors, beta, s))
+        sum(b * kl_channel(p, si) for p, b, si in zip(model.profile.priors, model.beta, s))
         - 0.25 * q @ H @ q
     )
 
 
-def _inner_inf_objective(q, beta, H, priors, model: OverlapModel) -> float:
+def _inner_inf_objective(q, model: OverlapModel, H) -> float:
     """Non-PSD fallback: the inner inf over s >= 0 separates per coordinate;
     the minimizer solves beta_j psi_j(s_j) = q_j (monotone, bisection). The
     derivative of b D(s) - s q_j / 2 is (b / 2)(psi(s) - q_j / b), so when psi
@@ -189,7 +191,7 @@ def _inner_inf_objective(q, beta, H, priors, model: OverlapModel) -> float:
     from scipy.optimize import brentq
 
     total = 0.25 * float(q @ H @ q)
-    for j, (p, b, qj) in enumerate(zip(priors, beta, q)):
+    for j, (p, b, qj) in enumerate(zip(model.profile.priors, model.beta, q)):
         if qj <= 0:
             continue  # inf at s_j = 0
         target = qj / b
@@ -207,39 +209,37 @@ def _inner_inf_objective(q, beta, H, priors, model: OverlapModel) -> float:
 
 
 def variational_solve(
-    priors,
-    beta,
-    lam_sq: np.ndarray,
+    model: OverlapModel,
+    H: np.ndarray,
     grid_res: int = 400,
     kl_tables: list | None = None,
-    model: OverlapModel | None = None,
 ) -> VariationalResult:
     """Maximize <beta, D(H q)> - (1/4) <q, H q> over the box [0, beta].
 
-    Dense grid scan (spline-tabulated D, ``grid_res`` >= 2 points per axis)
-    plus Newton polish of every candidate branch against the exact
-    fixed-point equation q = psi(H q). The candidates also include the
-    Newton polishes (``refine_fixed_point``) from a near-zero and a
-    near-saturated start, so jump discontinuities are resolved by exact
-    objective comparison.
+    The priors and beta are those of ``model.profile`` and H = sum_k
+    Lambda_k**2 is the matrix state evolution iterates with, so the bound
+    and SE read the same numbers. Dense grid scan (spline-tabulated D,
+    ``grid_res`` >= 2 points per axis) plus Newton polish of every
+    candidate branch against the exact fixed-point equation q = psi(H q) at
+    ``model.quad_order``. The candidates also include the Newton polishes
+    (``refine_fixed_point``) from a near-zero and a near-saturated start, so
+    jump discontinuities are resolved by exact objective comparison. A
+    non-PSD H has no dense scan over spline tables: each grid point is a
+    root solve per block, and ``grid_res`` is capped at 60 per axis.
     """
-    beta = np.asarray(beta, float)
-    H = np.asarray(lam_sq, float)
+    beta = model.beta
+    H = np.asarray(H, float)
     d = beta.shape[0]
-    priors = list(priors)
     if np.any(H < 0):
         raise DomainError("Lambda**2 must be entrywise nonnegative")
     if grid_res < 2:
         raise DomainError(f"grid_res must be >= 2, got {grid_res}")
-    if model is None:
-        model = OverlapModel(BlockPriorProfile(tuple(priors), tuple(beta)))
 
     psd = bool(np.linalg.eigvalsh((H + H.T) / 2.0).min() >= -1e-10)
+    objective = _exact_objective if psd else _inner_inf_objective
     if kl_tables is None:
-        s_caps = H @ beta
-        kl_tables = [
-            KLTable(p, max(float(c) * 1.001, 1e-6)) for p, c in zip(priors, s_caps)
-        ]
+        kl_tables = [KLTable(p, max(float(c) * 1.001, 1e-6))
+                     for p, c in zip(model.profile.priors, H @ beta)]
 
     if psd:
         def grid_objective(Q):  # Q: (d, npts) array of q columns
@@ -250,9 +250,7 @@ def variational_solve(
             return val
     else:
         def grid_objective(Q):
-            return np.array(
-                [_inner_inf_objective(Q[:, k], beta, H, priors, model) for k in range(Q.shape[1])]
-            )
+            return np.array([objective(Q[:, k], model, H) for k in range(Q.shape[1])])
 
     per_axis = min(grid_res, max(8, int(round(4e6 ** (1.0 / d)))))
     if not psd:
@@ -280,17 +278,12 @@ def variational_solve(
     for q0 in cand_starts:
         qr, _ = refine_fixed_point(model, H, q0)
         if all(np.abs(qr - qc).max() > 1e-7 for qc, _ in candidates):
-            obj = (
-                _exact_objective(qr, beta, H, priors)
-                if psd
-                else _inner_inf_objective(qr, beta, H, priors, model)
-            )
-            candidates.append((qr, obj))
+            candidates.append((qr, objective(qr, model, H)))
     candidates.sort(key=lambda t: -t[1])
-    q_star, objective = candidates[0]
+    q_star, best = candidates[0]
     bounds = np.clip(1.0 - q_star / beta, 0.0, 1.0)
     return VariationalResult(
-        q_star, objective, bounds, per_axis, candidates, near_degenerate
+        q_star, best, bounds, per_axis, candidates, near_degenerate
     )
 
 
@@ -301,45 +294,46 @@ class SweepRow:
     q_star: np.ndarray
     mmse_bounds: np.ndarray
     branch_flag: str  # "lower" | "upper" | "transition"
+    couplings: CouplingSet  # the view sqrt(c Xi) whose H the bound was solved on
 
 
 def limits_sweep(
-    priors,
-    beta,
+    model: OverlapModel,
     xi: np.ndarray,
     target_norms,
     grid_res: int = 400,
     indices=None,
-    quad_order: int = 61,
 ) -> list[SweepRow]:
     """Variational solve along the single-scalar SNR sweep Lambda**2 = c Xi,
     reporting the implied SNR ||T_c||op = c ||diag(beta) Xi||op per point.
+
+    Each point builds its couplings sqrt(c Xi) once; the solve, its 1e-5
+    SE fixed-point residual check and a state evolution run on the returned
+    ``SweepRow.couplings`` all read the same H = sqrt(c Xi)**2. The priors,
+    beta and quadrature order are those of ``model``.
 
     Returns the rows of the target positions ``indices`` (default: all), in
     target order. A row needs only its own solve and that of the previous
     target, whose sign of q* sets the transition flag; the KL table range
     comes from the whole target list, so a row does not depend on which
-    other rows are asked for. ``quad_order`` is the overlap quadrature order
-    of the fixed-point polish and its residual check."""
-    beta = np.asarray(beta, float)
+    other rows are asked for."""
+    beta = model.beta
     xi = np.asarray(xi, float)
     base_norm = float(np.linalg.norm(np.diag(beta) @ xi, 2))
     targets = np.asarray(target_norms, float)
     cs = targets / base_norm
-    priors = list(priors)
-    model = OverlapModel(BlockPriorProfile(tuple(priors), tuple(beta)), quad_order)
     s_cap = float((cs.max() * xi @ beta).max()) * 1.001
-    tables = [KLTable(p, max(s_cap, 1e-6)) for p in priors]
+    tables = [KLTable(p, max(s_cap, 1e-6)) for p in model.profile.priors]
     wanted = set(range(len(cs)) if indices is None else indices)
     rows = []
     prev_positive = None
     for i, (c, t) in enumerate(zip(cs, targets)):
         if i not in wanted and i + 1 not in wanted:
             continue
-        res = variational_solve(
-            priors, beta, c * xi, grid_res=grid_res, kl_tables=tables, model=model
-        )
-        resid = float(np.abs(res.q_star - model.psi_vector(c * xi @ res.q_star)).max())
+        couplings = CouplingSet.heteroskedastic(np.sqrt(c * xi))
+        H = couplings.hadamard_square_sum()
+        res = variational_solve(model, H, grid_res=grid_res, kl_tables=tables)
+        resid = float(np.abs(res.q_star - model.psi_vector(H @ res.q_star)).max())
         if resid > 1e-5:
             raise PrecisionError(
                 f"sweep maximizer violates the SE fixed-point inclusion "
@@ -357,5 +351,6 @@ def limits_sweep(
             flag = "transition"
         prev_positive = positive
         if i in wanted:
-            rows.append(SweepRow(float(c), float(t), res.q_star, res.mmse_bounds, flag))
+            rows.append(SweepRow(float(c), float(t), res.q_star, res.mmse_bounds, flag,
+                                 couplings))
     return rows

@@ -6,12 +6,14 @@ sum_k vec(L_k) vec(L_k)^T encodes a canonical Kraus form, and when T commutes
 with transposition its eigenbasis splits into d(d+1)/2 symmetric and
 d(d-1)/2 skew-symmetric matrices.
 
-Stability of a fixed point is decided by the norm of the linearized SE map
-restricted to the admissible perturbation cone. For block profiles state
-evolution is the vector recursion q <- beta * psi(H q) with s = H q and
-H = sum_k Lambda_k**2, so the linearization at q* is the nonnegative matrix
-J = diag(beta_j psi_j'(s_j)) H and the cone is the nonnegative orthant (at
-zero overlap this is the diag(beta) Lambda**2 weak-recovery threshold).
+Stability of a fixed point is decided by the norm of the linearized SE map.
+For block profiles state evolution is the vector recursion
+q <- beta * psi(H q) with s = H q and H = sum_k Lambda_k**2, so the
+linearization at q* is the nonnegative matrix J = diag(beta_j psi_j'(s_j)) H.
+Admissible perturbations form the nonnegative orthant, and by
+Perron-Frobenius the norm of a nonnegative J over that orthant is ||J||_2,
+read off its singular value decomposition (at zero overlap this is the
+diag(beta) Lambda**2 weak-recovery threshold).
 """
 
 from __future__ import annotations
@@ -224,50 +226,6 @@ def restricted_psd_norm(
     return (best_val, best_dir) if return_direction else best_val
 
 
-def restricted_orthant_norm(
-    T: np.ndarray,
-    tol: float = 1e-10,
-    restarts: int = 8,
-    max_iter: int = 5000,
-    seed=0,
-    return_direction: bool = False,
-):
-    """max { ||T x|| : x >= 0 entrywise, ||x|| = 1 }; equals ||T||_2 whenever the
-    leading right singular vector can be chosen nonnegative (always true for
-    entrywise-nonnegative T, by Perron-Frobenius on T^T T)."""
-    T = np.asarray(T, float)
-    u, sv, vt = np.linalg.svd(T)
-    v0 = vt[0]
-    if v0.max() < 0:
-        v0 = -v0
-    if v0.min() >= -1e-12:
-        x = np.clip(v0, 0.0, None)
-        x /= np.linalg.norm(x)
-        val = float(np.linalg.norm(T @ x))
-        return (val, x) if return_direction else val
-    G = T.T @ T
-    rng = rng_from(seed)
-    best_val, best_x = -np.inf, None
-    for _ in range(restarts):
-        x = np.abs(rng.standard_normal(T.shape[1]))
-        x /= np.linalg.norm(x)
-        prev = -np.inf
-        for _ in range(max_iter):
-            z = np.clip(G @ x, 0.0, None)
-            nz = np.linalg.norm(z)
-            if nz == 0.0:
-                break
-            x = z / nz
-            val = float(np.linalg.norm(T @ x))
-            if abs(val - prev) < tol * max(1.0, val):
-                break
-            prev = val
-        val = float(np.linalg.norm(T @ x))
-        if val > best_val:
-            best_val, best_x = val, x
-    return (best_val, best_x) if return_direction else best_val
-
-
 @dataclass
 class StabilityVerdict:
     fixed_point: np.ndarray
@@ -297,12 +255,16 @@ def classify_fixed_point(
     q_star,
     delta: float = 0.02,
 ) -> StabilityVerdict:
-    """Classify a block SE fixed point by the restricted norm of the linearized map.
+    """Classify a block SE fixed point by the norm of the linearized map.
 
     q_star is the overlap vector, shape (d,). The linearization at q* is
-    J = diag(beta_j psi_j'(s_j)) H with s = H q* (H = sum_k Lambda_k**2) and
-    admissible perturbations form the nonnegative orthant; nu < 1 - delta is
-    stable, nu > 1 + delta unstable, otherwise marginal.
+    J = diag(beta_j psi_j'(s_j)) H with s = H q* (H = sum_k Lambda_k**2).
+    psi is nondecreasing, so the weights are clipped at 0 (a negative finite
+    difference is rounding) and J is entrywise nonnegative. By
+    Perron-Frobenius on J^T J its norm over the nonnegative orthant is then
+    nu = ||J||_2, attained at the top right singular vector taken
+    nonnegative; nu < 1 - delta is stable, nu > 1 + delta unstable,
+    otherwise marginal.
     """
     q = np.asarray(q_star, float)
     if q.shape != (op.d,):
@@ -314,13 +276,19 @@ def classify_fixed_point(
         raise FixedPointPreconditionError(
             f"q_star is not a fixed point (residual {resid:.3e})"
         )
-    weights = model.dpsi_vector(s)
-    J = np.diag(weights) @ H
-    nu, direction = restricted_orthant_norm(J, return_direction=True)
+    J = np.diag(np.clip(model.dpsi_vector(s), 0.0, None)) @ H
+    v = np.linalg.svd(J)[2][0]
+    if v.max() < 0:
+        v = -v
+    # a degenerate top singular value may come back with mixed signs; J >= 0
+    # gives (J |v|)_i >= |(J v)_i|, so |v| attains ||J||_2 as well
+    direction = np.clip(v, 0.0, None) if v.min() >= -1e-12 else np.abs(v)
+    direction /= np.linalg.norm(direction)
+    nu = float(np.linalg.norm(J @ direction))
     if nu < 1.0 - delta:
         cls = "stable"
     elif nu > 1.0 + delta:
         cls = "unstable"
     else:
         cls = "marginal"
-    return StabilityVerdict(q, float(nu), cls, delta, direction)
+    return StabilityVerdict(q, nu, cls, delta, direction)

@@ -145,8 +145,8 @@ def test_criterion_6_mmse_gradient_identity():
 
 
 def _sweep_rows(eps, targets, grid_res=200):
-    priors = [RAD, model.ScalarPrior.bernoulli_gaussian(eps)]
-    return limits.limits_sweep(priors, BETA, XI, targets, grid_res=grid_res)
+    _, m, _, _ = _hetero_setup(eps, 1.0)
+    return limits.limits_sweep(m, XI, targets, grid_res=grid_res)
 
 
 def test_criterion_7_variational_se_inclusion():
@@ -206,10 +206,7 @@ def test_criterion_9_past_threshold_optimality():
     for eps in EPS_LIST:
         for target in [1.5, 2.0, 3.0]:
             profile, m, op, c = _hetero_setup(eps, target)
-            res = limits.variational_solve(
-                [RAD, model.ScalarPrior.bernoulli_gaussian(eps)], list(BETA), c * XI,
-                grid_res=200,
-            )
+            res = limits.variational_solve(m, c * XI, grid_res=200)
             amp_mse = _amp_mse_mean(profile, op.couplings, 4000, 10, 0.05, 25,
                                     seed=int(9000 + 100 * eps * 100 + target * 10))
             dev = float(np.abs(amp_mse - res.mmse_bounds).max())

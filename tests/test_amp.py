@@ -333,3 +333,16 @@ def test_diagnostic_requires_iterates():
     traj = se.run_se(M1, se.OperatorT(inst.couplings), np.array([[0.1]]), max_iter=10)
     with pytest.raises(denoise.DomainError):
         amp.gaussianity_diagnostic(tr, inst, traj)
+
+
+def test_diagnostic_past_se_convergence():
+    # SE from zero converges in one step while AMP runs 4 iterations: the
+    # later iterates are compared against the orbit's fixed point
+    inst = scalar_instance(1.5, n=300, seed=103)
+    tr = amp.run_symmetric(inst, amp.AMPConfig(max_iter=4, rho=0.0, seed=104,
+                                               keep_iterates=True))
+    traj = se.run_se(M1, se.OperatorT(inst.couplings), np.zeros((1, 1)))
+    assert traj.iterations == 1 and len(tr.iterates) > 2
+    rep = amp.gaussianity_diagnostic(tr, inst, traj)
+    assert rep.cov_distance.shape == (len(tr.iterates),)
+    assert np.all(np.isfinite(rep.cov_distance))

@@ -326,6 +326,26 @@ def test_bounds_use_se_quad_order(tmp_path, monkeypatch):
         assert orders and set(orders) == {41}, command
 
 
+def test_bound_and_se_read_the_same_H(tmp_path, monkeypatch):
+    # a point's bound is polished on the H = sum_k Lambda_k**2 that its SE
+    # iterates with, bit for bit
+    path = sweep_cfg(tmp_path, [0.8, 1.8], out="same_h", trials=1, n=200)
+    real_refine, real_se, bound_H, se_H = limits.refine_fixed_point, cli.run_se, set(), set()
+
+    def refine_fixed_point(model, H, *args, **kwargs):
+        bound_H.add(np.asarray(H).tobytes())
+        return real_refine(model, H, *args, **kwargs)
+
+    def run_se(model, op, *args, **kwargs):
+        se_H.add(op.hadamard_matrix.tobytes())
+        return real_se(model, op, *args, **kwargs)
+
+    monkeypatch.setattr(limits, "refine_fixed_point", refine_fixed_point)
+    monkeypatch.setattr(cli, "run_se", run_se)
+    assert cli.main(["phase-diagram", "--config", path]) == 0
+    assert len(se_H) == 2 and bound_H == se_H
+
+
 def test_phase_diagram_reports_unconverged_se(tmp_path, monkeypatch, capsys):
     # eps 0.5 completes with SE cut at 2 iterations; the sweep is interrupted
     # when it reaches eps 1.0, so the exit code is 4 and eps 0.5 is reported

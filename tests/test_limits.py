@@ -12,6 +12,10 @@ BETA = [0.6, 0.4]
 T1_NORM = float(np.linalg.norm(np.diag(BETA) @ XI, 2))
 
 
+def _overlap(priors, beta):
+    return se.OverlapModel(model.BlockPriorProfile(tuple(priors), tuple(beta)))
+
+
 # ---------------------------------------------------------------------------
 # channel KL divergence
 # ---------------------------------------------------------------------------
@@ -82,14 +86,14 @@ def test_immse_bg_grid():
 # ---------------------------------------------------------------------------
 
 def test_variational_no_observation():
-    res = limits.variational_solve([GAUSS], [1.0], np.array([[0.0]]))
+    res = limits.variational_solve(_overlap([GAUSS], [1.0]), np.array([[0.0]]))
     assert np.allclose(res.q_star, 0.0)
     assert np.allclose(res.mmse_bounds, 1.0)
 
 
 def test_variational_gaussian_closed_form():
     # d=1, lambda^2 = 4, beta = 1: unique interior maximizer q* = 1 - 1/4
-    res = limits.variational_solve([GAUSS], [1.0], np.array([[4.0]]))
+    res = limits.variational_solve(_overlap([GAUSS], [1.0]), np.array([[4.0]]))
     assert abs(res.q_star[0] - 0.75) < 1e-8
     assert abs(res.mmse_bounds[0] - 0.25) < 1e-8
     m = se.OverlapModel(model.BlockPriorProfile((GAUSS,), (1.0,)))
@@ -102,7 +106,7 @@ def test_variational_gaussian_closed_form():
 def test_variational_54_jump_discontinuity():
     # eps = 0.05: the maximizer jumps at some c with ||T_c|| < 1
     targets = np.linspace(0.4, 1.0, 13)
-    rows = limits.limits_sweep([RAD, BG05], BETA, XI, targets, grid_res=200)
+    rows = limits.limits_sweep(_overlap([RAD, BG05], BETA), XI, targets, grid_res=200)
     q2 = np.array([r.q_star[1] for r in rows])
     norms = np.array([r.norm_Tc for r in rows])
     jumps = np.where(np.diff(q2) > 0.1)[0]
@@ -113,9 +117,9 @@ def test_variational_54_jump_discontinuity():
 
 
 def test_variational_54_past_threshold_residuals():
-    m = se.OverlapModel(model.BlockPriorProfile((RAD, BG05), tuple(BETA)))
+    m = _overlap([RAD, BG05], BETA)
     c = 2.0 / T1_NORM
-    res = limits.variational_solve([RAD, BG05], BETA, c * XI, grid_res=200)
+    res = limits.variational_solve(m, c * XI, grid_res=200)
     op = se.OperatorT(model.CouplingSet.heteroskedastic(np.sqrt(c * XI)))
     H = op.hadamard_matrix
     for q, _ in res.candidates:
@@ -125,7 +129,7 @@ def test_variational_54_past_threshold_residuals():
 def test_bound_dominated_by_gaussian_mmse():
     # least-favorability: each block bound <= 1/(1 + s_j*) at the fixed point
     c = 2.0 / T1_NORM
-    res = limits.variational_solve([RAD, BG05], BETA, c * XI, grid_res=150)
+    res = limits.variational_solve(_overlap([RAD, BG05], BETA), c * XI, grid_res=150)
     s_star = c * XI @ res.q_star
     assert np.all(res.mmse_bounds <= 1.0 / (1.0 + s_star) + 1e-8)
 
@@ -133,7 +137,7 @@ def test_bound_dominated_by_gaussian_mmse():
 def test_sweep_monotone_in_c():
     targets = [0.5, 0.8, 1.1, 1.5, 2.0, 3.0]
     for eps, prior in [(0.5, model.ScalarPrior.bernoulli_gaussian(0.5)), (0.05, BG05)]:
-        rows = limits.limits_sweep([RAD, prior], BETA, XI, targets, grid_res=150)
+        rows = limits.limits_sweep(_overlap([RAD, prior], BETA), XI, targets, grid_res=150)
         q = np.array([r.q_star for r in rows])
         assert np.all(np.diff(q, axis=0) >= -1e-7), eps
 
@@ -141,24 +145,26 @@ def test_sweep_monotone_in_c():
 def test_variational_non_psd_fallback():
     # an indefinite Lambda**2 exercises the separable inner-inf path
     H = np.array([[1.0, 1.4], [1.4, 1.0]])  # eigenvalues 2.4, -0.4
-    res = limits.variational_solve([RAD, RAD], [0.5, 0.5], H, grid_res=60)
+    res = limits.variational_solve(_overlap([RAD, RAD], [0.5, 0.5]), H, grid_res=60)
     assert np.all(res.q_star >= 0) and np.all(res.q_star <= 0.5 + 1e-12)
     assert np.isfinite(res.objective)
     # a BG block's psi stays below the target up to the bracket cap on the face
     # q_2 = beta_2 of the grid, where the inner inf lies at the cap
     bg = model.ScalarPrior.bernoulli_gaussian(0.5)
-    res = limits.variational_solve([RAD, bg], [0.5, 0.5], H, grid_res=20)
+    res = limits.variational_solve(_overlap([RAD, bg], [0.5, 0.5]), H, grid_res=20)
     assert np.all(res.q_star >= 0) and np.all(res.q_star <= 0.5 + 1e-12)
     assert np.isfinite(res.objective)
 
 
 def test_variational_rejects_negative_H_and_coarse_grid():
     with pytest.raises(denoise.DomainError):
-        limits.variational_solve([RAD, RAD], [0.5, 0.5], np.array([[1.0, -0.1], [-0.1, 1.0]]))
+        limits.variational_solve(_overlap([RAD, RAD], [0.5, 0.5]),
+                                 np.array([[1.0, -0.1], [-0.1, 1.0]]))
     for grid_res in (0, 1):
         with pytest.raises(denoise.DomainError):
-            limits.variational_solve([GAUSS], [1.0], np.array([[4.0]]), grid_res=grid_res)
-    assert limits.variational_solve([GAUSS], [1.0], np.array([[4.0]]), grid_res=2).grid_res == 2
+            limits.variational_solve(_overlap([GAUSS], [1.0]), np.array([[4.0]]), grid_res=grid_res)
+    assert limits.variational_solve(_overlap([GAUSS], [1.0]), np.array([[4.0]]),
+                                    grid_res=2).grid_res == 2
 
 
 def test_kl_table_accuracy():

@@ -91,12 +91,6 @@ def test_restricted_norm_scaling_law():
     assert stability.restricted_psd_norm(zero) == 0.0
 
 
-def test_orthant_norm_equals_operator_norm_for_nonneg():
-    T = np.diag(BETA) @ XI
-    nu = stability.restricted_orthant_norm(T)
-    assert abs(nu - np.linalg.norm(T, 2)) < 1e-12
-
-
 # ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------
@@ -106,6 +100,17 @@ def _hetero(eps, target_norm):
     c = target_norm / T1_NORM
     op = se.OperatorT(model.CouplingSet.heteroskedastic(np.sqrt(c * XI)))
     return se.OverlapModel(prof), op
+
+
+def test_classify_nu_equals_operator_norm_at_zero():
+    # J = diag(beta psi'(0)) H is entrywise nonnegative, so its norm over the
+    # nonnegative orthant is ||J||_2, attained at a nonnegative unit direction
+    m, op = _hetero(0.5, 1.3)
+    v = stability.classify_fixed_point(m, op, np.zeros(2))
+    J = np.diag(m.dpsi_vector(np.zeros(2))) @ op.hadamard_matrix
+    assert abs(v.nu - np.linalg.norm(J, 2)) < 1e-12
+    assert np.all(v.maximizing_direction >= 0)
+    assert abs(np.linalg.norm(v.maximizing_direction) - 1.0) < 1e-12
 
 
 def test_classify_scalar_bbp_threshold():
