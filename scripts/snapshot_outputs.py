@@ -16,7 +16,10 @@ runs, each in its own subdirectory of OUT next to the config it used:
   ``--jobs 2``;
 - that config's ``simulate`` once more with ``"correction": "disabled"``,
   so both branches of the AMP loop, with and without the Onsager term, are
-  covered.
+  covered;
+- that config's ``limits`` once more with the non-PSD ``xi = [[0, 1], [1, 0]]``,
+  eps [0.5] and targets [0.8, 1.5], so the inner-inf grid of the bound (the
+  path a non-PSD H takes) is covered.
 
 mvamp is imported from PYTHONPATH, so pointing it at another tree's ``src``
 snapshots that tree with the same inputs; ``diff -r`` of two snapshots then
@@ -199,6 +202,8 @@ def main(argv=None) -> int:
               for command in ("se", "stability", "simulate", "limits", "phase-diagram")]
     small["amp"]["correction"] = "disabled"
     codes.append(run(out, "small-simulate-disabled", "simulate", small, 2))
+    small["sweep"].update(xi=[[0.0, 1.0], [1.0, 0.0]], eps=[0.5], target_norms=[0.8, 1.5])
+    codes.append(run(out, "small-limits-non-psd", "limits", small, 2))
     return max(codes)
 
 

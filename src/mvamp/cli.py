@@ -35,7 +35,7 @@ from .model import (
     synthesize_symmetric,
 )
 from .se import OperatorT, OverlapModel, PrecisionError, run_se
-from .stability import FixedPointPreconditionError, NonconvergenceError, classify_fixed_point
+from .stability import FixedPointPreconditionError, classify_fixed_point
 
 VERSION_TAG = f"mvamp-{__version__}"
 
@@ -606,7 +606,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 2
-    except (PrecisionError, NonconvergenceError, DivergenceError, DomainError) as exc:
+    except (PrecisionError, DivergenceError, DomainError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except KeyboardInterrupt:

@@ -12,7 +12,9 @@ marginal p_s. The achievable-overlap formula is the box-constrained program
 whose interior critical points are exactly the fixed points q = psi(H q) of
 state evolution; the block MMSE lower bound is 1 - q_j*/beta_j. The solvers
 take the ``OverlapModel`` and the H of state evolution, so both read the
-same numbers.
+same numbers. ``variational_solve`` finds the near-maximal points of a grid
+by an exact branch-and-bound over tiles (H >= 0 entrywise and D is
+nondecreasing, so a tile's corners bound it) and Newton-polishes each branch.
 """
 
 from __future__ import annotations
@@ -142,7 +144,11 @@ def immse_consistency(prior: ScalarPrior, s_grid, fd_rel: float = 1e-3) -> float
 
 
 class KLTable:
-    """Cubic-spline table of D(s) on [0, s_max] for fast sweep evaluation."""
+    """Cubic-spline table of D(s) on [0, s_max] for fast sweep evaluation.
+
+    ``envelope(s)`` is a nondecreasing upper bound on the spline over [0, s].
+    The spline itself is not monotone: some pieces near s = 0 slope slightly
+    downwards, so pruning bounds read this envelope, not the spline."""
 
     def __init__(self, prior: ScalarPrior, s_max: float, n_nodes: int = 600):
         self.prior = prior
@@ -152,12 +158,34 @@ class KLTable:
         self.nodes = self.s_max * u * u
         vals = np.array([kl_channel(prior, s) for s in self.nodes])
         self._spline = CubicSpline(self.nodes, vals)
+        # each piece c0 t^3 + c1 t^2 + c2 t + c3 on [0, h] peaks at an end or
+        # at a root of its derivative; the running max over pieces bounds the
+        # spline on [0, end of piece i]. Summed in the spline's own order, so
+        # the ends are the spline's values bit for bit.
+        c0, c1, c2, c3 = self._spline.c
+        h = np.diff(self._spline.x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            root = np.sqrt(c1 * c1 - 3.0 * c0 * c2)
+            ts = [np.zeros_like(h), h, (-c1 + root) / (3.0 * c0),
+                  (-c1 - root) / (3.0 * c0), -c2 / (2.0 * c1)]
+        peaks = [c3 + c2 * t + c1 * (t * t) + c0 * (t * t * t)
+                 for t in (np.clip(np.nan_to_num(t), 0.0, h) for t in ts)]
+        self._envelope = np.maximum.accumulate(np.max(peaks, axis=0))
 
-    def __call__(self, s):
+    def _domain(self, s):
         s = np.asarray(s, float)
         if np.any(s > self.s_max * (1.0 + 1e-9)):
             raise DomainError("KL table evaluated beyond its range")
-        return self._spline(np.clip(s, 0.0, self.s_max))
+        return np.clip(s, 0.0, self.s_max)
+
+    def __call__(self, s):
+        return self._spline(self._domain(s))
+
+    def envelope(self, s):
+        """Max of the spline over [0, end of the piece holding s] >= spline(s')
+        for every s' <= s, up to rounding."""
+        piece = np.searchsorted(self._spline.x, self._domain(s), side="right") - 1
+        return self._envelope[np.clip(piece, 0, self._envelope.size - 1)]
 
 
 @dataclass
@@ -174,6 +202,11 @@ class VariationalResult:
         return self.q_star.shape[0]
 
 
+def _is_psd(H) -> bool:
+    """Whether H takes the spline-table scan (else the non-PSD inner inf)."""
+    return bool(np.linalg.eigvalsh((H + H.T) / 2.0).min() >= -1e-10)
+
+
 def _exact_objective(q, model: OverlapModel, H) -> float:
     s = H @ q
     return float(
@@ -182,30 +215,98 @@ def _exact_objective(q, model: OverlapModel, H) -> float:
     )
 
 
-def _inner_inf_objective(q, model: OverlapModel, H) -> float:
-    """Non-PSD fallback: the inner inf over s >= 0 separates per coordinate;
-    the minimizer solves beta_j psi_j(s_j) = q_j (monotone, bisection). The
-    derivative of b D(s) - s q_j / 2 is (b / 2)(psi(s) - q_j / b), so when psi
-    stays below the target on the whole bracket (q_j at or near beta_j) the
-    term decreases there and its inf over the bracket is at its top."""
+def _inner_inf_term(model: OverlapModel, j: int, qj: float) -> float:
+    """Block j's term inf_{s >= 0} beta_j D_j(s) - s q_j / 2 of the non-PSD
+    objective, for q_j > 0. The minimizer solves beta_j psi_j(s) = q_j
+    (monotone, bisection). The derivative of b D(s) - s q_j / 2 is
+    (b / 2)(psi(s) - q_j / b), so when psi stays below the target on the whole
+    bracket (q_j at or near beta_j) the term decreases there and its inf over
+    the bracket is at its top."""
     from scipy.optimize import brentq
 
-    total = 0.25 * float(q @ H @ q)
-    for j, (p, b, qj) in enumerate(zip(model.profile.priors, model.beta, q)):
-        if qj <= 0:
-            continue  # inf at s_j = 0
-        target = qj / b
-        if target >= 1.0 - 1e-12:
-            target = 1.0 - 1e-12
-        g = lambda s: model.psi_scalar(j, s) - target
-        hi = 1.0
+    b = model.beta[j]
+    target = qj / b
+    if target >= 1.0 - 1e-12:
+        target = 1.0 - 1e-12
+    g = lambda s: model.psi_scalar(j, s) - target
+    hi = 1.0
+    below = g(hi) < 0
+    while below and hi < 1e8:
+        hi *= 4.0
         below = g(hi) < 0
-        while below and hi < 1e8:
-            hi *= 4.0
-            below = g(hi) < 0
-        sj = hi if below else brentq(g, 0.0, hi, xtol=1e-12)
-        total += b * kl_channel(p, sj) - 0.5 * sj * qj
+    sj = hi if below else brentq(g, 0.0, hi, xtol=1e-12)
+    return b * kl_channel(model.profile.priors[j], sj) - 0.5 * sj * qj
+
+
+def _inner_inf_objective(q, model: OverlapModel, H) -> float:
+    """Non-PSD fallback: the inner inf over s >= 0 separates per coordinate,
+    (1/4) q^T H q + sum_j of ``_inner_inf_term``; a block with q_j <= 0 adds
+    nothing (its inf is at s_j = 0)."""
+    total = 0.25 * float(q @ H @ q)
+    for j, qj in enumerate(q):
+        if qj > 0:
+            total += _inner_inf_term(model, j, qj)
     return total
+
+
+def _spline_objective(Q, H, beta, kl_tables) -> np.ndarray:
+    """The PSD objective at the columns q of the (d, npts) array Q, with D
+    read from the spline tables."""
+    S = H @ Q
+    val = -0.25 * np.einsum("ik,ij,jk->k", Q, H, Q)
+    for j in range(len(beta)):
+        val = val + beta[j] * kl_tables[j](S[j])
+    return val
+
+
+def _inner_inf_grid_objective(Q, axes, model: OverlapModel, H) -> np.ndarray:
+    """``_inner_inf_objective`` at the columns of Q, points of the grid
+    product(axes), bit for bit: each block term is root-solved once per
+    distinct axis value, not once per grid point."""
+    terms = [{qj: _inner_inf_term(model, j, qj) for qj in ax if qj > 0}
+             for j, ax in enumerate(axes)]
+    vals = np.empty(Q.shape[1])
+    for k, q in enumerate(Q.T):
+        total = 0.25 * float(q @ H @ q)
+        for j, qj in enumerate(q):
+            if qj > 0:
+                total += terms[j][qj]
+        vals[k] = total
+    return vals
+
+
+def _grid_points(axes, flat) -> np.ndarray:
+    """The (d, len(flat)) points of the grid product(axes) at C-order flat indices."""
+    index = np.unravel_index(flat, [ax.size for ax in axes])
+    return np.stack([ax[i] for ax, i in zip(axes, index)])
+
+
+def _pruned_points(axes, H, beta, kl_tables) -> np.ndarray:
+    """Ascending flat indices of the grid points that may lie within 1e-10 of
+    the grid max of the PSD objective: every point of every tile not pruned.
+
+    The grid is cut into tiles of about sqrt(per_axis) points a side. Tile
+    [lo, hi] holds no point above U = sum_j beta_j Dbar_j((H hi)_j) -
+    (1/4) lo^T H lo, with Dbar the tables' nondecreasing envelope, because
+    H >= 0 entrywise and q >= 0. The low corners are grid points, so their max
+    vlo bounds the grid max from below; a tile with U < vlo - 1e-10 - 1e-9
+    max(1, |vlo|) cannot hold a near-maximal point (the last term covers
+    rounding)."""
+    per_axis, d = axes[0].size, len(axes)
+    side = max(1, int(round(np.sqrt(per_axis))))
+    starts = np.arange(0, per_axis, side)
+    ends = np.minimum(starts + side, per_axis) - 1
+    n_tiles = (starts.size,) * d
+    lo = _grid_points([ax[starts] for ax in axes], np.arange(starts.size ** d))
+    hi = _grid_points([ax[ends] for ax in axes], np.arange(starts.size ** d))
+    vlo = float(_spline_objective(lo, H, beta, kl_tables).max())
+    S = H @ hi
+    upper = -0.25 * np.einsum("ik,ij,jk->k", lo, H, lo)
+    for j in range(d):
+        upper = upper + beta[j] * kl_tables[j].envelope(S[j])
+    keep = upper >= vlo - 1e-10 - 1e-9 * max(1.0, abs(vlo))
+    tile = np.arange(per_axis) // side
+    return np.flatnonzero(keep.reshape(n_tiles)[np.ix_(*[tile] * d)])
 
 
 def variational_solve(
@@ -218,14 +319,19 @@ def variational_solve(
 
     The priors and beta are those of ``model.profile`` and H = sum_k
     Lambda_k**2 is the matrix state evolution iterates with, so the bound
-    and SE read the same numbers. Dense grid scan (spline-tabulated D,
-    ``grid_res`` >= 2 points per axis) plus Newton polish of every
-    candidate branch against the exact fixed-point equation q = psi(H q) at
-    ``model.quad_order``. The candidates also include the Newton polishes
-    (``refine_fixed_point``) from a near-zero and a near-saturated start, so
-    jump discontinuities are resolved by exact objective comparison. A
-    non-PSD H has no dense scan over spline tables: each grid point is a
-    root solve per block, and ``grid_res`` is capped at 60 per axis.
+    and SE read the same numbers. A grid scan (spline-tabulated D,
+    ``grid_res`` >= 2 points per axis) finds every grid point within 1e-10 of
+    the grid max, and each separated group of them is Newton-polished against
+    the exact fixed-point equation q = psi(H q) at ``model.quad_order``. The
+    scan is an exact branch-and-bound (``_pruned_points``): it evaluates only
+    the tiles of the grid that can hold such a point, and finds the same
+    points, the same values and so the same result as scanning every point.
+    The candidates also include the Newton polishes (``refine_fixed_point``)
+    from a near-zero and a near-saturated start, so jump discontinuities are
+    resolved by exact objective comparison. A non-PSD H has no spline tables:
+    its objective splits into one root solve per block and axis value, every
+    grid point is scanned, and ``grid_res`` is capped at 60 per axis (the
+    grid its bounds have always been read from).
     """
     beta = model.beta
     H = np.asarray(H, float)
@@ -235,37 +341,26 @@ def variational_solve(
     if grid_res < 2:
         raise DomainError(f"grid_res must be >= 2, got {grid_res}")
 
-    psd = bool(np.linalg.eigvalsh((H + H.T) / 2.0).min() >= -1e-10)
+    psd = _is_psd(H)
     objective = _exact_objective if psd else _inner_inf_objective
-    if kl_tables is None:
-        kl_tables = [KLTable(p, max(float(c) * 1.001, 1e-6))
-                     for p, c in zip(model.profile.priors, H @ beta)]
-
-    if psd:
-        def grid_objective(Q):  # Q: (d, npts) array of q columns
-            S = H @ Q
-            val = -0.25 * np.einsum("ik,ij,jk->k", Q, H, Q)
-            for j in range(d):
-                val = val + beta[j] * kl_tables[j](S[j])
-            return val
-    else:
-        def grid_objective(Q):
-            return np.array([objective(Q[:, k], model, H) for k in range(Q.shape[1])])
-
     per_axis = min(grid_res, max(8, int(round(4e6 ** (1.0 / d)))))
     if not psd:
-        per_axis = min(per_axis, 60)  # inner inf is a root solve per point
+        per_axis = min(per_axis, 60)
     axes = [np.linspace(0.0, b, per_axis) for b in beta]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    Q = np.stack([m.ravel() for m in mesh], axis=0)
-    vals = grid_objective(Q)
+    if psd:
+        if kl_tables is None:
+            kl_tables = [KLTable(p, max(float(c) * 1.001, 1e-6))
+                         for p, c in zip(model.profile.priors, H @ beta)]
+        Q = _grid_points(axes, _pruned_points(axes, H, beta, kl_tables))
+        vals = _spline_objective(Q, H, beta, kl_tables)
+    else:
+        Q = _grid_points(axes, np.arange(per_axis ** d))
+        vals = _inner_inf_grid_objective(Q, axes, model, H)
     vmax = float(vals.max())
     cell = np.array([ax[1] - ax[0] for ax in axes])
 
-    near = np.where(vals >= vmax - 1e-10)[0]
     reps = []
-    for idx in near:
-        qv = Q[:, idx]
+    for qv in Q[:, vals >= vmax - 1e-10].T:
         if all(np.max(np.abs(qv - r) / cell) > 2.0 for r in reps):
             reps.append(qv)
     near_degenerate = len(reps) > 1
@@ -323,7 +418,7 @@ def limits_sweep(
     targets = np.asarray(target_norms, float)
     cs = targets / base_norm
     s_cap = float((cs.max() * xi @ beta).max()) * 1.001
-    tables = [KLTable(p, max(s_cap, 1e-6)) for p in model.profile.priors]
+    tables = None  # built at the first PSD H; a non-PSD H reads none
     wanted = set(range(len(cs)) if indices is None else indices)
     rows = []
     prev_positive = None
@@ -332,6 +427,8 @@ def limits_sweep(
             continue
         couplings = CouplingSet.heteroskedastic(np.sqrt(c * xi))
         H = couplings.hadamard_square_sum()
+        if tables is None and _is_psd(H):
+            tables = [KLTable(p, max(s_cap, 1e-6)) for p in model.profile.priors]
         res = variational_solve(model, H, grid_res=grid_res, kl_tables=tables)
         resid = float(np.abs(res.q_star - model.psi_vector(H @ res.q_star)).max())
         if resid > 1e-5:
