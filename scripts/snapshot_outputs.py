@@ -19,7 +19,9 @@ runs, each in its own subdirectory of OUT next to the config it used:
   covered;
 - that config's ``limits`` once more with the non-PSD ``xi = [[0, 1], [1, 0]]``,
   eps [0.5] and targets [0.8, 1.5], so the inner-inf grid of the bound (the
-  path a non-PSD H takes) is covered.
+  path a non-PSD H takes) is covered;
+- that config's ``se`` and ``stability`` once more with a Gaussian first
+  block (priors gaussian / bg:0.1), so the Gauss-Hermite overlap is covered.
 
 mvamp is imported from PYTHONPATH, so pointing it at another tree's ``src``
 snapshots that tree with the same inputs; ``diff -r`` of two snapshots then
@@ -204,6 +206,10 @@ def main(argv=None) -> int:
     codes.append(run(out, "small-simulate-disabled", "simulate", small, 2))
     small["sweep"].update(xi=[[0.0, 1.0], [1.0, 0.0]], eps=[0.5], target_norms=[0.8, 1.5])
     codes.append(run(out, "small-limits-non-psd", "limits", small, 2))
+    gaussian = small_config()
+    gaussian["model"]["priors"] = ["gaussian", "bg:0.1"]
+    codes += [run(out, f"small-{command}-gaussian", command, gaussian, 2)
+              for command in ("se", "stability")]
     return max(codes)
 
 

@@ -231,6 +231,10 @@ def _parse_model(section: dict) -> ModelSection:
     except CouplingValidationError as exc:
         raise ConfigError("model.couplings", str(exc))
     _check(couplings.d == profile.d, "model.couplings", "size inconsistent with priors")
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = couplings.hadamard_square_sum()
+    _check(bool(np.isfinite(H).all()), "model.couplings",
+           "sum_k Lambda_k * Lambda_k (entrywise) is not finite")
     return ModelSection(n, profile, couplings)
 
 

@@ -49,7 +49,7 @@ def _bg_log_terms(y, s: float, eps: float):
     without the shared -log(2 pi)/2; log_null is -inf when eps = 1."""
     sig2 = 1.0 + s / eps
     y2 = np.square(y)
-    log_null = np.log1p(-eps) - y2 / 2.0 if eps < 1.0 else np.full_like(y, -np.inf)
+    log_null = np.log1p(-eps) - y2 * 0.5 if eps < 1.0 else np.full_like(y, -np.inf)
     log_spike = np.log(eps) - 0.5 * np.log(sig2) - y2 / (2.0 * sig2)
     return log_null, log_spike
 

@@ -16,13 +16,16 @@ split where the integrand turns (for BG, at the responsibility transition,
 where Gauss-Hermite converges too slowly). Every evaluation is also made at
 doubled order and must agree to 1e-8. One integrand call covers both orders
 and every panel: the nodes form one (panels, 3 * order) array, and each value
-is then summed panel by panel, so it has the bits of a per-panel loop.
+is then summed panel by panel, so it has the bits of a per-panel loop. The
+same kernel (``_panel_sums``) integrates many KL table nodes in one call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -93,36 +96,53 @@ def _gauss_expect_pair(f, order: int) -> tuple[float, float]:
     return float(np.dot(w1, fx[:order])), float(np.dot(w2, fx[order:]))
 
 
-def _panel_sum(f, breaks, order: int) -> tuple[float, float]:
-    """int f(y) dy over [breaks[0], breaks[-1]] by Gauss-Legendre on each panel
-    between consecutive breakpoints, at order and at 2 * order.
+def _panel_sums(f, breaks, order: int) -> list[tuple[float, float]]:
+    """For each breakpoint list b of ``breaks``: int f(y) dy over [b[0], b[-1]]
+    by Gauss-Legendre on each panel between consecutive breakpoints, at order
+    and at 2 * order.
 
     f is called once, on the (panels, 3 * order) array of every panel's nodes
-    at both orders. Each value is accumulated panel by panel with one dot
-    product per panel, so it has the bits of a loop that calls f per panel
-    and per order (a matrix-vector product would move the last ulp)."""
+    at both orders, with the panels of each list in turn. The rows are dotted
+    with the weights by one stacked matmul of (1, n) @ (n, 1) blocks per
+    order, which BLAS computes row by row as a dot product, and each value is
+    summed panel by panel, so it has the bits of a loop that calls f per
+    panel and per order (one matrix-vector product would move the last ulp)."""
     x, w1, w2 = _paired_rule(_leggauss, order)
-    b = np.asarray(breaks, float)
-    mid, half = (b[:-1] + b[1:]) / 2.0, (b[1:] - b[:-1]) / 2.0
-    fy = f(mid[:, None] + half[:, None] * x)
-    v1 = v2 = 0.0
-    for h, row in zip(half.tolist(), fy):
-        v1 += h * float(np.dot(w1, row[:order]))
-        v2 += h * float(np.dot(w2, row[order:]))
-    return v1, v2
+    mid, half, counts = [], [], []
+    for b in breaks:
+        for lo, hi in zip(b[:-1], b[1:]):
+            mid.append((lo + hi) / 2.0)
+            half.append((hi - lo) / 2.0)
+        counts.append(len(b) - 1)
+    fy = f(np.array(mid)[:, None] + np.array(half)[:, None] * x)[:, None]
+    dots1 = np.matmul(fy[..., :order], w1[:, None]).ravel().tolist()
+    dots2 = np.matmul(fy[..., order:], w2[:, None]).ravel().tolist()
+    terms, sums = zip(half, dots1, dots2), []
+    for n in counts:
+        v1 = v2 = 0.0
+        for h, d1, d2 in islice(terms, n):
+            v1 += h * d1
+            v2 += h * d2
+        sums.append((v1, v2))
+    return sums
+
+
+def _panel_sum(f, breaks, order: int) -> tuple[float, float]:
+    """``_panel_sums`` over the one breakpoint list ``breaks``."""
+    return _panel_sums(f, [breaks], order)[0]
 
 
 def _bg_breaks(s: float, eps: float) -> list[float]:
     """Integration breakpoints (in y) around the BG responsibility transition."""
     sig2 = 1.0 + s / eps
-    sig = np.sqrt(sig2)
+    sig = math.sqrt(sig2)
     L = 10.0 * sig
     pts = {0.0, L}
     gamma = s / (eps + s)
     if 0 < eps < 1:
         bracket = 2.0 * (np.log((1.0 - eps) / eps) + 0.5 * np.log(sig2))
         if bracket > 0 and gamma > 0:
-            ystar = np.sqrt(bracket / gamma)
+            ystar = math.sqrt(bracket / gamma)
             for m in (0.5, 1.0, 1.5, 2.5):
                 v = m * ystar
                 if 0 < v < L:
@@ -131,64 +151,77 @@ def _bg_breaks(s: float, eps: float) -> list[float]:
     return sorted(pts)
 
 
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
 def _psi_bg(s: float, eps: float, order: int) -> tuple[float, float]:
     # psi = eps * kappa^2 * E_{N(0, sig2)}[y^2 r(y)] with kappa = sqrt(s)/(eps+s),
     # using r(y) p(y) = eps * phi_spike(y) to collapse the mixture; the
     # integrand is even, so it is integrated over [0, L] and doubled
-    sig = np.sqrt(1.0 + s / eps)
+    sig = math.sqrt(1.0 + s / eps)
     kappa2 = s / (eps + s) ** 2
 
     def integrand(y):
-        return np.square(y) * _bg_responsibility(y, s, eps) * np.exp(-np.square(y / sig) / 2.0)
+        return np.square(y) * _bg_responsibility(y, s, eps) * np.exp(np.square(y / sig) * -0.5)
 
-    norm = 1.0 / (sig * np.sqrt(2.0 * np.pi))
-    return tuple(eps * kappa2 * (2.0 * v * norm)
-                 for v in _panel_sum(integrand, _bg_breaks(s, eps), order))
+    norm = 1.0 / (sig * _SQRT_2PI)
+    v1, v2 = _panel_sum(integrand, _bg_breaks(s, eps), order)
+    return eps * kappa2 * (2.0 * v1 * norm), eps * kappa2 * (2.0 * v2 * norm)
 
 
 def _psi_once(prior: ScalarPrior, s: float, order: int) -> tuple[float, float]:
     """psi(s) by quadrature at order and at 2 * order."""
     if prior.kind == GAUSSIAN:
         # eta is linear, so the integrand is quadratic and quadrature is exact
-        c = np.sqrt(s) / (1.0 + s)
-        return _gauss_expect_pair(lambda u: np.square(c * np.sqrt(1.0 + s) * u), order)
+        c = math.sqrt(s) / (1.0 + s) * math.sqrt(1.0 + s)
+        return _gauss_expect_pair(lambda u: np.square(c * u), order)
     if prior.kind == RADEMACHER:
         # by symmetry condition on X = +1: E_{y~N(sqrt(s),1)}[tanh^2(sqrt(s) y)]
         # over rs +- 10; tanh transitions on scale 1/sqrt(s) around y = 0, so
         # the panels also break there
-        rs = np.sqrt(s)
+        rs = math.sqrt(s)
         width = 4.0 / max(rs, 1.0)
         lo, hi = rs - 10.0, rs + 10.0
         feats = [-2 * width, -width, 0.0, width, 2 * width]
         breaks = sorted({lo, hi, *(v for v in feats if lo < v < hi)})
 
         def integrand(y):
-            return np.square(np.tanh(rs * y)) * np.exp(-np.square(y - rs) / 2.0)
+            return np.square(np.tanh(rs * y)) * np.exp(np.square(y - rs) * -0.5)
 
-        return tuple(v * (1.0 / np.sqrt(2.0 * np.pi)) for v in _panel_sum(integrand, breaks, order))
+        v1, v2 = _panel_sum(integrand, breaks, order)
+        return v1 * (1.0 / _SQRT_2PI), v2 * (1.0 / _SQRT_2PI)
     return _psi_bg(s, prior.eps, order)
+
+
+def _snr(s) -> float:
+    """s as a float; DomainError unless it is finite and nonnegative."""
+    s = float(s)
+    if not math.isfinite(s):
+        raise DomainError(f"SNR must be finite, got {s}")
+    if s < 0:
+        raise DomainError(f"SNR must be nonnegative, got {s}")
+    return s
 
 
 def overlap_psi_scalar(prior: ScalarPrior, s: float, order: int = 61) -> float:
     """E[E[X | sqrt(s) X + Z]^2] in [0, 1]; raises PrecisionError if the
-    quadrature has not converged (order vs. doubled order beyond 1e-8)."""
-    s = float(s)
-    if s < 0:
-        raise DomainError(f"SNR must be nonnegative, got {s}")
+    quadrature has not converged (order vs. doubled order beyond 1e-8, or a
+    value that is not finite)."""
+    s = _snr(s)
     if s == 0.0:
         return 0.0
     v1, v2 = _psi_once(prior, s, order)
-    if abs(v1 - v2) > 1e-8:
+    if not abs(v1 - v2) <= 1e-8:
         raise PrecisionError(
             f"overlap quadrature not converged for {prior.name} at s={s}: "
             f"|delta| = {abs(v1 - v2):.2e}"
         )
-    return float(np.clip(v2, 0.0, 1.0))
+    return min(max(v2, 0.0), 1.0)
 
 
 def overlap_psi_derivative_scalar(prior: ScalarPrior, s: float, order: int = 61) -> float:
     """d psi / d s by central differences (step max(1e-5, 1e-3 s))."""
-    s = float(s)
+    s = _snr(s)
     h = max(1e-5, 1e-3 * s)
     if s - h < 0:
         return (overlap_psi_scalar(prior, s + h, order) - overlap_psi_scalar(prior, s, order)) / h

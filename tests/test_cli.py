@@ -486,6 +486,8 @@ def test_resume_refuses_a_mismatch(tmp_path, capsys):
     ({"sweep": {"target_norms": [0.8, 1.2, 1.2]}}, "sweep.target_norms"),
     ({"sweep": {"eps": [0.5, 1.0, 0.5]}}, "sweep.eps"),
     ({"sweep": {"eps": [1.0], "target_norms": [0.8, 1.5], "grid_res": 1}}, "sweep.grid_res"),
+    ({"model": {"priors": ["rademacher", "bg:0.3"], "beta": [0.6, 0.4],
+                "couplings": {"matrices": [[[1e200, 0.0], [0.0, 1.0]]]}}}, "model.couplings"),
 ])
 def test_strict_config_values_exit_2(tmp_path, capsys, patch, field):
     raw = json.loads(open(scalar_cfg(tmp_path)).read())

@@ -118,6 +118,20 @@ def test_cached_rules_are_read_only():
             a[0] = 1.0
 
 
+def test_non_finite_snr_rejected(monkeypatch):
+    # psi, its finite difference and D raise on a NaN or infinite SNR, and a
+    # quadrature value that is not finite fails the doubling check
+    for s in (float("nan"), float("inf")):
+        for kernel in (se.overlap_psi_scalar, se.overlap_psi_derivative_scalar, limits.kl_channel):
+            with pytest.raises(denoise.DomainError, match="finite"):
+                kernel(RAD, s)
+    monkeypatch.setattr(se, "_psi_once", lambda prior, s, order: (float("nan"), float("nan")))
+    with pytest.raises(se.PrecisionError):
+        se.overlap_psi_scalar(RAD, 1.0)
+    with pytest.raises(se.PrecisionError):
+        limits._kl_accept(RAD, 1.0, float("nan"), float("nan"))
+
+
 def test_overlap_matches_monte_carlo():
     for prior, s in [(RAD, 1.0), (BG5, 2.0), (BG05, 4.0)]:
         v = se.overlap_psi_scalar(prior, s)
