@@ -38,7 +38,6 @@ from .se import (
     PrecisionError,
     _bg_breaks,
     _panel_sum,
-    _panel_sums,
     _snr,
     overlap_psi_scalar,
     refine_fixed_point,
@@ -46,8 +45,6 @@ from .se import (
 
 
 _LOG_NORM = -0.5 * np.log(2.0 * np.pi)
-# float64 values per integrand array of a KL table chunk: temporaries of ~1 MB
-_CHUNK_VALUES = 1 << 17
 
 
 def _p_log_p_over_phi(logp):
@@ -60,55 +57,39 @@ def _p_log_p_over_phi(logp):
     return f
 
 
-def _kl_panels(prior: ScalarPrior, s: float) -> tuple[list[float], float]:
-    """(breakpoints, a) for 2 * int_0^L p_s(y) log(p_s/phi)(y) dy at s > 0:
-    the panels over [0, L] and the one number the log-density of node s
-    reads (``_kl_log_density``)."""
+def _kl_integrand_panels(prior: ScalarPrior, s: float):
+    """(integrand, breakpoints) for 2 * int_0^L p_s(y) log(p_s/phi)(y) dy."""
     L = 12.0 + 6.0 * math.sqrt(s)
     if prior.kind == GAUSSIAN:
         sig2 = 1.0 + s
         L = max(L, 10.0 * math.sqrt(sig2))
-        return sorted({0.0, math.sqrt(sig2), 3.0 * math.sqrt(sig2), L}), sig2
+        f = _p_log_p_over_phi(
+            lambda y: _LOG_NORM - 0.5 * np.log(sig2) - np.square(y) / (2.0 * sig2)
+        )
+        return f, sorted({0.0, math.sqrt(sig2), 3.0 * math.sqrt(sig2), L})
     if prior.kind == RADEMACHER:
         rs = math.sqrt(s)
+        f = _p_log_p_over_phi(lambda y: _LOG_NORM + np.log(0.5) + np.logaddexp(
+            np.square(y - rs) * -0.5, np.square(y + rs) * -0.5
+        ))
         breaks = {0.0, L}
         for v in (max(rs - 4.0, 0.0), rs, rs + 4.0):
             if 0 < v < L:
                 breaks.add(v)
-        return sorted(breaks), rs
-    L = max(L, 10.0 * math.sqrt(1.0 + s / prior.eps))
-    breaks = set(_bg_breaks(s, prior.eps))
+        return f, sorted(breaks)
+    eps = prior.eps
+    L = max(L, 10.0 * math.sqrt(1.0 + s / eps))
+    f = _p_log_p_over_phi(lambda y: _LOG_NORM + np.logaddexp(*_bg_log_terms(y, s, eps)))
+    breaks = set(_bg_breaks(s, eps))
     breaks.add(L)
-    return sorted(v for v in breaks if v <= L), s
-
-
-def _kl_log_density(prior: ScalarPrior, y, a):
-    """log p_s(y) of the channel marginal, with a from ``_kl_panels``: a float,
-    or a column holding each row's a."""
-    if prior.kind == GAUSSIAN:
-        return _LOG_NORM - 0.5 * np.log(a) - np.square(y) / (2.0 * a)
-    if prior.kind == RADEMACHER:
-        return _LOG_NORM + np.log(0.5) + np.logaddexp(
-            np.square(y - a) * -0.5, np.square(y + a) * -0.5
-        )
-    return _LOG_NORM + np.logaddexp(*_bg_log_terms(y, a, prior.eps))
+    return f, sorted(v for v in breaks if v <= L)
 
 
 def _kl_once(prior: ScalarPrior, s: float, order: int) -> tuple[float, float]:
     """D(s) by panel integration at order and at 2 * order."""
-    breaks, a = _kl_panels(prior, s)
-    v1, v2 = _panel_sum(_p_log_p_over_phi(lambda y: _kl_log_density(prior, y, a)), breaks, order)
+    f, breaks = _kl_integrand_panels(prior, s)
+    v1, v2 = _panel_sum(f, breaks, order)
     return 2.0 * v1, 2.0 * v2
-
-
-def _kl_accept(prior: ScalarPrior, s: float, v1: float, v2: float) -> float:
-    """D(s) from its two orders, which must agree to max(1e-12, 1e-8 |D|)."""
-    if not abs(v1 - v2) <= max(1e-12, 1e-8 * abs(v2)):
-        raise PrecisionError(
-            f"KL integration not converged for {prior.name} at s={s}: "
-            f"|delta| = {abs(v1 - v2):.2e}"
-        )
-    return max(v2, 0.0)
 
 
 def kl_channel(prior: ScalarPrior, s: float, order: int = 80) -> float:
@@ -117,33 +98,13 @@ def kl_channel(prior: ScalarPrior, s: float, order: int = 80) -> float:
     s = _snr(s)
     if s == 0.0:
         return 0.0
-    return _kl_accept(prior, s, *_kl_once(prior, s, order))
-
-
-def _kl_nodes(prior: ScalarPrior, nodes, order: int = 80) -> list[float]:
-    """``kl_channel`` at each s of ``nodes``, bit for bit, from one integrand
-    call per chunk of nodes: the panels of a chunk are stacked into one array
-    of at most about ``_CHUNK_VALUES`` values (or one node's panels), each row
-    reading its own node's a as a column entry, so every value is the one
-    ``_kl_once`` computes alone."""
-    nodes = [_snr(s) for s in nodes]
-    panels = {s: _kl_panels(prior, s) for s in nodes if s > 0.0}
-    rows_max = max(1, _CHUNK_VALUES // (3 * order))
-    chunks, rows = [], rows_max
-    for s, (breaks, _) in panels.items():
-        if rows + len(breaks) - 1 > rows_max:
-            chunks.append([])
-            rows = 0
-        chunks[-1].append(s)
-        rows += len(breaks) - 1
-    values = {}
-    for chunk in chunks:
-        breaks = [panels[s][0] for s in chunk]
-        a = np.repeat([panels[s][1] for s in chunk], [len(b) - 1 for b in breaks])[:, None]
-        f = _p_log_p_over_phi(lambda y: _kl_log_density(prior, y, a))
-        for s, (v1, v2) in zip(chunk, _panel_sums(f, breaks, order)):
-            values[s] = _kl_accept(prior, s, 2.0 * v1, 2.0 * v2)
-    return [values[s] if s > 0.0 else 0.0 for s in nodes]
+    v1, v2 = _kl_once(prior, s, order)
+    if not abs(v1 - v2) <= max(1e-12, 1e-8 * abs(v2)):
+        raise PrecisionError(
+            f"KL integration not converged for {prior.name} at s={s}: "
+            f"|delta| = {abs(v1 - v2):.2e}"
+        )
+    return max(v2, 0.0)
 
 
 def kl_channel_monte_carlo(prior: ScalarPrior, s: float, n_samples: int, seed=0) -> float:
@@ -194,7 +155,7 @@ class KLTable:
         # quadratic node spacing: denser near 0 where D bends
         u = np.linspace(0.0, 1.0, n_nodes)
         self.nodes = self.s_max * u * u
-        vals = np.array(_kl_nodes(prior, self.nodes))
+        vals = np.array([kl_channel(prior, s) for s in self.nodes])
         self._spline = CubicSpline(self.nodes, vals)
         # each piece c0 t^3 + c1 t^2 + c2 t + c3 on [0, h] peaks at an end or
         # at a root of its derivative; the running max over pieces bounds the

@@ -16,8 +16,7 @@ split where the integrand turns (for BG, at the responsibility transition,
 where Gauss-Hermite converges too slowly). Every evaluation is also made at
 doubled order and must agree to 1e-8. One integrand call covers both orders
 and every panel: the nodes form one (panels, 3 * order) array, and each value
-is then summed panel by panel, so it has the bits of a per-panel loop. The
-same kernel (``_panel_sums``) integrates many KL table nodes in one call.
+is then summed panel by panel, so it has the bits of a per-panel loop.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
 
 import numpy as np
 
@@ -96,40 +94,29 @@ def _gauss_expect_pair(f, order: int) -> tuple[float, float]:
     return float(np.dot(w1, fx[:order])), float(np.dot(w2, fx[order:]))
 
 
-def _panel_sums(f, breaks, order: int) -> list[tuple[float, float]]:
-    """For each breakpoint list b of ``breaks``: int f(y) dy over [b[0], b[-1]]
-    by Gauss-Legendre on each panel between consecutive breakpoints, at order
-    and at 2 * order.
+def _panel_sum(f, breaks, order: int) -> tuple[float, float]:
+    """int f(y) dy over [breaks[0], breaks[-1]] by Gauss-Legendre on each panel
+    between consecutive breakpoints, at order and at 2 * order.
 
     f is called once, on the (panels, 3 * order) array of every panel's nodes
-    at both orders, with the panels of each list in turn. The rows are dotted
-    with the weights by one stacked matmul of (1, n) @ (n, 1) blocks per
-    order, which BLAS computes row by row as a dot product, and each value is
-    summed panel by panel, so it has the bits of a loop that calls f per
-    panel and per order (one matrix-vector product would move the last ulp)."""
+    at both orders. The rows are dotted with the weights by one stacked
+    matmul of (1, n) @ (n, 1) blocks per order, which BLAS computes row by row
+    as a dot product, and each value is summed panel by panel, so it has the
+    bits of a loop that calls f per panel and per order (one matrix-vector
+    product would move the last ulp)."""
     x, w1, w2 = _paired_rule(_leggauss, order)
-    mid, half, counts = [], [], []
-    for b in breaks:
-        for lo, hi in zip(b[:-1], b[1:]):
-            mid.append((lo + hi) / 2.0)
-            half.append((hi - lo) / 2.0)
-        counts.append(len(b) - 1)
+    mid, half = [], []
+    for lo, hi in zip(breaks[:-1], breaks[1:]):
+        mid.append((lo + hi) / 2.0)
+        half.append((hi - lo) / 2.0)
     fy = f(np.array(mid)[:, None] + np.array(half)[:, None] * x)[:, None]
     dots1 = np.matmul(fy[..., :order], w1[:, None]).ravel().tolist()
     dots2 = np.matmul(fy[..., order:], w2[:, None]).ravel().tolist()
-    terms, sums = zip(half, dots1, dots2), []
-    for n in counts:
-        v1 = v2 = 0.0
-        for h, d1, d2 in islice(terms, n):
-            v1 += h * d1
-            v2 += h * d2
-        sums.append((v1, v2))
-    return sums
-
-
-def _panel_sum(f, breaks, order: int) -> tuple[float, float]:
-    """``_panel_sums`` over the one breakpoint list ``breaks``."""
-    return _panel_sums(f, [breaks], order)[0]
+    v1 = v2 = 0.0
+    for h, d1, d2 in zip(half, dots1, dots2):
+        v1 += h * d1
+        v2 += h * d2
+    return v1, v2
 
 
 def _bg_breaks(s: float, eps: float) -> list[float]:

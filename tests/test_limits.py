@@ -214,81 +214,6 @@ def test_kl_table_accuracy():
         table(9.0)
 
 
-def _sweep_tables(sweep: dict):
-    """(prior, s_max) of every KL table a limits sweep with this section builds."""
-    cfg = cli.resolve_config({"sweep": sweep})
-    beta = np.asarray(cfg.sweep.beta)
-    c_max = max(cfg.sweep.target_norms) / np.linalg.norm(np.diag(beta) @ cfg.sweep.xi, 2)
-    s_cap = float((c_max * cfg.sweep.xi @ beta).max()) * 1.001
-    return [(prior, s_cap) for eps in cfg.sweep.eps for prior in cli._eps_priors(eps)]
-
-
-def test_kl_table_nodes_are_kl_channel_bits(monkeypatch):
-    # every node value of the 8 default-sweep tables, the 4 tables of the
-    # phase-sweep benchmark (eps 0.05 and 1, targets up to 2.2) and a
-    # Gaussian table is the one kl_channel computes for that node alone
-    built = []
-
-    class Recorded(limits.CubicSpline):
-        def __init__(self, x, y):
-            built.append((x, y))
-            super().__init__(x, y)
-
-    monkeypatch.setattr(limits, "CubicSpline", Recorded)
-    specs = _sweep_tables({}) + _sweep_tables({"eps": [0.05, 1.0], "target_norms": [0.7, 1.4, 2.2]})
-    assert len(specs) == 12
-    specs.append((GAUSS, 20.0))
-    for prior, s_max in specs:
-        limits.KLTable(prior, s_max)
-        nodes, values = built.pop()
-        want = [limits.kl_channel(prior, s) for s in nodes]
-        assert values.tolist() == want, (prior.name, s_max)
-
-
-def test_kl_table_one_integrand_call_per_chunk(monkeypatch):
-    # a table evaluates its integrand once per chunk of nodes, each chunk at
-    # most _CHUNK_VALUES values and all but the last nearly full; kl_channel
-    # is the one-node case
-    calls = []
-    inner = limits._kl_log_density
-
-    def counted(prior, y, a):
-        calls.append(np.shape(y))
-        return inner(prior, y, a)
-
-    monkeypatch.setattr(limits, "_kl_log_density", counted)
-    limits.kl_channel(BG01, 2.0)
-    assert calls == [(len(limits._kl_panels(BG01, 2.0)[0]) - 1, 3 * 80)]
-    calls.clear()
-    table = limits.KLTable(BG01, 30.0)
-    panels = sum(len(limits._kl_panels(BG01, s)[0]) - 1 for s in table.nodes[1:])
-    rows_max = limits._CHUNK_VALUES // (3 * 80)
-    assert all(cols == 3 * 80 and rows <= rows_max for rows, cols in calls)
-    assert sum(rows for rows, _ in calls) == panels
-    assert all(rows > rows_max - 10 for rows, _ in calls[:-1])
-    assert 1 < len(calls) < 1 + panels / (rows_max - 10)
-
-
-def test_kl_table_node_that_fails_doubling_raises(monkeypatch):
-    # one node inside a chunk whose doubled order disagrees is named by its
-    # prior and s, as kl_channel names it
-    s_max = 30.0
-    u = np.linspace(0.0, 1.0, 600)
-    s_bad = float((s_max * u * u)[300])
-    inner = limits._kl_log_density
-
-    def broken(prior, y, a):
-        lp = inner(prior, y, a)
-        bad = np.zeros(lp.shape, bool)
-        bad[:, 80:] = np.broadcast_to(np.asarray(a) == s_bad, lp.shape)[:, 80:]
-        return lp + 1e-3 * bad
-
-    monkeypatch.setattr(limits, "_kl_log_density", broken)
-    for build in (lambda: limits.KLTable(BG01, s_max), lambda: limits.kl_channel(BG01, s_bad)):
-        with pytest.raises(se.PrecisionError, match=f"for {BG01.name} at s={s_bad}:"):
-            build()
-
-
 # ---------------------------------------------------------------------------
 # pruned grid scan against a dense scan
 # ---------------------------------------------------------------------------

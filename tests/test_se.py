@@ -120,16 +120,19 @@ def test_cached_rules_are_read_only():
 
 def test_non_finite_snr_rejected(monkeypatch):
     # psi, its finite difference and D raise on a NaN or infinite SNR, and a
-    # quadrature value that is not finite fails the doubling check
+    # quadrature value that is not finite fails the doubling check, which
+    # names the prior and the SNR
     for s in (float("nan"), float("inf")):
         for kernel in (se.overlap_psi_scalar, se.overlap_psi_derivative_scalar, limits.kl_channel):
             with pytest.raises(denoise.DomainError, match="finite"):
                 kernel(RAD, s)
-    monkeypatch.setattr(se, "_psi_once", lambda prior, s, order: (float("nan"), float("nan")))
-    with pytest.raises(se.PrecisionError):
+    nan_pair = lambda prior, s, order: (float("nan"), float("nan"))  # noqa: E731
+    monkeypatch.setattr(se, "_psi_once", nan_pair)
+    monkeypatch.setattr(limits, "_kl_once", nan_pair)
+    with pytest.raises(se.PrecisionError, match=f"for {RAD.name} at s=1.0:"):
         se.overlap_psi_scalar(RAD, 1.0)
-    with pytest.raises(se.PrecisionError):
-        limits._kl_accept(RAD, 1.0, float("nan"), float("nan"))
+    with pytest.raises(se.PrecisionError, match=f"for {RAD.name} at s=1.0:"):
+        limits.kl_channel(RAD, 1.0)
 
 
 def test_overlap_matches_monte_carlo():
