@@ -18,8 +18,8 @@ runs, each in its own subdirectory of OUT next to the config it used:
   so both branches of the AMP loop, with and without the Onsager term, are
   covered;
 - that config's ``limits`` once more with the non-PSD ``xi = [[0, 1], [1, 0]]``,
-  eps [0.5] and targets [0.8, 1.5], so the inner-inf grid of the bound (the
-  path a non-PSD H takes) is covered;
+  eps [0.5] and targets [0.8, 1.5], so the bound of an indefinite H is
+  covered;
 - that config's ``se`` and ``stability`` once more with a Gaussian first
   block (priors gaussian / bg:0.1), so the Gauss-Hermite overlap is covered.
 

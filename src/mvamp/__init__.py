@@ -10,6 +10,6 @@ Modules:
     cli        experiment harness (``mvamp`` console entry point)
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from . import amp, denoise, limits, model, se, stability  # noqa: F401

@@ -12,9 +12,9 @@ marginal p_s. The achievable-overlap formula is the box-constrained program
 whose interior critical points are exactly the fixed points q = psi(H q) of
 state evolution; the block MMSE lower bound is 1 - q_j*/beta_j. The solvers
 take the ``OverlapModel`` and the H of state evolution, so both read the
-same numbers. ``variational_solve`` finds the near-maximal points of a grid
-by an exact branch-and-bound over tiles (H >= 0 entrywise and D is
-nondecreasing, so a tile's corners bound it) and Newton-polishes each branch.
+same numbers. ``variational_solve`` scans the sup-inf form of the program,
+one formula for every H, on exact per-prior (psi, D) node tables and
+Newton-polishes each branch.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .denoise import DomainError, _bg_log_terms
 from .model import (
@@ -143,48 +142,20 @@ def immse_consistency(prior: ScalarPrior, s_grid, fd_rel: float = 1e-3) -> float
 
 
 class KLTable:
-    """Cubic-spline table of D(s) on [0, s_max] for fast sweep evaluation.
+    """Exact values of one prior's scalar channel at the nodes of [0, s_max]:
+    the overlap ``psi[i]`` = psi(s_i), at the quadrature order of state
+    evolution, and the relative entropy ``kl[i]`` = D(s_i). The nodes are
+    spaced quadratically, denser near 0 where psi and D bend. Nothing is
+    interpolated: ``variational_solve`` reads the values at the nodes only."""
 
-    ``envelope(s)`` is a nondecreasing upper bound on the spline over [0, s].
-    The spline itself is not monotone: some pieces near s = 0 slope slightly
-    downwards, so pruning bounds read this envelope, not the spline."""
-
-    def __init__(self, prior: ScalarPrior, s_max: float, n_nodes: int = 600):
+    def __init__(self, prior: ScalarPrior, s_max: float, n_nodes: int = 400,
+                 quad_order: int = 61):
         self.prior = prior
         self.s_max = float(s_max)
-        # quadratic node spacing: denser near 0 where D bends
         u = np.linspace(0.0, 1.0, n_nodes)
         self.nodes = self.s_max * u * u
-        vals = np.array([kl_channel(prior, s) for s in self.nodes])
-        self._spline = CubicSpline(self.nodes, vals)
-        # each piece c0 t^3 + c1 t^2 + c2 t + c3 on [0, h] peaks at an end or
-        # at a root of its derivative; the running max over pieces bounds the
-        # spline on [0, end of piece i]. Summed in the spline's own order, so
-        # the ends are the spline's values bit for bit.
-        c0, c1, c2, c3 = self._spline.c
-        h = np.diff(self._spline.x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            root = np.sqrt(c1 * c1 - 3.0 * c0 * c2)
-            ts = [np.zeros_like(h), h, (-c1 + root) / (3.0 * c0),
-                  (-c1 - root) / (3.0 * c0), -c2 / (2.0 * c1)]
-        peaks = [c3 + c2 * t + c1 * (t * t) + c0 * (t * t * t)
-                 for t in (np.clip(np.nan_to_num(t), 0.0, h) for t in ts)]
-        self._envelope = np.maximum.accumulate(np.max(peaks, axis=0))
-
-    def _domain(self, s):
-        s = np.asarray(s, float)
-        if np.any(s > self.s_max * (1.0 + 1e-9)):
-            raise DomainError("KL table evaluated beyond its range")
-        return np.clip(s, 0.0, self.s_max)
-
-    def __call__(self, s):
-        return self._spline(self._domain(s))
-
-    def envelope(self, s):
-        """Max of the spline over [0, end of the piece holding s] >= spline(s')
-        for every s' <= s, up to rounding."""
-        piece = np.searchsorted(self._spline.x, self._domain(s), side="right") - 1
-        return self._envelope[np.clip(piece, 0, self._envelope.size - 1)]
+        self.psi = np.array([overlap_psi_scalar(prior, s, quad_order) for s in self.nodes])
+        self.kl = np.array([kl_channel(prior, s) for s in self.nodes])
 
 
 @dataclass
@@ -192,18 +163,14 @@ class VariationalResult:
     q_star: np.ndarray
     objective: float
     mmse_bounds: np.ndarray
-    grid_res: int
+    grid_res: int               # nodes per axis of the scanned grid
     candidates: list            # (q, objective) for all near-optimal branches
     near_degenerate: bool       # multiple separated cells within 1e-10 of the max
+    residual: float             # max |beta psi(H q*) - q*| of the polished q*
 
     @property
     def d(self) -> int:
         return self.q_star.shape[0]
-
-
-def _is_psd(H) -> bool:
-    """Whether H takes the spline-table scan (else the non-PSD inner inf)."""
-    return bool(np.linalg.eigvalsh((H + H.T) / 2.0).min() >= -1e-10)
 
 
 def _exact_objective(q, model: OverlapModel, H) -> float:
@@ -214,98 +181,19 @@ def _exact_objective(q, model: OverlapModel, H) -> float:
     )
 
 
-def _inner_inf_term(model: OverlapModel, j: int, qj: float) -> float:
-    """Block j's term inf_{s >= 0} beta_j D_j(s) - s q_j / 2 of the non-PSD
-    objective, for q_j > 0. The minimizer solves beta_j psi_j(s) = q_j
-    (monotone, bisection). The derivative of b D(s) - s q_j / 2 is
-    (b / 2)(psi(s) - q_j / b), so when psi stays below the target on the whole
-    bracket (q_j at or near beta_j) the term decreases there and its inf over
-    the bracket is at its top."""
-    from scipy.optimize import brentq
-
-    b = model.beta[j]
-    target = qj / b
-    if target >= 1.0 - 1e-12:
-        target = 1.0 - 1e-12
-    g = lambda s: model.psi_scalar(j, s) - target
-    hi = 1.0
-    below = g(hi) < 0
-    while below and hi < 1e8:
-        hi *= 4.0
-        below = g(hi) < 0
-    sj = hi if below else brentq(g, 0.0, hi, xtol=1e-12)
-    return b * kl_channel(model.profile.priors[j], sj) - 0.5 * sj * qj
+def _nodes_per_axis(grid_res: int, d: int) -> int:
+    """grid_res, capped so that the grid holds about 4e6 points."""
+    return min(grid_res, max(8, int(round(4e6 ** (1.0 / d)))))
 
 
-def _inner_inf_objective(q, model: OverlapModel, H) -> float:
-    """Non-PSD fallback: the inner inf over s >= 0 separates per coordinate,
-    (1/4) q^T H q + sum_j of ``_inner_inf_term``; a block with q_j <= 0 adds
-    nothing (its inf is at s_j = 0)."""
-    total = 0.25 * float(q @ H @ q)
-    for j, qj in enumerate(q):
-        if qj > 0:
-            total += _inner_inf_term(model, j, qj)
-    return total
-
-
-def _spline_objective(Q, H, beta, kl_tables) -> np.ndarray:
-    """The PSD objective at the columns q of the (d, npts) array Q, with D
-    read from the spline tables."""
-    S = H @ Q
-    val = -0.25 * np.einsum("ik,ij,jk->k", Q, H, Q)
-    for j in range(len(beta)):
-        val = val + beta[j] * kl_tables[j](S[j])
-    return val
-
-
-def _inner_inf_grid_objective(Q, axes, model: OverlapModel, H) -> np.ndarray:
-    """``_inner_inf_objective`` at the columns of Q, points of the grid
-    product(axes), bit for bit: each block term is root-solved once per
-    distinct axis value, not once per grid point."""
-    terms = [{qj: _inner_inf_term(model, j, qj) for qj in ax if qj > 0}
-             for j, ax in enumerate(axes)]
-    vals = np.empty(Q.shape[1])
-    for k, q in enumerate(Q.T):
-        total = 0.25 * float(q @ H @ q)
-        for j, qj in enumerate(q):
-            if qj > 0:
-                total += terms[j][qj]
-        vals[k] = total
+def _node_objective(qs, gs, H) -> np.ndarray:
+    """F(q) = (1/4) q^T H q + sum_j g_j(q_j) at every point of the grid
+    product(qs), as an array of shape (len(qs[0]), ..., len(qs[-1]))."""
+    Q = np.ix_(*qs)
+    vals = sum(np.ix_(*gs))
+    for j, k in np.ndindex(H.shape):
+        vals += 0.25 * H[j, k] * Q[j] * Q[k]
     return vals
-
-
-def _grid_points(axes, flat) -> np.ndarray:
-    """The (d, len(flat)) points of the grid product(axes) at C-order flat indices."""
-    index = np.unravel_index(flat, [ax.size for ax in axes])
-    return np.stack([ax[i] for ax, i in zip(axes, index)])
-
-
-def _pruned_points(axes, H, beta, kl_tables) -> np.ndarray:
-    """Ascending flat indices of the grid points that may lie within 1e-10 of
-    the grid max of the PSD objective: every point of every tile not pruned.
-
-    The grid is cut into tiles of about sqrt(per_axis) points a side. Tile
-    [lo, hi] holds no point above U = sum_j beta_j Dbar_j((H hi)_j) -
-    (1/4) lo^T H lo, with Dbar the tables' nondecreasing envelope, because
-    H >= 0 entrywise and q >= 0. The low corners are grid points, so their max
-    vlo bounds the grid max from below; a tile with U < vlo - 1e-10 - 1e-9
-    max(1, |vlo|) cannot hold a near-maximal point (the last term covers
-    rounding)."""
-    per_axis, d = axes[0].size, len(axes)
-    side = max(1, int(round(np.sqrt(per_axis))))
-    starts = np.arange(0, per_axis, side)
-    ends = np.minimum(starts + side, per_axis) - 1
-    n_tiles = (starts.size,) * d
-    lo = _grid_points([ax[starts] for ax in axes], np.arange(starts.size ** d))
-    hi = _grid_points([ax[ends] for ax in axes], np.arange(starts.size ** d))
-    vlo = float(_spline_objective(lo, H, beta, kl_tables).max())
-    S = H @ hi
-    upper = -0.25 * np.einsum("ik,ij,jk->k", lo, H, lo)
-    for j in range(d):
-        upper = upper + beta[j] * kl_tables[j].envelope(S[j])
-    keep = upper >= vlo - 1e-10 - 1e-9 * max(1.0, abs(vlo))
-    tile = np.arange(per_axis) // side
-    return np.flatnonzero(keep.reshape(n_tiles)[np.ix_(*[tile] * d)])
 
 
 def variational_solve(
@@ -318,19 +206,23 @@ def variational_solve(
 
     The priors and beta are those of ``model.profile`` and H = sum_k
     Lambda_k**2 is the matrix state evolution iterates with, so the bound
-    and SE read the same numbers. A grid scan (spline-tabulated D,
-    ``grid_res`` >= 2 points per axis) finds every grid point within 1e-10 of
-    the grid max, and each separated group of them is Newton-polished against
-    the exact fixed-point equation q = psi(H q) at ``model.quad_order``. The
-    scan is an exact branch-and-bound (``_pruned_points``): it evaluates only
-    the tiles of the grid that can hold such a point, and finds the same
-    points, the same values and so the same result as scanning every point.
-    The candidates also include the Newton polishes (``refine_fixed_point``)
-    from a near-zero and a near-saturated start, so jump discontinuities are
-    resolved by exact objective comparison. A non-PSD H has no spline tables:
-    its objective splits into one root solve per block and axis value, every
-    grid point is scanned, and ``grid_res`` is capped at 60 per axis (the
-    grid its bounds have always been read from).
+    and SE read the same numbers. The scan maximizes the sup-inf form
+
+        F(q) = (1/4) q^T H q + sum_j g_j(q_j),  g_j(q_j) = inf_s beta_j D_j(s) - s q_j / 2,
+
+    for every H, PSD or not. Taking s = (H q)_j shows F <= P, the objective
+    above; at a fixed point q = beta psi(H q) the inf is attained there, so
+    F = P, and the maximizer of P is a fixed point. Block j's axis is the
+    node set q_i = beta_j psi_j(s_i) of its ``KLTable`` (``grid_res`` >= 2
+    nodes per axis, from s = 0 to past (H beta)_j, so every fixed point lies
+    inside), where the inf is exact: g_j(q_i) = beta_j D_j(s_i) - s_i q_i / 2,
+    because psi is increasing. Every grid point within 1e-10 of the grid max
+    is found, and each group of them separated by more than 2 nodes on some
+    axis is Newton-polished against the exact fixed-point equation at
+    ``model.quad_order``. The candidates also include the polishes
+    (``refine_fixed_point``) from a near-zero and a near-saturated start, so
+    jump discontinuities are resolved by comparing the exact objective P of
+    each polished fixed point.
     """
     beta = model.beta
     H = np.asarray(H, float)
@@ -340,45 +232,37 @@ def variational_solve(
     if grid_res < 2:
         raise DomainError(f"grid_res must be >= 2, got {grid_res}")
 
-    psd = _is_psd(H)
-    objective = _exact_objective if psd else _inner_inf_objective
-    per_axis = min(grid_res, max(8, int(round(4e6 ** (1.0 / d)))))
-    if not psd:
-        per_axis = min(per_axis, 60)
-    axes = [np.linspace(0.0, b, per_axis) for b in beta]
-    if psd:
-        if kl_tables is None:
-            kl_tables = [KLTable(p, max(float(c) * 1.001, 1e-6))
-                         for p, c in zip(model.profile.priors, H @ beta)]
-        Q = _grid_points(axes, _pruned_points(axes, H, beta, kl_tables))
-        vals = _spline_objective(Q, H, beta, kl_tables)
-    else:
-        Q = _grid_points(axes, np.arange(per_axis ** d))
-        vals = _inner_inf_grid_objective(Q, axes, model, H)
-    vmax = float(vals.max())
-    cell = np.array([ax[1] - ax[0] for ax in axes])
+    per_axis = _nodes_per_axis(grid_res, d)
+    s_need = H @ beta
+    if kl_tables is None:
+        kl_tables = [KLTable(p, max(float(c) * 1.001, 1e-6), per_axis, model.quad_order)
+                     for p, c in zip(model.profile.priors, s_need)]
+    if any(t.nodes.size != per_axis or t.s_max < c for t, c in zip(kl_tables, s_need)):
+        raise DomainError("each KL table needs the grid's nodes per axis and s_max >= (H beta)_j")
+    qs = [b * t.psi for b, t in zip(beta, kl_tables)]
+    gs = [b * t.kl - 0.5 * t.nodes * q for b, t, q in zip(beta, kl_tables, qs)]
+    vals = _node_objective(qs, gs, H)
 
     reps = []
-    for qv in Q[:, vals >= vmax - 1e-10].T:
-        if all(np.max(np.abs(qv - r) / cell) > 2.0 for r in reps):
-            reps.append(qv)
+    for idx in np.argwhere(vals >= vals.max() - 1e-10):
+        if all(np.abs(idx - r).max() > 2 for r in reps):
+            reps.append(idx)
     near_degenerate = len(reps) > 1
 
     # branch candidates: grid representatives plus polishes from both ends
-    cand_starts = [r.copy() for r in reps]
+    cand_starts = [np.array([q[i] for q, i in zip(qs, r)]) for r in reps]
     cand_starts.append(np.full(d, 1e-8) * beta)
     cand_starts.append(beta * (1.0 - 1e-6))
     candidates = []
     for q0 in cand_starts:
-        qr, _ = refine_fixed_point(model, H, q0)
-        if all(np.abs(qr - qc).max() > 1e-7 for qc, _ in candidates):
-            candidates.append((qr, objective(qr, model, H)))
+        qr, resid = refine_fixed_point(model, H, q0)
+        if all(np.abs(qr - qc).max() > 1e-7 for qc, _, _ in candidates):
+            candidates.append((qr, _exact_objective(qr, model, H), resid))
     candidates.sort(key=lambda t: -t[1])
-    q_star, best = candidates[0]
+    q_star, best, residual = candidates[0]
     bounds = np.clip(1.0 - q_star / beta, 0.0, 1.0)
-    return VariationalResult(
-        q_star, best, bounds, per_axis, candidates, near_degenerate
-    )
+    return VariationalResult(q_star, best, bounds, per_axis,
+                             [(q, v) for q, v, _ in candidates], near_degenerate, residual)
 
 
 @dataclass
@@ -408,16 +292,17 @@ def limits_sweep(
 
     Returns the rows of the target positions ``indices`` (default: all), in
     target order. A row needs only its own solve and that of the previous
-    target, whose sign of q* sets the transition flag; the KL table range
-    comes from the whole target list, so a row does not depend on which
-    other rows are asked for."""
+    target, whose sign of q* sets the transition flag; the KL tables are
+    built once, with a range from the whole target list, so a row does not
+    depend on which other rows are asked for."""
     beta = model.beta
     xi = np.asarray(xi, float)
     base_norm = float(np.linalg.norm(np.diag(beta) @ xi, 2))
     targets = np.asarray(target_norms, float)
     cs = targets / base_norm
     s_cap = float((cs.max() * xi @ beta).max()) * 1.001
-    tables = None  # built at the first PSD H; a non-PSD H reads none
+    tables = [KLTable(p, max(s_cap, 1e-6), _nodes_per_axis(grid_res, model.d), model.quad_order)
+              for p in model.profile.priors]
     wanted = set(range(len(cs)) if indices is None else indices)
     rows = []
     prev_positive = None
@@ -425,15 +310,12 @@ def limits_sweep(
         if i not in wanted and i + 1 not in wanted:
             continue
         couplings = CouplingSet.heteroskedastic(np.sqrt(c * xi))
-        H = couplings.hadamard_square_sum()
-        if tables is None and _is_psd(H):
-            tables = [KLTable(p, max(s_cap, 1e-6)) for p in model.profile.priors]
-        res = variational_solve(model, H, grid_res=grid_res, kl_tables=tables)
-        resid = float(np.abs(res.q_star - model.psi_vector(H @ res.q_star)).max())
-        if resid > 1e-5:
+        res = variational_solve(model, couplings.hadamard_square_sum(), grid_res=grid_res,
+                                kl_tables=tables)
+        if res.residual > 1e-5:
             raise PrecisionError(
                 f"sweep maximizer violates the SE fixed-point inclusion "
-                f"(residual {resid:.2e} at c={c:.4f})"
+                f"(residual {res.residual:.2e} at c={c:.4f})"
             )
         positive = bool(res.q_star.max() > 1e-6)
         flag = "upper" if positive else "lower"

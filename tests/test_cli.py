@@ -606,3 +606,19 @@ def test_snapshot_compare(tmp_path):
     (b / "plot.svg").unlink()
     code, out = compare()
     assert code == 1 and f"plot.svg: missing in {b}" in out
+
+
+def test_cli_imports_no_scipy():
+    # scipy is a test dependency only: the package's import path never loads it
+    import subprocess
+    import sys
+
+    import mvamp
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mvamp.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = "import sys, mvamp.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mvamp import cli, denoise, limits, model, se
+from mvamp import denoise, limits, model, se
 
 RAD = model.ScalarPrior.rademacher()
 GAUSS = model.ScalarPrior.gaussian_unit()
@@ -143,35 +143,16 @@ def test_sweep_monotone_in_c():
 
 
 def test_variational_non_psd_fallback():
-    # an indefinite Lambda**2 exercises the separable inner-inf path
+    # an indefinite Lambda**2 is scanned by the same sup-inf formula
     H = np.array([[1.0, 1.4], [1.4, 1.0]])  # eigenvalues 2.4, -0.4
     res = limits.variational_solve(_overlap([RAD, RAD], [0.5, 0.5]), H, grid_res=60)
     assert np.all(res.q_star >= 0) and np.all(res.q_star <= 0.5 + 1e-12)
     assert np.isfinite(res.objective)
-    # a BG block's psi stays below the target up to the bracket cap on the face
-    # q_2 = beta_2 of the grid, where the inner inf lies at the cap
+    # a BG block's psi stays far below 1 up to the end of its node table
     bg = model.ScalarPrior.bernoulli_gaussian(0.5)
     res = limits.variational_solve(_overlap([RAD, bg], [0.5, 0.5]), H, grid_res=20)
     assert np.all(res.q_star >= 0) and np.all(res.q_star <= 0.5 + 1e-12)
     assert np.isfinite(res.objective)
-
-
-def test_inner_inf_grid_objective_is_bitwise_pointwise():
-    H = np.array([[1.0, 1.4], [1.4, 1.0]])
-    m = _overlap([RAD, model.ScalarPrior.bernoulli_gaussian(0.5)], [0.6, 0.4])
-    axes = [np.linspace(0.0, b, 60) for b in m.beta]
-    Q = limits._grid_points(axes, np.arange(60**2))
-    vals = limits._inner_inf_grid_objective(Q, axes, m, H)
-    pointwise = np.array([limits._inner_inf_objective(q, m, H) for q in Q.T])
-    assert np.array_equal(vals, pointwise)
-
-
-def test_non_psd_sweep_builds_no_kl_table(monkeypatch):
-    # no solve of a non-PSD xi reads the spline tables
-    monkeypatch.delattr(limits, "KLTable")
-    rows = limits.limits_sweep(_overlap([RAD, BG05], BETA), np.array([[0.0, 1.0], [1.0, 0.0]]),
-                               [0.8, 1.5], grid_res=20)
-    assert len(rows) == 2
 
 
 def test_variational_rejects_negative_H_and_coarse_grid():
@@ -185,116 +166,93 @@ def test_variational_rejects_negative_H_and_coarse_grid():
                                     grid_res=2).grid_res == 2
 
 
-def test_kl_table_envelope_bounds_the_spline():
-    # the envelope at s is >= the spline at every s' <= s, on the tables of the
-    # default sweep and on the s_max = 1e-6 table of a zero H, where the
-    # spline itself dips
-    cfg = cli.resolve_config({"sweep": {}})
-    beta = np.asarray(cfg.sweep.beta)
-    c_max = max(cfg.sweep.target_norms) / np.linalg.norm(np.diag(beta) @ cfg.sweep.xi, 2)
-    s_cap = float((c_max * cfg.sweep.xi @ beta).max()) * 1.001
-    dips = False
-    for eps in cfg.sweep.eps:
-        for prior in cli._eps_priors(eps):
-            for s_max in (s_cap, 1e-6):
-                table = limits.KLTable(prior, s_max)
-                s = np.union1d(np.linspace(0.0, s_max, 100_001), table.nodes)
-                spline = table(s)
-                dips |= bool(np.any(np.diff(spline) < 0))
-                assert np.all(table.envelope(s) >= np.maximum.accumulate(spline))
-                assert np.all(np.diff(table.envelope(s)) >= 0)
-    assert dips
+def _sup_inf_objective(q, m, H):
+    """F(q) = (1/4) q^T H q + sum_j inf_s beta_j D_j(s) - s q_j / 2, each inf
+    found by a root solve of beta_j psi_j(s) = q_j (the inf's stationarity)."""
+    from scipy.optimize import brentq
+
+    total = 0.25 * float(q @ H @ q)
+    for j, (prior, b, qj) in enumerate(zip(m.profile.priors, m.beta, q)):
+        if qj > 0:
+            s = brentq(lambda s: b * m.psi_scalar(j, s) - qj, 0.0, 1e3, xtol=1e-14,
+                       rtol=4 * np.finfo(float).eps)
+            total += b * limits.kl_channel(prior, s) - 0.5 * s * qj
+    return total
 
 
-def test_kl_table_accuracy():
-    table = limits.KLTable(RAD, 8.0, n_nodes=400)
-    for s in [0.123, 1.7, 5.5]:
-        assert abs(table(s) - limits.kl_channel(RAD, s)) < 1e-8
-    with pytest.raises(denoise.DomainError):
-        table(9.0)
+@pytest.mark.parametrize("H", [
+    1.6 / T1_NORM * XI,                          # PSD
+    np.array([[0.0, 1.9], [1.9, 0.0]]),          # bipartite, eigenvalues +-1.9
+], ids=["psd", "non-psd"])
+def test_sup_inf_equals_psd_objective_at_fixed_points(H):
+    m = _overlap([RAD, BG05], BETA)
+    res = limits.variational_solve(m, H, grid_res=200)
+    assert res.q_star.max() > 0.1
+    for q, objective in res.candidates:
+        assert np.abs(q - m.psi_vector(H @ q)).max() < 1e-10
+        assert objective == limits._exact_objective(q, m, H)
+        assert abs(_sup_inf_objective(q, m, H) - objective) < 1e-9
 
 
-# ---------------------------------------------------------------------------
-# pruned grid scan against a dense scan
-# ---------------------------------------------------------------------------
+def test_kl_table_nodes_against_a_root_solve():
+    # the node values are those of the inf over s, found here by a root solve:
+    # q_i = beta psi(s_i) and g_i = beta D(s_i) - s_i q_i / 2
+    from scipy.optimize import brentq
 
-def _dense_scan(beta, H, per_axis, tables):
-    """Every point of the grid and its spline objective, as (Q, vals)."""
-    axes = [np.linspace(0.0, b, per_axis) for b in beta]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    Q = np.stack([m.ravel() for m in mesh], axis=0)
-    S = H @ Q
-    vals = -0.25 * np.einsum("ik,ij,jk->k", Q, H, Q)
-    for j in range(len(beta)):
-        vals = vals + beta[j] * tables[j](S[j])
-    return Q, vals
-
-
-def _check_against_dense(monkeypatch):
-    """Checks every pruned scan against the dense scan of the same grid: the
-    same grid max bits, the same sorted near set and equal values on every
-    point it evaluates. Returns the list of (evaluated, grid) point counts."""
-    counts = []
-    pruned_points = limits._pruned_points
-
-    def checked(axes, H, beta, tables):
-        flat = pruned_points(axes, H, beta, tables)
-        Q, dense = _dense_scan(beta, H, axes[0].size, tables)
-        points = limits._grid_points(axes, flat)
-        vals = limits._spline_objective(points, H, beta, tables)
-        assert np.array_equal(points, Q[:, flat])
-        assert np.array_equal(vals, dense[flat])
-        assert vals.max() == dense.max()
-        near = flat[vals >= vals.max() - 1e-10]
-        assert np.array_equal(near, np.flatnonzero(dense >= dense.max() - 1e-10))
-        counts.append((flat.size, dense.size))
-        return flat
-
-    monkeypatch.setattr(limits, "_pruned_points", checked)
-    return counts
+    b = 0.4
+    for prior in (RAD, BG05, GAUSS):
+        table = limits.KLTable(prior, 9.0, n_nodes=40, quad_order=61)
+        assert table.nodes[0] == 0.0 and table.nodes[-1] == 9.0
+        assert np.all(np.diff(table.psi) > 0)
+        q = b * table.psi
+        g = b * table.kl - 0.5 * table.nodes * q
+        for s_i, q_i, g_i in list(zip(table.nodes, q, g))[1::6]:
+            assert q_i == b * se.overlap_psi_scalar(prior, s_i, 61)
+            s = brentq(lambda s: b * se.overlap_psi_scalar(prior, s, 61) - q_i, 0.0, 20.0,
+                       xtol=1e-14, rtol=4 * np.finfo(float).eps)
+            assert abs(s - s_i) <= 1e-9 * max(1.0, s_i)
+            assert abs(b * limits.kl_channel(prior, s) - 0.5 * s * q_i - g_i) < 1e-12
+            # the inf: no other s does better
+            for s_other in (0.5 * s_i, 2.0 * s_i):
+                assert b * limits.kl_channel(prior, s_other) - 0.5 * s_other * q_i > g_i
 
 
-def test_pruned_scan_matches_dense_on_default_sweep(monkeypatch):
-    counts = _check_against_dense(monkeypatch)
-    cfg = cli.resolve_config({"sweep": {}})
-    for eps in cfg.sweep.eps:
-        limits.limits_sweep(cli._eps_model(cfg, eps), cfg.sweep.xi, cfg.sweep.target_norms,
-                            grid_res=cfg.sweep.grid_res)
-    assert len(counts) == 4 * 52
-    evaluated, grid = np.sum(counts, axis=0)
-    assert grid == 4 * 52 * 400**2 and evaluated < 0.5 * grid
-
-
-def test_pruned_scan_matches_dense_in_three_blocks(monkeypatch):
-    counts = _check_against_dense(monkeypatch)
+def test_variational_three_blocks():
     m = _overlap([RAD, BG05, GAUSS], [0.5, 0.3, 0.2])
     xi = np.array([[1.0, 0.3, 0.2], [0.3, 1.0, 0.3], [0.2, 0.3, 1.0]])
-    for c in (0.5, 4.0):
-        limits.variational_solve(m, c * xi, grid_res=60)
-    assert [grid for _, grid in counts] == [60**3] * 2
-    assert counts[1][0] < counts[1][1]
+    for c, positive in ((0.5, False), (4.0, True)):
+        H = c * xi
+        res = limits.variational_solve(m, H, grid_res=60)
+        assert (res.d, res.grid_res) == (3, 60)
+        assert bool(res.q_star.max() > 1e-6) == positive
+        assert np.all(res.q_star >= 0) and np.all(res.q_star <= m.beta)
+        assert np.abs(res.q_star - m.psi_vector(H @ res.q_star)).max() < 1e-10
 
 
-def test_pruned_scan_matches_dense_at_a_grid_tie(monkeypatch):
-    # the sweep of test_variational_54_jump_discontinuity, then the c between
-    # its targets 0.6 and 0.65 where the grid max of the upper branch meets
-    # the value 0 at q = 0: two separated cells are both near-maximal
-    counts = _check_against_dense(monkeypatch)
+def test_csbm_shaped_H_solves_to_a_fixed_point():
+    # a graph view on block 1 and a feature view coupling blocks 1 and 2:
+    # H = [[a^2, b^2], [b^2, 0]] has determinant -b^4 < 0
+    m = _overlap([RAD, GAUSS], [0.5, 0.5])
+    H = np.array([[1.2**2, 1.5**2], [1.5**2, 0.0]])
+    res = limits.variational_solve(m, H)
+    assert np.all(res.q_star > 0.1)
+    assert np.abs(res.q_star - m.psi_vector(H @ res.q_star)).max() < 1e-10
+    assert res.objective == limits._exact_objective(res.q_star, m, H)
+
+
+def test_result_carries_the_sweeps_residual():
+    # limits_sweep checks the residual refine_fixed_point computed, the bits
+    # of recomputing |q* - beta psi(H q*)|
     m = _overlap([RAD, BG05], BETA)
-    limits.limits_sweep(m, XI, np.linspace(0.4, 1.0, 13), grid_res=200)
-    assert len(counts) == 13
-    tables = [limits.KLTable(p, 1.0 / T1_NORM * float((XI @ BETA).max()) * 1.001)
-              for p in (RAD, BG05)]
-    cell = m.beta / 199
-    lo, hi = 0.6 / T1_NORM, 0.65 / T1_NORM
-    for _ in range(80):
-        c = 0.5 * (lo + hi)
-        Q, vals = _dense_scan(m.beta, c * XI, 200, tables)
-        upper = vals[(Q / cell[:, None]).max(axis=0) > 2.0].max()
-        if abs(upper) <= 1e-10:
-            break
-        lo, hi = (c, hi) if upper < 0 else (lo, c)
-    assert abs(upper) <= 1e-10
-    res = limits.variational_solve(m, c * XI, grid_res=200, kl_tables=tables)
-    assert res.near_degenerate
-    assert len(counts) == 14
+    for c in (0.5 / T1_NORM, 2.0 / T1_NORM):
+        H = model.CouplingSet.heteroskedastic(np.sqrt(c * XI)).hadamard_square_sum()
+        res = limits.variational_solve(m, H, grid_res=100)
+        assert res.residual == float(np.abs(res.q_star - m.psi_vector(H @ res.q_star)).max())
+
+
+def test_kl_tables_must_hold_the_grid():
+    m = _overlap([GAUSS], [1.0])
+    H = np.array([[4.0]])
+    for table in (limits.KLTable(GAUSS, 5.0, n_nodes=50), limits.KLTable(GAUSS, 3.0, n_nodes=400)):
+        with pytest.raises(denoise.DomainError):
+            limits.variational_solve(m, H, kl_tables=[table])
