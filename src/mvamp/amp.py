@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoise import DomainError, block_denoiser, posterior_mean_derivative_scalar
+from .denoise import DomainError, block_denoiser
 from .model import MTPInstance, ScalarPrior, rng_from
 from .se import OperatorT, SETrajectory, _hermegauss, gauss_expect
 
@@ -58,31 +58,12 @@ class AMPTrace:
     F_hat: list
     Q_hat: list
     mse: list
-    d: int
     M_final: np.ndarray
     iterates: list | None = None     # pre-denoising X^t, t = 1.., when requested
 
     @property
     def iterations(self) -> int:
         return len(self.Q_hat) - 1
-
-    def csv_header(self) -> list:
-        d = self.d
-        header = ["trial", "t"]
-        header += [f"F_hat_{a + 1}{b + 1}" for a in range(d) for b in range(d)]
-        header += [f"Q_hat_{a + 1}{b + 1}" for a in range(d) for b in range(d)]
-        header += [f"mse_block_{j + 1}" for j in range(d)]
-        return header + ["seed", "version"]
-
-    def csv_rows(self, trial: int, seed: int, version: str):
-        """One row per iteration, in the column order of ``csv_header``."""
-        for i in range(len(self.Q_hat)):
-            row = [trial, i]
-            row += [repr(float(v)) for v in np.asarray(self.F_hat[i]).ravel()]
-            row += [repr(float(v)) for v in np.asarray(self.Q_hat[i]).ravel()]
-            row += [repr(float(v)) for v in np.asarray(self.mse[i]).ravel()]
-            row += [seed, version]
-            yield row
 
 
 def init_side_information(X: np.ndarray, rho: float, slices, seed) -> np.ndarray:
@@ -199,7 +180,7 @@ def run_symmetric(instance: MTPInstance, config: AMPConfig) -> AMPTrace:
         if iterates is not None:
             iterates.append(Xt)
         M_prev2, M_prev, B_prev = M_prev, M_t, B_t
-    return AMPTrace(F_hat, Q_hat, mse, d, M_prev, iterates)
+    return AMPTrace(F_hat, Q_hat, mse, M_prev, iterates)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +221,6 @@ def _battery_prediction(prior: ScalarPrior, k: float, sigma2: float, name: str, 
 class GaussianityReport:
     cov_distance: np.ndarray          # per iteration ||emp residual cov - Sigma^t||_F
     battery: dict                     # name -> (t, block) arrays of |emp - predicted|
-    lipschitz_sup: np.ndarray | None = None  # measured sup |eta'| per (t, block)
 
 
 def gaussianity_diagnostic(
@@ -266,7 +246,6 @@ def gaussianity_diagnostic(
     n_t = len(trace.iterates) if t_max is None else min(t_max, len(trace.iterates))
     cov_dist = np.zeros(n_t)
     battery = {name: np.zeros((n_t, d)) for name in _BATTERY}
-    lip = np.zeros((n_t, d))
     for i in range(n_t):
         # S^t for t = i+1, = Sigma^t under Bayes weights; an orbit that
         # converged in fewer steps sits at its fixed point
@@ -276,16 +255,10 @@ def gaussianity_diagnostic(
         C = R.T @ R / n
         cov_dist[i] = float(np.linalg.norm(C - K))
         for j, sl in enumerate(slices):
-            s_j = max(float(K[j, j]), 0.0)
-            if s_j > 0:
-                y_std = Xt[sl, j] / np.sqrt(s_j)
-                lip[i, j] = float(
-                    np.abs(posterior_mean_derivative_scalar(profile.priors[j], s_j, y_std)).max()
-                )
             for name in _BATTERY:
                 emp = float(np.mean(_BATTERY[name](X[sl, j], Xt[sl, j])))
                 pred = _battery_prediction(
                     profile.priors[j], float(K[j, j]), float(K[j, j]), name
                 )
                 battery[name][i, j] = abs(emp - pred)
-    return GaussianityReport(cov_dist, battery, lip)
+    return GaussianityReport(cov_dist, battery)

@@ -3,7 +3,8 @@
 Configuration is a JSON file (see README for the schema); every run first
 writes a manifest echoing the resolved configuration so that re-running from
 the manifest reproduces the outputs bit-for-bit. Exit codes: 0 ok, 2 config
-error, 3 numerical nonconvergence, 4 resumable interruption.
+error, 3 numerical nonconvergence, 4 interrupted (only phase-diagram keeps
+its finished rows for --resume).
 """
 
 from __future__ import annotations
@@ -24,7 +25,13 @@ from . import __version__
 from .amp import AMPConfig, AMPTrace, DivergenceError, run_symmetric
 from .denoise import DomainError
 # KLTable and variational_solve stay importable here: perfbench/tracing.py wraps them by name.
-from .limits import KLTable, SweepRow, limits_sweep, variational_solve  # noqa: F401
+from .limits import (  # noqa: F401
+    KLTable,
+    SweepRow,
+    _nodes_per_axis,
+    limits_sweep,
+    variational_solve,
+)
 from .model import (
     BlockPriorProfile,
     CouplingSet,
@@ -155,6 +162,7 @@ class SweepSection:
     grid_res: int = 400
 
     def __post_init__(self):
+        _check(len(self.eps) > 0, "sweep.eps", "needs at least one entry")
         try:  # every sweep profile is Rademacher plus BG(eps) with beta
             profiles = [BlockPriorProfile(tuple(_eps_priors(eps)), self.beta) for eps in self.eps]
         except InvalidProfileError as exc:
@@ -171,6 +179,8 @@ class SweepSection:
         for key in ("n", "trials"):
             _check(getattr(self, key) >= 1, f"sweep.{key}", "must be >= 1")
         _check(self.grid_res >= 2, "sweep.grid_res", "must be >= 2")
+        cap = _nodes_per_axis(self.grid_res, 2)  # what the two-block scan would use
+        _check(self.grid_res == cap, "sweep.grid_res", f"must be <= {cap}")
         try:
             for profile in profiles:
                 profile.block_sizes(self.n)
@@ -376,13 +386,18 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str, seed: int, jobs: int) -> i
 
     results = list(_pmap(one, range(cfg.amp.trials), jobs))
     traces = [trace for _, trace in results]
-    _write_csv(os.path.join(out_dir, "trace.csv"), traces[0].csv_header(),
-               (row for trial, (inst_seed, trace) in enumerate(results)
-                for row in trace.csv_rows(trial, inst_seed, VERSION_TAG)))
+    pairs = [f"{a + 1}{b + 1}" for a in range(d) for b in range(d)]
+    header = ["trial", "t"] + [f"F_hat_{ab}" for ab in pairs] + [f"Q_hat_{ab}" for ab in pairs]
+    header += [f"mse_block_{j + 1}" for j in range(d)]
+    rows = ([trial, i] + [_fmt(v) for v in np.concatenate([f.ravel(), q.ravel(), mse])]
+            + [inst_seed, VERSION_TAG]
+            for trial, (inst_seed, tr) in enumerate(results)
+            for i, (f, q, mse) in enumerate(zip(tr.F_hat, tr.Q_hat, tr.mse)))
+    _write_csv(os.path.join(out_dir, "trace.csv"), header + ["seed", "version"], rows)
     header = ["t"]
     header += [f"mse_mean_{j + 1}" for j in range(d)]
     header += [f"mse_stderr_{j + 1}" for j in range(d)]
-    header += [f"Q_hat_mean_{a + 1}{b + 1}" for a in range(d) for b in range(d)]
+    header += [f"Q_hat_mean_{ab}" for ab in pairs]
     header += ["seed", "version"]
     rows = []
     for i in range(cfg.amp.max_iter + 1):
@@ -614,7 +629,7 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except KeyboardInterrupt:
-        print("interrupted; partial results kept for --resume", file=sys.stderr)
+        print("interrupted", file=sys.stderr)
         return 4
 
 

@@ -20,10 +20,6 @@ class DomainError(ValueError):
     pass
 
 
-class NumericalConditioningError(RuntimeError):
-    pass
-
-
 @dataclass(frozen=True)
 class DenoiserEval:
     """Denoised matrix together with the averaged-derivative matrix D_hat.
@@ -155,66 +151,3 @@ def _psd_sqrt(S: np.ndarray) -> np.ndarray:
     if evals.min() < -1e-10 * max(1.0, evals.max(initial=1.0)):
         raise DomainError("S must be PSD")
     return evecs @ np.diag(np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
-
-
-def _gaussian_inner_system(V: np.ndarray, S: np.ndarray, n: int):
-    """(Vb, W): the n x q block rows Vb[a] of V, one per signal column of the
-    column-major vec, and W = V^T (S (x) I_n) V assembled blockwise. Raises
-    NumericalConditioningError when I_q + W is too ill-conditioned to solve."""
-    q = V.shape[1]
-    Vb = V.reshape(-1, n, q)
-    d = Vb.shape[0]
-    W = np.zeros((q, q))
-    for a in range(d):
-        for b in range(d):
-            if S[a, b] != 0.0:
-                W += S[a, b] * (Vb[a].T @ Vb[b])
-    cond = np.linalg.cond(np.eye(q) + W)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise NumericalConditioningError(f"inner solve ill-conditioned (cond={cond:.3e})")
-    return Vb, W
-
-
-def gaussian_matrix_denoiser(V: np.ndarray, S: np.ndarray, Y: np.ndarray) -> DenoiserEval:
-    """Conditional mean for a zero-mean Gaussian prior with factored covariance.
-
-    The prior on vec(X) (column-major) is N(0, V V^T) with V of shape (n*d, q);
-    the channel is vec(Y) = (S^{1/2} (x) I_n) vec(X) + vec(Z). The estimator is
-
-        g(y) = V (I_q + V^T (S (x) I_n) V)^{-1} V^T (S^{1/2} (x) I_n) y,
-
-    all evaluated through q x q solves. The divergence is the partial trace of
-    the linear map, computed without materializing it.
-    """
-    Y = np.asarray(Y, float)
-    n, d = Y.shape
-    V = np.asarray(V, float)
-    if V.shape[0] != n * d:
-        raise DomainError(f"factor rows {V.shape[0]} != n*d = {n * d}")
-    S = np.asarray(S, float)
-    S = (S + S.T) / 2.0
-    root = _psd_sqrt(S)
-    q = V.shape[1]
-    Vb, W = _gaussian_inner_system(V, S, n)
-    A = np.eye(q) + W
-    # t = V^T (S^{1/2} (x) I_n) vec(Y)
-    YR = Y @ root  # n x d, column a of YR is sum_b root[b,a] Y[:,b]
-    t = np.zeros(q)
-    for a in range(d):
-        t += Vb[a].T @ YR[:, a]
-    coef = np.linalg.solve(A, t)
-    vec_val = V @ coef
-    value = vec_val.reshape(d, n).T  # undo column-major vec
-    # divergence: D[j, k] = (1/n) sum_i d value[i, k] / d Y[i, j]
-    # the map is  G = V A^{-1} V^T (S^{1/2} (x) I_n); its (k, j) partial trace
-    # is tr(Vb[k] A^{-1} (sum_a root[a, j] Vb[a]^T)) restricted to matching rows.
-    Ainv = np.linalg.inv(A)
-    div = np.zeros((d, d))
-    for j in range(d):
-        for k in range(d):
-            m = np.zeros((q, q))
-            for a in range(d):
-                if root[a, j] != 0.0:
-                    m += root[a, j] * (Vb[a].T @ Vb[k])
-            div[j, k] = np.trace(Ainv @ m) / n
-    return DenoiserEval(value, div)

@@ -30,7 +30,6 @@ import numpy as np
 from .denoise import (
     DomainError,
     _bg_responsibility,
-    _gaussian_inner_system,
     _psd_sqrt,
     posterior_mean_scalar,
     posterior_variance_scalar,
@@ -370,24 +369,6 @@ def refine_fixed_point(
             res_new = g(q_new)
         q, res = q_new, res_new
     return q, float(np.abs(res).max())
-
-
-def gaussian_overlap(V: np.ndarray, S: np.ndarray, n: int) -> np.ndarray:
-    """Finite-n overlap matrix for a zero-mean Gaussian prior with vec-covariance
-    V V^T (column-major vec): (1/n) tr_n{V (I+W)^{-1} W V^T}, W = V^T (S (x) I) V."""
-    V = np.asarray(V, float)
-    S = np.asarray(S, float)
-    d = V.shape[0] // n
-    if V.shape[0] != n * d:
-        raise DomainError("factor rows must equal n*d")
-    q = V.shape[1]
-    Vb, W = _gaussian_inner_system(V, S, n)
-    M = np.linalg.solve(np.eye(q) + W, W)
-    psi = np.empty((d, d))
-    for k in range(d):
-        for l in range(d):
-            psi[k, l] = np.einsum("ip,pq,iq->", Vb[k], M, Vb[l]) / n
-    return (psi + psi.T) / 2.0
 
 
 @dataclass

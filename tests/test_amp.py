@@ -114,12 +114,6 @@ def test_q_hat_is_psd_and_norm_bounded():
     assert np.linalg.norm(tr.Q_hat[-1]) <= np.linalg.norm(m_final) ** 2 / inst.n + 1e-10
 
 
-def test_diagnostic_reports_lipschitz_sup():
-    rep = _diagnostic_setup("divergence", seed=93, n=1000, t=4)
-    assert rep.lipschitz_sup.shape == (4, 1)
-    assert np.all(rep.lipschitz_sup > 0)
-
-
 def test_divergence_error_reports_iteration(monkeypatch):
     inst = scalar_instance(1.0, n=200, seed=51)
 

@@ -373,6 +373,19 @@ def test_phase_diagram_reports_unconverged_se(tmp_path, monkeypatch, capsys):
     assert (out / "manifest.json").exists()
 
 
+def test_interrupted_simulate_does_not_offer_resume(tmp_path, monkeypatch, capsys):
+    # only phase-diagram resumes, so another command's interrupt names no --resume
+    path = scalar_cfg(tmp_path, trials=1, n=100, max_iter=2)
+
+    def run_symmetric(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run_symmetric", run_symmetric)
+    assert cli.main(["simulate", "--config", path]) == 4
+    err = capsys.readouterr().err
+    assert "interrupted" in err and "--resume" not in err
+
+
 def test_phase_diagram_keeps_rows_on_numerical_failure(tmp_path, monkeypatch, capsys):
     # the bound solve of the second eps fails: eps 0.5 is on disk, and --resume
     # computes only eps 1.0
@@ -510,6 +523,8 @@ def test_bad_flag_values_exit_2(tmp_path, capsys, flags):
     {"xi": [[0.7, 0.3], [0.2, 0.7]]},
     {"eps": [1.5]},
     {"target_norms": []},
+    {"eps": []},
+    {"grid_res": 2001},
 ])
 def test_sweep_section_checked_at_load(tmp_path, capsys, patch):
     raw = json.loads(open(sweep_cfg(tmp_path, [0.5, 2.0])).read())

@@ -170,73 +170,24 @@ def test_block_denoiser_reads_only_diag():
 
 
 def test_block_denoiser_is_the_exact_posterior_mean():
-    # two BG(1) blocks are a Gaussian prior N(0, V V^T) on vec(X), V the n*d x n
-    # selector of the block entries; the raw iterate Xt = X S + Z, rows of Z
-    # N(0, S), is the channel Xt S^{-1/2} = X S^{1/2} + N(0, I) of the
-    # matrix denoiser, whose posterior mean uses the full non-diagonal S
+    # row i of block k of the raw iterate is y = x a + z with a = S[k, :],
+    # z ~ N(0, S) and x ~ N(0, 1) (a BG(1) block); its posterior mean
+    # a^T S^{-1} y / (1 + a^T S^{-1} a) is solved on the full non-diagonal S,
+    # and its gradient S^{-1} a / (1 + a^T S^{-1} a) gives D[:, k] (n_k / n)
     prof = model.BlockPriorProfile((BG1, BG1), (0.6, 0.4))
     n = 10
     S = np.array([[1.3, 0.5], [0.5, 0.8]])
-    V = np.zeros((2 * n, n))
-    for j, sl in enumerate(prof.block_slices(n)):
-        for i in range(sl.start, sl.stop):
-            V[j * n + i, i] = 1.0
     Xt = np.random.default_rng(9).standard_normal((n, 2))
-    evals, evecs = np.linalg.eigh(S)
-    inv_root = evecs @ np.diag(evals ** -0.5) @ evecs.T
     ev = denoise.block_denoiser(prof, S, Xt)
-    ref = denoise.gaussian_matrix_denoiser(V, S, Xt @ inv_root)
-    assert np.abs(ev.value - ref.value).max() < 1e-12
-    # chain rule: d/dXt = S^{-1/2} d/d(Xt S^{-1/2})
-    assert np.abs(ev.divergence - inv_root @ ref.divergence).max() < 1e-12
-
-
-def test_gaussian_matrix_denoiser_isotropic_reduction():
-    n = 9
-    Y = np.random.default_rng(5).standard_normal((n, 1))
-    s = 1.9
-    ev = denoise.gaussian_matrix_denoiser(np.eye(n), np.array([[s]]), Y)
-    assert np.allclose(ev.value, np.sqrt(s) / (1 + s) * Y, atol=1e-12)
-    assert np.allclose(ev.divergence, [[np.sqrt(s) / (1 + s)]])
-
-
-def test_gaussian_matrix_denoiser_zero_snr():
-    n = 6
-    Y = np.random.default_rng(6).standard_normal((n, 2))
-    V = np.random.default_rng(7).standard_normal((2 * n, 3))
-    ev = denoise.gaussian_matrix_denoiser(V, np.zeros((2, 2)), Y)
-    assert np.abs(ev.value).max() == 0.0
-
-
-def test_gaussian_matrix_denoiser_normal_equations_oracle():
-    # rank-1 factor, n=5, d=2, against the dense posterior-mean solve
-    rng = np.random.default_rng(8)
-    n, d, q = 5, 2, 1
-    V = rng.standard_normal((n * d, q))
-    S = np.array([[0.9, 0.2], [0.2, 0.5]])
-    evals, evecs = np.linalg.eigh(S)
-    root = evecs @ np.diag(np.sqrt(evals)) @ evecs.T
-    Y = rng.standard_normal((n, d))
-    ev = denoise.gaussian_matrix_denoiser(V, S, Y)
-    A = np.kron(root, np.eye(n))
-    Phi = V @ V.T
-    y = Y.reshape(-1, order="F")
-    mean = Phi @ A.T @ np.linalg.solve(A @ Phi @ A.T + np.eye(n * d), y)
-    assert np.abs(mean - ev.value.reshape(-1, order="F")).max() < 1e-10
-    G = Phi @ A.T @ np.linalg.inv(A @ Phi @ A.T + np.eye(n * d))
-    div = np.zeros((d, d))
-    for j in range(d):
-        for k in range(d):
-            div[j, k] = np.trace(G[k * n : (k + 1) * n, j * n : (j + 1) * n]) / n
-    assert np.abs(div - ev.divergence).max() < 1e-10
-
-
-def test_gaussian_matrix_denoiser_conditioning_error():
-    n = 4
-    V = np.diag([1e9, 1e9, 1e-9, 1e-9]).astype(float)
-    Y = np.ones((n, 1))
-    with pytest.raises(denoise.NumericalConditioningError):
-        denoise.gaussian_matrix_denoiser(V, np.array([[1.0]]), Y)
+    value = np.zeros((n, 2))
+    div = np.zeros((2, 2))
+    for k, sl in enumerate(prof.block_slices(n)):
+        a = S[k, :]
+        w = np.linalg.solve(S, a) / (1.0 + a @ np.linalg.solve(S, a))
+        value[sl, k] = Xt[sl] @ w
+        div[:, k] = (sl.stop - sl.start) / n * w
+    assert np.abs(ev.value - value).max() < 1e-12
+    assert np.abs(ev.divergence - div).max() < 1e-12
 
 
 @settings(max_examples=40, deadline=None)

@@ -296,44 +296,8 @@ def test_se_order_preserving_on_diagonals():
 
 
 # ---------------------------------------------------------------------------
-# Gaussian overlap and MMSE gradient identity
+# MMSE gradient identity
 # ---------------------------------------------------------------------------
-
-def test_gaussian_overlap_isotropic_and_zero():
-    n = 8
-    for s in [0.4, 2.0]:
-        psi = se.gaussian_overlap(np.eye(n), np.array([[s]]), n)
-        assert abs(psi[0, 0] - s / (1 + s)) < 1e-12
-    psi0 = se.gaussian_overlap(np.eye(2 * n), np.zeros((2, 2)), n)
-    assert np.abs(psi0).max() == 0.0
-
-
-def test_gaussian_overlap_matches_monte_carlo():
-    rng = np.random.default_rng(11)
-    n, d, q = 6, 2, 2
-    V = rng.standard_normal((n * d, q))
-    S = np.array([[0.8, 0.1], [0.1, 0.4]])
-    psi = se.gaussian_overlap(V, S, n)
-    evals, evecs = np.linalg.eigh(S)
-    root = evecs @ np.diag(np.sqrt(evals)) @ evecs.T
-    A = np.kron(root, np.eye(n))
-    Phi = V @ V.T
-    G = Phi @ A.T @ np.linalg.inv(A @ Phi @ A.T + np.eye(n * d))
-    N = 40_000
-    xs = V @ rng.standard_normal((q, N))
-    ys = A @ xs + rng.standard_normal((n * d, N))
-    est = G @ ys  # nd x N posterior means
-    acc = np.zeros((d, d))
-    vals = np.zeros(N)
-    for a in range(d):
-        for b in range(d):
-            prod = (est[a * n : (a + 1) * n] * est[b * n : (b + 1) * n]).sum(axis=0) / n
-            acc[a, b] = prod.mean()
-            if a == b == 0:
-                vals = prod
-    band = 4 * vals.std() / np.sqrt(N)
-    assert np.abs(acc - psi).max() < band + 1e-3
-
 
 def test_mmse_gradient_check_rademacher():
     prof = model.BlockPriorProfile((RAD, RAD), (0.6, 0.4))
