@@ -183,7 +183,8 @@ def test_block_denoiser_is_the_exact_posterior_mean():
     div = np.zeros((2, 2))
     for k, sl in enumerate(prof.block_slices(n)):
         a = S[k, :]
-        w = np.linalg.solve(S, a) / (1.0 + a @ np.linalg.solve(S, a))
+        Sinv_a = np.linalg.solve(S, a)
+        w = Sinv_a / (1.0 + a @ Sinv_a)
         value[sl, k] = Xt[sl] @ w
         div[:, k] = (sl.stop - sl.start) / n * w
     assert np.abs(ev.value - value).max() < 1e-12
