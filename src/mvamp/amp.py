@@ -126,7 +126,9 @@ def run_symmetric(instance: MTPInstance, config: AMPConfig) -> AMPTrace:
     profile. It takes the raw iterate X^t and S_t = T(Q_hat^t) and returns M^t
     with its divergence with respect to X^t, which the Onsager term uses
     (unless ablated). The profile's block slices also place the init noise
-    and the per-block MSE.
+    and the per-block MSE. ``DivergenceError(t)`` is raised as soon as X^t
+    or S_t (before the denoiser is called), or M^t or its divergence, is not
+    finite.
 
     Y_k is never formed: each view's product Y_k M is the noise part
     G_k M / sqrt(n) plus the rank-d spike X Lambda_k (X^T M) / n. Every M^t is
@@ -165,10 +167,11 @@ def run_symmetric(instance: MTPInstance, config: AMPConfig) -> AMPTrace:
             Xt = -M_prev2 @ B_prev.T
             for k, lam in enumerate(lams):
                 Xt += _view_product(instance, k, M_prev, slices) @ lam.T
-        if not np.isfinite(Xt).all():
+            # the iterate's law is X S_t + Z with row covariance S_t = T(Q_hat)
+            S_t = op.apply(Q_hat[-1])
+        if not (np.isfinite(Xt).all() and np.isfinite(S_t).all()):
             raise DivergenceError(t)
-        # the iterate's law is X S_t + Z with row covariance S_t = T(Q_hat)
-        ev = block_denoiser(profile, op.apply(Q_hat[-1]), Xt)
+        ev = block_denoiser(profile, S_t, Xt)
         M_t, D_t = ev.value, ev.divergence
         if not (np.isfinite(M_t).all() and np.isfinite(D_t).all()):
             raise DivergenceError(t)

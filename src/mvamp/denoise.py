@@ -9,6 +9,7 @@ finite for arbitrarily large |y|.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +34,12 @@ class DenoiserEval:
 
 
 def _check_snr(s: float) -> float:
+    """s as a float; DomainError unless it is finite and nonnegative."""
     s = float(s)
+    if not math.isfinite(s):
+        raise DomainError(f"SNR must be finite, got {s}")
     if s < 0:
-        raise DomainError(f"channel SNR must be nonnegative, got {s}")
+        raise DomainError(f"SNR must be nonnegative, got {s}")
     return s
 
 

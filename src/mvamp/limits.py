@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoise import DomainError, _bg_log_terms
+from .denoise import DomainError, _bg_log_terms, _check_snr
 from .model import (
     GAUSSIAN,
     RADEMACHER,
@@ -37,13 +37,14 @@ from .se import (
     PrecisionError,
     _bg_breaks,
     _panel_sum,
-    _snr,
     overlap_psi_scalar,
     refine_fixed_point,
 )
 
 
 _LOG_NORM = -0.5 * np.log(2.0 * np.pi)
+_KL_ORDER = 80        # Gauss-Legendre nodes per panel of kl_channel
+_IMMSE_FD_REL = 1e-3  # relative finite-difference step of immse_consistency
 
 
 def _p_log_p_over_phi(logp):
@@ -91,13 +92,13 @@ def _kl_once(prior: ScalarPrior, s: float, order: int) -> tuple[float, float]:
     return 2.0 * v1, 2.0 * v2
 
 
-def kl_channel(prior: ScalarPrior, s: float, order: int = 80) -> float:
+def kl_channel(prior: ScalarPrior, s: float) -> float:
     """KL(P_{sqrt(s) X + Z} || P_Z) >= 0, by panel integration of p log(p/phi);
     the doubled-order evaluation must agree to max(1e-12, 1e-8 |D|)."""
-    s = _snr(s)
+    s = _check_snr(s)
     if s == 0.0:
         return 0.0
-    v1, v2 = _kl_once(prior, s, order)
+    v1, v2 = _kl_once(prior, s, _KL_ORDER)
     if not abs(v1 - v2) <= max(1e-12, 1e-8 * abs(v2)):
         raise PrecisionError(
             f"KL integration not converged for {prior.name} at s={s}: "
@@ -128,12 +129,12 @@ def kl_channel_monte_carlo(prior: ScalarPrior, s: float, n_samples: int, seed=0)
     return float(np.mean(logratio))
 
 
-def immse_consistency(prior: ScalarPrior, s_grid, fd_rel: float = 1e-3) -> float:
+def immse_consistency(prior: ScalarPrior, s_grid) -> float:
     """Max deviation of centered finite differences of kl_channel from half the
     scalar overlap (the I-MMSE identity dD/ds = psi(s)/2)."""
     worst = 0.0
     for s in np.asarray(s_grid, float):
-        h = max(1e-4, fd_rel * s)
+        h = max(1e-4, _IMMSE_FD_REL * s)
         fd = (kl_channel(prior, s + h) - kl_channel(prior, max(s - h, 0.0))) / (
             (s + h) - max(s - h, 0.0)
         )

@@ -30,6 +30,7 @@ import numpy as np
 from .denoise import (
     DomainError,
     _bg_responsibility,
+    _check_snr,
     _psd_sqrt,
     posterior_mean_scalar,
     posterior_variance_scalar,
@@ -179,21 +180,11 @@ def _psi_once(prior: ScalarPrior, s: float, order: int) -> tuple[float, float]:
     return _psi_bg(s, prior.eps, order)
 
 
-def _snr(s) -> float:
-    """s as a float; DomainError unless it is finite and nonnegative."""
-    s = float(s)
-    if not math.isfinite(s):
-        raise DomainError(f"SNR must be finite, got {s}")
-    if s < 0:
-        raise DomainError(f"SNR must be nonnegative, got {s}")
-    return s
-
-
 def overlap_psi_scalar(prior: ScalarPrior, s: float, order: int = 61) -> float:
     """E[E[X | sqrt(s) X + Z]^2] in [0, 1]; raises PrecisionError if the
     quadrature has not converged (order vs. doubled order beyond 1e-8, or a
     value that is not finite)."""
-    s = _snr(s)
+    s = _check_snr(s)
     if s == 0.0:
         return 0.0
     v1, v2 = _psi_once(prior, s, order)
@@ -207,7 +198,7 @@ def overlap_psi_scalar(prior: ScalarPrior, s: float, order: int = 61) -> float:
 
 def overlap_psi_derivative_scalar(prior: ScalarPrior, s: float, order: int = 61) -> float:
     """d psi / d s by central differences (step max(1e-5, 1e-3 s))."""
-    s = _snr(s)
+    s = _check_snr(s)
     h = max(1e-5, 1e-3 * s)
     if s - h < 0:
         return (overlap_psi_scalar(prior, s + h, order) - overlap_psi_scalar(prior, s, order)) / h
@@ -337,12 +328,14 @@ def run_se(
     return SETrajectory(np.array(qs), np.array(ss), converged)
 
 
+_REFINE_TOL = 1e-12      # max-norm residual at which refine_fixed_point stops
+_REFINE_MAX_ITER = 200
+
+
 def refine_fixed_point(
     model: OverlapModel,
     H: np.ndarray,
     q: np.ndarray,
-    tol: float = 1e-12,
-    max_iter: int = 200,
 ) -> tuple[np.ndarray, float]:
     """Polish a block fixed point of q = beta * psi(H q) by damped Newton with
     a fixed-point fallback; returns (q_star, residual)."""
@@ -353,9 +346,9 @@ def refine_fixed_point(
         return model.psi_vector(H @ qv) - qv
 
     res = g(q)
-    for _ in range(max_iter):
+    for _ in range(_REFINE_MAX_ITER):
         nrm = float(np.abs(res).max())
-        if nrm < tol:
+        if nrm < _REFINE_TOL:
             break
         J = np.diag(model.dpsi_vector(H @ q)) @ H - np.eye(model.d)
         try:
@@ -381,15 +374,17 @@ class GradientCheckReport:
     passed: bool
 
 
+_GRADIENT_FD_STEP = 1e-3   # step of the finite differences of M along each direction
+_GRADIENT_SIGMA_TOL = 3.0  # pass bound on |fd - pred| in standard errors
+
+
 def mmse_gradient_check(
     model: OverlapModel,
     S: np.ndarray,
     n_small: int,
     n_samples: int = 20_000,
     n_directions: int = 3,
-    fd_step: float = 1e-3,
     seed=0,
-    sigma_tol: float = 3.0,
 ) -> GradientCheckReport:
     """Monte Carlo verification that the MMSE gradient equals -E[Psi(H_S)].
 
@@ -439,23 +434,24 @@ def mmse_gradient_check(
     ses = np.zeros((n_directions, d))
     worst = 0.0
     for m, Delta in enumerate(directions):
-        Mp, _ = per_sample_stats(S + fd_step * Delta)
-        Mm, _ = per_sample_stats(S - fd_step * Delta)
-        fd = (Mp - Mm) / (2.0 * fd_step)          # per-sample FD of M diagonal
-        pred = -Pd0 * np.diag(Delta)[None, :]     # -E[Psi] vec(Delta), diagonal part
+        Mp, _ = per_sample_stats(S + _GRADIENT_FD_STEP * Delta)
+        Mm, _ = per_sample_stats(S - _GRADIENT_FD_STEP * Delta)
+        fd = (Mp - Mm) / (2.0 * _GRADIENT_FD_STEP)  # per-sample FD of M diagonal
+        pred = -Pd0 * np.diag(Delta)[None, :]       # -E[Psi] vec(Delta), diagonal part
         fd_means[m] = fd.mean(axis=0)
         pred_means[m] = pred.mean(axis=0)
         se = np.sqrt(fd.var(axis=0) / n_samples + pred.var(axis=0) / n_samples)
         ses[m] = se
         for j in range(d):
             scale = abs(pred_means[m, j])
-            if scale > 1e-4 and sigma_tol * se[j] > 0.5 * scale:
+            bound = _GRADIENT_SIGMA_TOL * se[j]
+            if scale > 1e-4 and bound > 0.5 * scale:
                 raise InconclusiveCheckError(
                     f"Monte Carlo error too large to resolve gradient entry "
-                    f"(direction {m}, block {j}): 3*se={sigma_tol * se[j]:.2e} vs scale {scale:.2e}"
+                    f"(direction {m}, block {j}): 3*se={bound:.2e} vs scale {scale:.2e}"
                 )
             dev = abs(fd_means[m, j] - pred_means[m, j]) / max(se[j], 1e-300)
             worst = max(worst, dev)
     return GradientCheckReport(
-        directions, fd_means, pred_means, ses, worst, bool(worst <= sigma_tol)
+        directions, fd_means, pred_means, ses, worst, bool(worst <= _GRADIENT_SIGMA_TOL)
     )

@@ -2,9 +2,14 @@
 state-evolution fixed points.
 
 A map T(X) = sum_k L_k X L_k^T is completely positive; its Choi matrix
-sum_k vec(L_k) vec(L_k)^T encodes a canonical Kraus form, and when T commutes
-with transposition its eigenbasis splits into d(d+1)/2 symmetric and
-d(d-1)/2 skew-symmetric matrices.
+sum_k vec(L_k) vec(L_k)^T encodes a canonical Kraus form. Every Kraus form
+has T(X^T) = T(X)^T, so T maps the d(d+1)/2-dimensional symmetric matrices
+and the d(d-1)/2-dimensional skew-symmetric ones into themselves, and when T
+is self-adjoint its eigenbasis is the union of the eigenbases of the two
+restrictions. The PSD-cone norm max { ||T(Y)||_F : Y PSD, ||Y||_F = 1 } is
+the top singular value of T on symmetric matrices: T* T is again completely
+positive, so it maps the PSD cone into itself, and by Krein-Rutman its top
+eigenvalue has a PSD eigenvector.
 
 Stability of a fixed point is decided by the norm of the linearized SE map.
 For block profiles state evolution is the vector recursion
@@ -23,12 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denoise import DomainError
-from .model import rng_from
 from .se import OperatorT, OverlapModel
-
-
-class NonconvergenceError(RuntimeError):
-    pass
 
 
 class FixedPointPreconditionError(ValueError):
@@ -88,9 +88,28 @@ class SpectralForm:
     symmetric_flags: np.ndarray | None # True where U_i is symmetric
 
 
+def _symmetric_basis(d: int, skew: bool = False) -> np.ndarray:
+    """Orthonormal vec basis, one column per matrix, of the symmetric d x d
+    matrices (E_aa and (E_ab + E_ba) / sqrt(2)) or, with ``skew``, of the
+    skew-symmetric ones ((E_ab - E_ba) / sqrt(2)). Any combination of the
+    columns is exactly symmetric or exactly skew."""
+    cols = []
+    for a in range(d):
+        for b in range(a + 1 if skew else a, d):
+            E = np.zeros((d, d))
+            if a == b:
+                E[a, a] = 1.0
+            else:
+                E[a, b] = 1.0 / np.sqrt(2.0)
+                E[b, a] = -E[a, b] if skew else E[a, b]
+            cols.append(_vec(E))
+    return np.array(cols).reshape(-1, d * d).T
+
+
 def choi_and_kraus(op: CPOperator) -> SpectralForm:
-    """Assemble and eigendecompose the Choi matrix; recombine the operator
-    eigenbasis into symmetric / skew-symmetric elements when possible."""
+    """Assemble and eigendecompose the Choi matrix; when the map is
+    self-adjoint, eigendecompose it on the symmetric and on the skew matrices
+    separately, so each basis matrix is exactly symmetric or skew."""
     d = op.d
     choi = np.zeros((d * d, d * d))
     for L in op.kraus:
@@ -106,124 +125,42 @@ def choi_and_kraus(op: CPOperator) -> SpectralForm:
     M = op.matrix_rep()
     eigenvalues = eigenvectors = flags = None
     if np.abs(M - M.T).max() <= 1e-10 * max(1.0, np.abs(M).max()):
-        lam, U = np.linalg.eigh(M)
-        order = np.argsort(lam)[::-1]
-        lam, U = lam[order], U[:, order]
-        eigenvalues, eigenvectors, flags = _symmetric_skew_basis(lam, U, d)
+        vals, mats, sym = [], [], []
+        for skew in (False, True):
+            B = _symmetric_basis(d, skew)
+            lam, W = np.linalg.eigh(B.T @ M @ B)
+            vals.append(lam)
+            mats += [_unvec(B @ w, d) for w in W.T]
+            sym.append(np.full(lam.size, not skew))
+        vals, sym = np.concatenate(vals), np.concatenate(sym)
+        order = np.argsort(-vals, kind="stable")
+        eigenvalues, flags = vals[order], sym[order]
+        eigenvectors = [mats[i] for i in order]
     return SpectralForm(choi, theta, canonical, rank, eigenvalues, eigenvectors, flags)
 
 
-def _symmetric_skew_basis(lam: np.ndarray, U: np.ndarray, d: int):
-    """Recombine eigenvectors within each eigenvalue cluster so that each basis
-    matrix is exactly symmetric or skew-symmetric (possible when the operator
-    commutes with transposition)."""
-    out_vals, out_mats, out_flags = [], [], []
-    scale = max(1.0, float(np.abs(lam).max()))
-    i = 0
-    while i < len(lam):
-        j = i
-        while j + 1 < len(lam) and abs(lam[j + 1] - lam[i]) <= 1e-8 * scale:
-            j += 1
-        group = [_unvec(U[:, k], d) for k in range(i, j + 1)]
-        sym_parts = [(g + g.T) / 2.0 for g in group]
-        skew_parts = [(g - g.T) / 2.0 for g in group]
-        for parts, flag in ((sym_parts, True), (skew_parts, False)):
-            A = np.column_stack([_vec(p) for p in parts])
-            # orthonormal basis of the span via SVD
-            u, sv, _ = np.linalg.svd(A, full_matrices=False)
-            for k in range(len(sv)):
-                if sv[k] > 1e-9:
-                    out_vals.append(lam[i])
-                    out_mats.append(_unvec(u[:, k], d))
-                    out_flags.append(flag)
-        i = j + 1
-    return np.array(out_vals), out_mats, np.array(out_flags, bool)
+def restricted_psd_norm(op: CPOperator, return_direction: bool = False):
+    """max { ||op(Y)||_F : Y PSD, ||Y||_F = 1 }, exactly.
 
-
-def _project_psd(Y: np.ndarray) -> np.ndarray:
-    Y = (Y + Y.T) / 2.0
-    evals, evecs = np.linalg.eigh(Y)
-    evals = np.clip(evals, 0.0, None)
-    return (evecs * evals) @ evecs.T
-
-
-def _symmetric_basis(d: int) -> np.ndarray:
-    cols = []
-    for a in range(d):
-        for b in range(a, d):
-            E = np.zeros((d, d))
-            if a == b:
-                E[a, a] = 1.0
-            else:
-                E[a, b] = E[b, a] = 1.0 / np.sqrt(2.0)
-            cols.append(_vec(E))
-    return np.column_stack(cols)
-
-
-def restricted_psd_norm(
-    op: CPOperator,
-    tol: float = 1e-8,
-    restarts: int = 20,
-    max_iter: int = 3000,
-    seed=0,
-    return_direction: bool = False,
-):
-    """max { ||op(Y)||_F : Y PSD, ||Y||_F = 1 } by projected power ascent.
-
-    The iteration runs on op* op with a PSD-cone projection, from ``restarts``
-    random PSD starts, and is cross-checked against the leading singular value
-    of op restricted to the symmetric subspace (an upper bound). If the
-    unconstrained symmetric maximizer is itself (+/-) PSD the bound is attained
-    and returned directly.
+    It is nu = ||A||_2 for A, the map restricted to symmetric matrices in the
+    basis of ``_symmetric_basis``. The maximizing direction is the normalized
+    orthogonal projection of I onto the top eigenspace of A^T A (eigenvalues
+    within 1e-10 relative of the top): A^T A preserves the PSD cone, so its
+    power iteration from I stays PSD and converges to that projection. The
+    zero map gives 0.0 with direction I / sqrt(d).
     """
     d = op.d
-    M = op.matrix_rep()
     B = _symmetric_basis(d)
-    MB = M @ B
-    u, sv, vt = np.linalg.svd(MB, full_matrices=False)
-    upper = float(sv[0])
-    if upper == 0.0:
+    A = B.T @ op.matrix_rep() @ B
+    w, V = np.linalg.eigh(A.T @ A)
+    nu = float(np.sqrt(max(w[-1], 0.0)))
+    if nu == 0.0:
         return (0.0, np.eye(d) / np.sqrt(d)) if return_direction else 0.0
-    top = _unvec(B @ vt[0], d)
-    evs = np.linalg.eigvalsh(top)
-    if evs.min() >= -1e-10 or evs.max() <= 1e-10:
-        Ybest = _project_psd(top if evs.min() >= -1e-10 else -top)
-        Ybest /= np.linalg.norm(Ybest)
-        return (upper, Ybest) if return_direction else upper
-
-    G = M.T @ M
-    rng = rng_from(seed)
-    best_val, best_dir = -np.inf, None
-    failures = 0
-    for _ in range(restarts):
-        A0 = rng.standard_normal((d, d))
-        Y = _project_psd(A0 @ A0.T)
-        Y /= np.linalg.norm(Y)
-        prev = -np.inf
-        converged = False
-        for _ in range(max_iter):
-            Z = _project_psd(_unvec(G @ _vec(Y), d))
-            nz = np.linalg.norm(Z)
-            if nz == 0.0:
-                break
-            Y = Z / nz
-            val = float(np.linalg.norm(M @ _vec(Y)))
-            if abs(val - prev) < tol * max(1.0, val):
-                converged = True
-                prev = val
-                break
-            prev = val
-        if not converged:
-            failures += 1
-        if prev > best_val:
-            best_val, best_dir = prev, Y
-    if failures > restarts // 2:
-        raise NonconvergenceError(f"{failures}/{restarts} ascent restarts failed to converge")
-    if best_val > upper * (1.0 + 10.0 * tol):
-        raise NonconvergenceError(
-            f"cone maximum {best_val} exceeds symmetric-subspace bound {upper}"
-        )
-    return (best_val, best_dir) if return_direction else best_val
+    if not return_direction:
+        return nu
+    top = V[:, w >= w[-1] * (1.0 - 1e-10)]
+    Y = _unvec(B @ (top @ (top.T @ (B.T @ _vec(np.eye(d))))), d)
+    return nu, Y / np.linalg.norm(Y)
 
 
 @dataclass

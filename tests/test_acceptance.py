@@ -257,15 +257,14 @@ def test_criterion_10_operator_toolkit_invariants():
         tuple((a + a.T) / 2 for a in rng.standard_normal((2, 2, 2)))
     )
     nu2 = stability.restricted_psd_norm(op2)
-    best = 0.0
-    for th in np.linspace(0, np.pi, 1000):
-        cth, sth = np.cos(th), np.sin(th)
-        R = np.array([[cth, -sth], [sth, cth]])
-        for ph in np.linspace(0, np.pi / 2, 1000):
-            Y = R @ np.diag([np.cos(ph), np.sin(ph)]) @ R.T
-            v = float(np.linalg.norm(op2.apply(Y)))
-            if v > best:
-                best = v
+    # unit-Frobenius PSD Y = R diag(cos ph, sin ph) R^T over a rotation x split
+    # grid, in one broadcast
+    th = np.linspace(0, np.pi, 1000)
+    ph = np.linspace(0, np.pi / 2, 1000)
+    cth, sth = np.cos(th), np.sin(th)
+    R = np.stack([np.stack([cth, -sth], -1), np.stack([sth, cth], -1)], -2)
+    Y = np.einsum("tia,pa,tja->tpij", R, np.stack([np.cos(ph), np.sin(ph)], -1), R)
+    best = float(np.linalg.norm(op2.apply(Y), axis=(-2, -1)).max())
     grid_ok = abs(nu2 - best) < 1e-4
     _report(
         10,

@@ -126,6 +126,23 @@ def test_divergence_error_reports_iteration(monkeypatch):
     assert exc.value.iteration == 1
 
 
+def test_overflowing_overlap_is_a_divergence(monkeypatch):
+    # a finite but huge M^1 overflows Q_hat^1 to inf; S_2 = T(Q_hat^1) is then
+    # not finite, which is a divergence at iteration 2, before the denoiser runs
+    inst = scalar_instance(1.0, n=200, seed=51)
+    calls = []
+
+    def huge_denoiser(profile, S, Y):
+        calls.append(S)
+        return denoise.DenoiserEval(np.full_like(Y, 1e200), np.zeros((1, 1)))
+
+    monkeypatch.setattr(amp, "block_denoiser", huge_denoiser)
+    with np.errstate(over="ignore"), pytest.raises(amp.DivergenceError) as exc:
+        amp.run_symmetric(inst, amp.AMPConfig(max_iter=5, rho=0.1, seed=52))
+    assert exc.value.iteration == 2
+    assert len(calls) == 1 and np.isfinite(calls[0]).all()
+
+
 BG01 = model.ScalarPrior.bernoulli_gaussian(0.1)
 PROF_RAD_BG = model.BlockPriorProfile((RAD, BG01), (0.6, 0.4))
 # two views that do not commute, so the multi-view sum is not one rescaled view

@@ -56,6 +56,12 @@ def test_negative_snr_rejected():
         denoise.posterior_mean_scalar(RAD, -0.1, 0.0)
     with pytest.raises(denoise.DomainError):
         denoise.posterior_mean_derivative_scalar(GAUSS, -1.0, 0.0)
+    # a NaN or infinite SNR is refused as well, not turned into NaN values
+    for s in (float("nan"), float("inf"), float("-inf")):
+        for fn in (denoise.posterior_mean_scalar, denoise.posterior_mean_derivative_scalar,
+                   denoise.posterior_variance_scalar):
+            with pytest.raises(denoise.DomainError):
+                fn(RAD, s, [0.0, 1.0])
 
 
 def test_derivative_matches_finite_differences():

@@ -17,6 +17,18 @@ def random_symmetric_kraus(rng, d, k):
     return stability.CPOperator(tuple(mats))
 
 
+def grid_oracle_d2(op):
+    """max ||op(Y)||_F over the unit-Frobenius PSD Y = R diag(cos ph, sin ph) R^T,
+    R the rotation by th, on the grid th in linspace(0, pi, 1000) x
+    ph in linspace(0, pi/2, 1000), evaluated in one broadcast."""
+    th = np.linspace(0, np.pi, 1000)
+    ph = np.linspace(0, np.pi / 2, 1000)
+    c, s = np.cos(th), np.sin(th)
+    R = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+    Y = np.einsum("tia,pa,tja->tpij", R, np.stack([np.cos(ph), np.sin(ph)], -1), R)
+    return float(np.linalg.norm(op.apply(Y), axis=(-2, -1)).max())
+
+
 # ---------------------------------------------------------------------------
 # Choi matrix and canonical Kraus form
 # ---------------------------------------------------------------------------
@@ -49,6 +61,16 @@ def test_choi_reconstruction_and_eigencounts():
         assert np.abs(rec - op.apply(x)).max() < 1e-10
     assert sf.symmetric_flags.sum() == 3
     assert (~sf.symmetric_flags).sum() == 1
+    # each basis matrix is exactly symmetric or exactly skew, the basis is
+    # orthonormal, and each matrix is an eigenvector of the map
+    assert np.all(sf.eigenvalues[:-1] >= sf.eigenvalues[1:])
+    M = op.matrix_rep()
+    vecs = np.column_stack([U.reshape(-1, order="F") for U in sf.eigenvectors])
+    assert np.abs(vecs.T @ vecs - np.eye(4)).max() < 1e-12
+    for lam, U, sym in zip(sf.eigenvalues, sf.eigenvectors, sf.symmetric_flags):
+        assert np.array_equal(U, U.T) if sym else np.array_equal(U, -U.T)
+        u = U.reshape(-1, order="F")
+        assert np.abs(M @ u - lam * u).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -67,18 +89,29 @@ def test_restricted_norm_diagonal_conjugation():
 
 
 def test_restricted_norm_matches_grid_oracle_d2():
-    # brute-force over rotations x eigenvalue splits of unit-Frobenius PSD Y
+    # brute-force over rotations x eigenvalue splits of unit-Frobenius PSD Y,
+    # for symmetric Kraus factors and for general ones
     rng = np.random.default_rng(7)
-    op = random_symmetric_kraus(rng, 2, 2)
-    nu = stability.restricted_psd_norm(op)
-    best = 0.0
-    for th in np.linspace(0, np.pi, 1000):
-        c, s0 = np.cos(th), np.sin(th)
-        R = np.array([[c, -s0], [s0, c]])
-        for ph in np.linspace(0, np.pi / 2, 1000):
-            Y = R @ np.diag([np.cos(ph), np.sin(ph)]) @ R.T
-            best = max(best, float(np.linalg.norm(op.apply(Y))))
-    assert abs(nu - best) < 1e-4
+    symmetric = random_symmetric_kraus(rng, 2, 2)
+    general = stability.CPOperator(tuple(rng.standard_normal((2, 2, 2))))
+    for op in (symmetric, general):
+        nu = stability.restricted_psd_norm(op)
+        assert abs(nu - grid_oracle_d2(op)) < 1e-4
+
+
+def test_restricted_norm_degenerate_top_singular_value():
+    # the top singular value is repeated, so the maximizer is not one singular
+    # vector; the direction must still be PSD, unit and attain nu. The last map
+    # is the one before it conjugated by a rotation, so its top eigenspace is
+    # not spanned by coordinate matrices
+    Q = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))[0]
+    flip = (np.eye(3), np.diag([1.0, -1.0, 1.0]))
+    for kraus in ((np.eye(2),), (np.eye(3),), flip, tuple(Q @ L @ Q.T for L in flip)):
+        op = stability.CPOperator(kraus)
+        nu, Y = stability.restricted_psd_norm(op, return_direction=True)
+        assert np.linalg.eigvalsh(Y).min() >= -1e-12
+        assert abs(np.linalg.norm(Y) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(op.apply(Y)) - nu) < 1e-12
 
 
 def test_restricted_norm_scaling_law():
