@@ -126,9 +126,9 @@ def run_symmetric(instance: MTPInstance, config: AMPConfig) -> AMPTrace:
     profile. It takes the raw iterate X^t and S_t = T(Q_hat^t) and returns M^t
     with its divergence with respect to X^t, which the Onsager term uses
     (unless ablated). The profile's block slices also place the init noise
-    and the per-block MSE. ``DivergenceError(t)`` is raised as soon as X^t
-    or S_t (before the denoiser is called), or M^t or its divergence, is not
-    finite.
+    and the per-block MSE. ``DivergenceError(t)`` is raised as soon as
+    Q_hat^t, X^t or S_t (before the denoiser is called), or M^t or its
+    divergence, is not finite.
 
     Y_k is never formed: each view's product Y_k M is the noise part
     G_k M / sqrt(n) plus the rank-d spike X Lambda_k (X^T M) / n. Every M^t is
@@ -163,6 +163,8 @@ def run_symmetric(instance: MTPInstance, config: AMPConfig) -> AMPTrace:
 
     record(M_prev)
     for t in range(1, config.max_iter + 1):
+        if not np.isfinite(Q_hat[-1]).all():  # T takes finite overlaps only
+            raise DivergenceError(t)
         with np.errstate(invalid="ignore", over="ignore"):
             Xt = -M_prev2 @ B_prev.T
             for k, lam in enumerate(lams):

@@ -18,7 +18,11 @@ trials run concurrently.
 
 from __future__ import annotations
 
+import os
+import threading
 from collections.abc import Sequence
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import index
 
@@ -258,27 +262,99 @@ def _exact_sym(a: np.ndarray) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
+def usable_cores() -> int:
+    """The cores this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+class CoreBudget:
+    """The cores of the process that no thread has claimed. A thread that
+    calls ``claim`` already runs on a core of its own, so at most
+    ``usable_cores() - 1`` are spare; a thread that waits on the threads it
+    starts lends them its own. The budget is process-wide because cores are:
+    concurrent trials and the helper threads of synthesis share one count, so
+    synthesis starts a thread only on a core that no trial or other helper
+    holds."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._claimed = 0
+
+    @contextmanager
+    def claim(self, k: int):
+        """Take up to k spare cores; yield how many were granted (possibly 0)
+        and return them on exit."""
+        with self._lock:
+            got = max(0, min(k, usable_cores() - 1 - self._claimed))
+            self._claimed += got
+        try:
+            yield got
+        finally:
+            with self._lock:
+                self._claimed -= got
+
+
+CORES = CoreBudget()
+
+# panel height of the GOE draw and tile side of its fold; a matrix of one
+# panel takes no thread: it is drawn in less time than a thread takes to start
 _GOE_TILE = 128
 
 
+def _fold_panel(w: np.ndarray, j: int) -> None:
+    """w <- (w + w.T)/sqrt(2) on the tile pairs (i, j), i <= j, of row panel j:
+    the strided reads of w.T stay in cache, and the sum of each entry pair is
+    formed once (addition commutes exactly, so the bits do not change). Each
+    pair is folded once and pairs are disjoint, so panels fold in any order."""
+    s = np.sqrt(2.0)
+    rj = slice(j, j + _GOE_TILE)
+    for i in range(0, j + 1, _GOE_TILE):
+        ri = slice(i, i + _GOE_TILE)
+        tile = w[ri, rj] + w[rj, ri].T
+        tile /= s
+        w[ri, rj] = tile
+        w[rj, ri] = tile.T
+
+
+def _touch_panel(w: np.ndarray, j: int) -> None:
+    """Write one entry per 4 KiB page of row panel j (none past the last row),
+    so its pages are mapped before the generator fills them."""
+    w[j:j + _GOE_TILE].reshape(-1)[::512] = 0.0
+
+
 def sample_goe(n: int, seed) -> np.ndarray:
-    """Symmetric Gaussian matrix (W + W^T)/sqrt(2): off-diagonal variance 1, diagonal 2."""
+    """Symmetric Gaussian matrix (W + W^T)/sqrt(2): off-diagonal variance 1, diagonal 2.
+
+    W is drawn one row panel at a time, the same stream as one (n, n) draw.
+    With a spare core and more than one panel, a helper thread maps the pages
+    of the next panel and folds each drawn panel's tile pairs while the
+    generator fills the next one; otherwise the calling thread folds them
+    itself. The bits are the same either way."""
     if n < 1:
         raise InvalidDimensionError(f"GOE size must be >= 1, got {n}")
     rng = rng_from(seed)
-    w = rng.standard_normal((n, n))
-    # (w + w.T)/sqrt(2) in place, one pair of square tiles at a time: the
-    # strided reads of w.T stay in cache, and the sum of each entry pair is
-    # formed once (addition commutes exactly, so the bits do not change)
-    s = np.sqrt(2.0)
-    for i in range(0, n, _GOE_TILE):
-        ri = slice(i, i + _GOE_TILE)
-        for j in range(i, n, _GOE_TILE):
-            rj = slice(j, j + _GOE_TILE)
-            tile = w[ri, rj] + w[rj, ri].T
-            tile /= s
-            w[ri, rj] = tile
-            w[rj, ri] = tile.T
+    w = np.empty((n, n))
+    with CORES.claim(1 if n > _GOE_TILE else 0) as helpers:
+        if not helpers:
+            for j in range(0, n, _GOE_TILE):
+                rng.standard_normal(out=w[j:j + _GOE_TILE])
+                _fold_panel(w, j)
+            return w
+        # one helper runs its tasks in order: the touch of panel j + 1 is
+        # queued before the fold of panel j, so the generator never waits
+        # behind a fold
+        with ThreadPoolExecutor(1) as pool:
+            touched, folds = pool.submit(_touch_panel, w, 0), []
+            for j in range(0, n, _GOE_TILE):
+                touched.result()
+                touched = pool.submit(_touch_panel, w, j + _GOE_TILE)
+                rng.standard_normal(out=w[j:j + _GOE_TILE])
+                folds.append(pool.submit(_fold_panel, w, j))
+            for f in [touched, *folds]:
+                f.result()
     return w
 
 
@@ -302,15 +378,27 @@ def synthesize_symmetric(
     profile: BlockPriorProfile,
 ) -> MTPInstance:
     """Y_k = (1/n) X Lambda_k X^T + (1/sqrt(n)) G_k with independent GOE noise
-    per view; the instance keeps G_k only, read-only and not copied."""
+    per view; the instance keeps G_k only, read-only and not copied.
+
+    Each view draws from its own child of ``seed``, so views of more than
+    one panel are drawn concurrently on the spare cores (the calling thread
+    waits and lends its own) with the bits of a serial draw."""
     X = np.asarray(X, float)
     n, d = X.shape
     if couplings.d != d:
         raise CouplingValidationError(f"coupling size {couplings.d} != signal width {d}")
-    noise = []
-    for child in np.random.SeedSequence(seed).spawn(couplings.K):
+    children = np.random.SeedSequence(seed).spawn(couplings.K)
+
+    def view(child) -> np.ndarray:
         g = sample_goe(n, np.random.default_rng(child))
         g.flags.writeable = False
-        noise.append(g)
-    return MTPInstance(X, tuple(noise), couplings, profile)
+        return g
+
+    with CORES.claim(len(children) - 1 if n > _GOE_TILE else 0) as extra:
+        if not extra:
+            noise = tuple(map(view, children))
+        else:
+            with ThreadPoolExecutor(extra + 1) as pool:
+                noise = tuple(pool.map(view, children))
+    return MTPInstance(X, noise, couplings, profile)
 

@@ -230,6 +230,8 @@ class OperatorT:
         Q = np.asarray(Q, float)
         if Q.shape != (self.d, self.d):
             raise DomainError(f"argument shape {Q.shape} != ({self.d}, {self.d})")
+        if not np.isfinite(Q).all():
+            raise DomainError("argument must be finite")
         if np.abs(Q - Q.T).max() > 1e-10 * max(1.0, np.abs(Q).max()):
             raise DomainError("argument must be symmetric")
         out = np.zeros_like(Q)

@@ -214,6 +214,10 @@ def test_apply_T_rejects_bad_input():
         op.apply(np.eye(3))
     with pytest.raises(denoise.DomainError):
         op.apply(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # a non-finite entry fails too: the symmetry gap of a NaN compares False
+    for bad in ([[np.nan, 1.0], [0.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]]):
+        with pytest.raises(denoise.DomainError, match="finite"):
+            op.apply(np.array(bad))
 
 
 # ---------------------------------------------------------------------------
