@@ -3,8 +3,8 @@
 Modules:
     model      signal priors, couplings, instance synthesis
     denoise    Bayes-optimal denoisers and derivatives
-    amp        the AMP recursion and diagnostics
-    se         state evolution, overlap functions, MMSE gradient checks
+    amp        the AMP recursion
+    se         state evolution, overlap functions, fixed-point refinement
     stability  completely positive operator toolkit and fixed-point stability
     limits     channel KL divergences and the variational MMSE bound
     cli        experiment harness (``mvamp`` console entry point)

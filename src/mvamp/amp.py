@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denoise import DomainError, block_denoiser
-from .model import MTPInstance, ScalarPrior, rng_from
-from .se import OperatorT, SETrajectory, _hermegauss, gauss_expect
+from .model import MTPInstance, rng_from
+from .se import OperatorT
 
 _INIT_TAG = 0x5149  # distinguishes the side-information stream from noise views
 
@@ -38,7 +38,6 @@ class AMPConfig:
     rho: float = 0.1
     seed: int = 0
     correction: str = "divergence"      # "divergence" | "disabled" (ablation)
-    keep_iterates: bool = False
 
     def __post_init__(self):
         if not (0.0 <= self.rho <= 1.0):
@@ -59,7 +58,6 @@ class AMPTrace:
     Q_hat: list
     mse: list
     M_final: np.ndarray
-    iterates: list | None = None     # pre-denoising X^t, t = 1.., when requested
 
     @property
     def iterations(self) -> int:
@@ -125,7 +123,9 @@ def run_symmetric(instance: MTPInstance, config: AMPConfig) -> AMPTrace:
     The denoiser is the separable Bayes ``block_denoiser`` of the instance
     profile. It takes the raw iterate X^t and S_t = T(Q_hat^t) and returns M^t
     with its divergence with respect to X^t, which the Onsager term uses
-    (unless ablated). The profile's block slices also place the init noise
+    (unless ablated). It is looked up as this module's ``block_denoiser`` at
+    every call, so wrapping that name sees each (S_t, X^t); the tests read
+    the iterates there, and the trace keeps none. The profile's block slices also place the init noise
     and the per-block MSE. ``DivergenceError(t)`` is raised as soon as
     Q_hat^t, X^t or S_t (before the denoiser is called), or M^t or its
     divergence, is not finite.
@@ -153,7 +153,6 @@ def run_symmetric(instance: MTPInstance, config: AMPConfig) -> AMPTrace:
     B_prev = np.zeros((d, d))
 
     F_hat, Q_hat, mse = [], [], []
-    iterates = [] if config.keep_iterates else None
 
     def record(M):
         F_hat.append(X.T @ M / n)
@@ -182,88 +181,5 @@ def run_symmetric(instance: MTPInstance, config: AMPConfig) -> AMPTrace:
             for lam in lams:
                 B_t += lam @ D_t @ lam
         record(M_t)
-        if iterates is not None:
-            iterates.append(Xt)
         M_prev2, M_prev, B_prev = M_prev, M_t, B_t
-    return AMPTrace(F_hat, Q_hat, mse, M_prev, iterates)
-
-
-# ---------------------------------------------------------------------------
-# Gaussianity diagnostic: residual covariance and a pseudo-Lipschitz battery
-# ---------------------------------------------------------------------------
-
-def _soft(h, thr=1.0):
-    return np.sign(h) * np.maximum(np.abs(h) - thr, 0.0)
-
-
-_BATTERY = {
-    "h2": lambda x, h: h * h,
-    "xh": lambda x, h: x * h,
-    "abs_h": lambda x, h: np.abs(h),
-    "soft1_sq": lambda x, h: _soft(h) ** 2,
-}
-
-
-def _battery_prediction(prior: ScalarPrior, k: float, sigma2: float, name: str, order=121):
-    """E[phi(X, k X + sigma Z)] under the SE-predicted Gaussian channel."""
-    sig = np.sqrt(max(sigma2, 0.0))
-    phi = _BATTERY[name]
-
-    def for_x(x):
-        return gauss_expect(lambda z: phi(x, k * x + sig * z), order)
-
-    if prior.kind == "rademacher":
-        return 0.5 * (for_x(1.0) + for_x(-1.0))
-    xg, wg = _hermegauss(order)
-    if prior.kind == "gaussian":
-        return float(sum(w * for_x(x) for x, w in zip(xg, wg)))
-    eps = prior.eps
-    spike = float(sum(w * for_x(x / np.sqrt(eps)) for x, w in zip(xg, wg)))
-    return (1.0 - eps) * for_x(0.0) + eps * spike
-
-
-@dataclass
-class GaussianityReport:
-    cov_distance: np.ndarray          # per iteration ||emp residual cov - Sigma^t||_F
-    battery: dict                     # name -> (t, block) arrays of |emp - predicted|
-
-
-def gaussianity_diagnostic(
-    trace: AMPTrace,
-    instance: MTPInstance,
-    se_traj: SETrajectory,
-    t_max: int | None = None,
-) -> GaussianityReport:
-    """Compare iterates X^t against their SE-predicted law X K^t + N(0, Sigma^t).
-
-    For the recursion X^t = sum_k Y_k M^{t-1} Lambda_k^T - M^{t-2} (B^{t-1})^T
-    that ``run_symmetric`` runs, K^t = Sigma^t = S^t = T(Q^t_SE) with
-    Q^t_SE = diag(q^t) of the SE orbit. Requires the trace to have been run
-    with keep_iterates=True.
-    """
-    if trace.iterates is None:
-        raise DomainError("run AMP with keep_iterates=True for the diagnostic")
-    X = instance.X
-    n, d = X.shape
-    profile = instance.profile
-    slices = profile.block_slices(n)
-    op = OperatorT(instance.couplings)
-    n_t = len(trace.iterates) if t_max is None else min(t_max, len(trace.iterates))
-    cov_dist = np.zeros(n_t)
-    battery = {name: np.zeros((n_t, d)) for name in _BATTERY}
-    for i in range(n_t):
-        # S^t for t = i+1, = Sigma^t under Bayes weights; an orbit that
-        # converged in fewer steps sits at its fixed point
-        K = op.apply(np.diag(se_traj.q[min(i, se_traj.iterations)]))
-        Xt = trace.iterates[i]
-        R = Xt - X @ K
-        C = R.T @ R / n
-        cov_dist[i] = float(np.linalg.norm(C - K))
-        for j, sl in enumerate(slices):
-            for name in _BATTERY:
-                emp = float(np.mean(_BATTERY[name](X[sl, j], Xt[sl, j])))
-                pred = _battery_prediction(
-                    profile.priors[j], float(K[j, j]), float(K[j, j]), name
-                )
-                battery[name][i, j] = abs(emp - pred)
-    return GaussianityReport(cov_dist, battery)
+    return AMPTrace(F_hat, Q_hat, mse, M_prev)

@@ -1,8 +1,8 @@
 """Experiment harness: simulate | se | stability | limits | phase-diagram.
 
 Configuration is a JSON file (see README for the schema); every run first
-writes a manifest echoing the resolved configuration so that re-running from
-the manifest reproduces the outputs bit-for-bit. Exit codes: 0 ok, 2 config
+writes a manifest echoing the configuration as given, with the master seed,
+so that re-running from the manifest reproduces the outputs bit-for-bit. Exit codes: 0 ok, 2 config
 error, 3 numerical nonconvergence, 4 interrupted (only phase-diagram keeps
 its finished rows for --resume).
 """
@@ -203,6 +203,7 @@ class ExperimentConfig:
     sweep: SweepSection | None
     output: OutputSection
     raw: dict
+    seed: int  # the master seed: a manifest's recorded seed, else amp.seed
 
 
 def _parse_couplings(section: dict, d: int) -> CouplingSet:
@@ -251,14 +252,20 @@ def _parse_model(section: dict) -> ModelSection:
 
 def resolve_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
     _check(isinstance(raw, dict), source, "top level must be a JSON object")
+    seed = None
     if "config" in raw and isinstance(raw["config"], dict):
-        raw = raw["config"]  # accept an emitted manifest as input
+        # an emitted manifest: its config, run under the seed it recorded
+        if "seed" in raw:
+            seed = _typed(raw["seed"], "seed", int)
+            _check(seed >= 0, "seed", "must be >= 0")
+        raw = raw["config"]
     _known(raw, "", ("model", "amp", "se", "sweep", "output"))
     model = _parse_model(_typed(raw["model"], "model", dict)) if "model" in raw else None
     sweep = _section(raw, "sweep", SweepSection) if "sweep" in raw else None
-    return ExperimentConfig(model, _section(raw, "amp", AmpSection),
-                            _section(raw, "se", SeSection), sweep,
-                            _section(raw, "output", OutputSection), raw)
+    amp = _section(raw, "amp", AmpSection)
+    return ExperimentConfig(model, amp, _section(raw, "se", SeSection), sweep,
+                            _section(raw, "output", OutputSection), raw,
+                            amp.seed if seed is None else seed)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -610,7 +617,7 @@ def main(argv=None) -> int:
                f"the {args.command} command needs a {need} section")
         out_dir = args.out or os.environ.get("MVAMP_OUT") or cfg.output.dir
         os.makedirs(out_dir, exist_ok=True)
-        seed = args.seed if args.seed is not None else cfg.amp.seed
+        seed = args.seed if args.seed is not None else cfg.seed
         manifest = {"version": VERSION_TAG, "command": args.command, "seed": seed,
                     "config": cfg.raw}
         _check(not args.resume or args.command == "phase-diagram", "--resume",

@@ -148,10 +148,3 @@ def block_denoiser(profile: BlockPriorProfile, S: np.ndarray, Y: np.ndarray) -> 
         value[sl, j] = posterior_mean_scalar(prior, s[j], col)
         div[j, j] = scale * (posterior_mean_derivative_scalar(prior, s[j], col).sum() / n)
     return DenoiserEval(value, div)
-
-
-def _psd_sqrt(S: np.ndarray) -> np.ndarray:
-    evals, evecs = np.linalg.eigh(S)
-    if evals.min() < -1e-10 * max(1.0, evals.max(initial=1.0)):
-        raise DomainError("S must be PSD")
-    return evecs @ np.diag(np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T

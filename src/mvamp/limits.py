@@ -30,7 +30,6 @@ from .model import (
     RADEMACHER,
     CouplingSet,
     ScalarPrior,
-    rng_from,
 )
 from .se import (
     OverlapModel,
@@ -43,8 +42,7 @@ from .se import (
 
 
 _LOG_NORM = -0.5 * np.log(2.0 * np.pi)
-_KL_ORDER = 80        # Gauss-Legendre nodes per panel of kl_channel
-_IMMSE_FD_REL = 1e-3  # relative finite-difference step of immse_consistency
+_KL_ORDER = 80  # Gauss-Legendre nodes per panel of kl_channel
 
 
 def _p_log_p_over_phi(logp):
@@ -105,41 +103,6 @@ def kl_channel(prior: ScalarPrior, s: float) -> float:
             f"|delta| = {abs(v1 - v2):.2e}"
         )
     return max(v2, 0.0)
-
-
-def kl_channel_monte_carlo(prior: ScalarPrior, s: float, n_samples: int, seed=0) -> float:
-    """Independent Monte Carlo estimator E_{y~p_s}[log(p_s/phi)(y)] (oracle)."""
-    rng = rng_from(seed)
-    x = prior.sample(rng, n_samples)
-    y = np.sqrt(s) * x + rng.standard_normal(n_samples)
-    if prior.kind == GAUSSIAN:
-        sig2 = 1.0 + s
-        logratio = -0.5 * np.log(sig2) + np.square(y) * (0.5 - 0.5 / sig2)
-    elif prior.kind == RADEMACHER:
-        rs = np.sqrt(s)
-        logratio = np.log(0.5) + np.logaddexp(rs * y, -rs * y) - s / 2.0
-    else:
-        eps = prior.eps
-        sig2 = 1.0 + s / eps
-        log_spike = np.log(eps) - 0.5 * np.log(sig2) + np.square(y) * (0.5 - 0.5 / sig2)
-        if eps < 1.0:
-            logratio = np.logaddexp(np.log1p(-eps) + np.zeros_like(y), log_spike)
-        else:
-            logratio = log_spike
-    return float(np.mean(logratio))
-
-
-def immse_consistency(prior: ScalarPrior, s_grid) -> float:
-    """Max deviation of centered finite differences of kl_channel from half the
-    scalar overlap (the I-MMSE identity dD/ds = psi(s)/2)."""
-    worst = 0.0
-    for s in np.asarray(s_grid, float):
-        h = max(1e-4, _IMMSE_FD_REL * s)
-        fd = (kl_channel(prior, s + h) - kl_channel(prior, max(s - h, 0.0))) / (
-            (s + h) - max(s - h, 0.0)
-        )
-        worst = max(worst, abs(fd - 0.5 * overlap_psi_scalar(prior, s)))
-    return worst
 
 
 class KLTable:

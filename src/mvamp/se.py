@@ -27,29 +27,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .denoise import (
-    DomainError,
-    _bg_responsibility,
-    _check_snr,
-    _psd_sqrt,
-    posterior_mean_scalar,
-    posterior_variance_scalar,
-)
+from .denoise import DomainError, _bg_responsibility, _check_snr
 from .model import (
     GAUSSIAN,
     RADEMACHER,
     BlockPriorProfile,
     CouplingSet,
     ScalarPrior,
-    rng_from,
 )
 
 
 class PrecisionError(RuntimeError):
-    pass
-
-
-class InconclusiveCheckError(RuntimeError):
     pass
 
 
@@ -81,14 +69,9 @@ def _paired_rule(rule, order: int):
     return _read_only(np.concatenate([x1, x2])), w1, w2
 
 
-def gauss_expect(f, order: int) -> float:
-    """E[f(Z)] for Z ~ N(0, 1) by Gauss-Hermite quadrature."""
-    x, w = _hermegauss(order)
-    return float(np.dot(w, f(x)))
-
-
 def _gauss_expect_pair(f, order: int) -> tuple[float, float]:
-    """gauss_expect at order and at 2 * order from one call of f."""
+    """E[f(Z)] for Z ~ N(0, 1) by Gauss-Hermite quadrature at order and at
+    2 * order, from one call of f."""
     x, w1, w2 = _paired_rule(_hermegauss, order)
     fx = f(x)
     return float(np.dot(w1, fx[:order])), float(np.dot(w2, fx[order:]))
@@ -205,15 +188,6 @@ def overlap_psi_derivative_scalar(prior: ScalarPrior, s: float, order: int = 61)
     up = overlap_psi_scalar(prior, s + h, order)
     dn = overlap_psi_scalar(prior, s - h, order)
     return (up - dn) / (2.0 * h)
-
-
-def overlap_psi_monte_carlo(prior: ScalarPrior, s: float, n_samples: int, seed=0) -> float:
-    """Monte Carlo fallback/oracle for the overlap (used for cross-checks)."""
-    rng = rng_from(seed)
-    x = prior.sample(rng, n_samples)
-    y = np.sqrt(s) * x + rng.standard_normal(n_samples)
-    eta = posterior_mean_scalar(prior, s, y)
-    return float(np.mean(eta * eta))
 
 
 @dataclass(frozen=True)
@@ -364,96 +338,3 @@ def refine_fixed_point(
             res_new = g(q_new)
         q, res = q_new, res_new
     return q, float(np.abs(res).max())
-
-
-@dataclass
-class GradientCheckReport:
-    directions: list
-    fd_means: np.ndarray        # (n_dir, d) finite-difference diagonal of dM
-    pred_means: np.ndarray      # (n_dir, d) -E[Psi] vec(Delta) diagonal entries
-    combined_se: np.ndarray     # (n_dir, d)
-    max_sigma_deviation: float  # worst |fd - pred| / se
-    passed: bool
-
-
-_GRADIENT_FD_STEP = 1e-3   # step of the finite differences of M along each direction
-_GRADIENT_SIGMA_TOL = 3.0  # pass bound on |fd - pred| in standard errors
-
-
-def mmse_gradient_check(
-    model: OverlapModel,
-    S: np.ndarray,
-    n_small: int,
-    n_samples: int = 20_000,
-    n_directions: int = 3,
-    seed=0,
-) -> GradientCheckReport:
-    """Monte Carlo verification that the MMSE gradient equals -E[Psi(H_S)].
-
-    For block priors the conditional covariance per row is scalar and closed
-    form, so both sides reduce to per-block averages of posterior variances
-    (for M) and squared posterior variances (for Psi). Finite differences of M
-    along random PSD directions use common random numbers.
-    """
-    if n_small > 100:
-        raise DomainError("gradient check is meant for small n (n_small <= 100)")
-    rng = rng_from(seed)
-    d = model.d
-    S = np.asarray(S, float)
-    slices = model.profile.block_slices(n_small)
-
-    # signal values and ambient noise, shared across all channel settings
-    xs = [model.profile.priors[j].sample(rng, (n_samples, sl.stop - sl.start)) for j, sl in enumerate(slices)]
-    zs = rng.standard_normal((n_samples, n_small, d))
-
-    directions = []
-    for _ in range(n_directions):
-        A = rng.standard_normal((d, d))
-        Delta = A @ A.T
-        Delta /= np.linalg.norm(Delta)
-        directions.append(Delta)
-
-    def per_sample_stats(Smat):
-        """Returns (M_diag, Psi_diag) per sample, each (n_samples, d)."""
-        root = _psd_sqrt(Smat)
-        Md = np.zeros((n_samples, d))
-        Pd = np.zeros((n_samples, d))
-        for j, sl in enumerate(slices):
-            a = root[:, j]  # S^{1/2} e_j
-            sj = float(Smat[j, j])
-            u = xs[j] * sj + np.einsum("tik,k->ti", zs[:, sl, :], a)
-            if sj <= 0:
-                v = np.ones_like(u)
-            else:
-                v = posterior_variance_scalar(model.profile.priors[j], sj, u / np.sqrt(sj))
-            Md[:, j] = v.sum(axis=1) / n_small
-            Pd[:, j] = np.square(v).sum(axis=1) / n_small
-        return Md, Pd
-
-    _, Pd0 = per_sample_stats(S)
-    fd_means = np.zeros((n_directions, d))
-    pred_means = np.zeros((n_directions, d))
-    ses = np.zeros((n_directions, d))
-    worst = 0.0
-    for m, Delta in enumerate(directions):
-        Mp, _ = per_sample_stats(S + _GRADIENT_FD_STEP * Delta)
-        Mm, _ = per_sample_stats(S - _GRADIENT_FD_STEP * Delta)
-        fd = (Mp - Mm) / (2.0 * _GRADIENT_FD_STEP)  # per-sample FD of M diagonal
-        pred = -Pd0 * np.diag(Delta)[None, :]       # -E[Psi] vec(Delta), diagonal part
-        fd_means[m] = fd.mean(axis=0)
-        pred_means[m] = pred.mean(axis=0)
-        se = np.sqrt(fd.var(axis=0) / n_samples + pred.var(axis=0) / n_samples)
-        ses[m] = se
-        for j in range(d):
-            scale = abs(pred_means[m, j])
-            bound = _GRADIENT_SIGMA_TOL * se[j]
-            if scale > 1e-4 and bound > 0.5 * scale:
-                raise InconclusiveCheckError(
-                    f"Monte Carlo error too large to resolve gradient entry "
-                    f"(direction {m}, block {j}): 3*se={bound:.2e} vs scale {scale:.2e}"
-                )
-            dev = abs(fd_means[m, j] - pred_means[m, j]) / max(se[j], 1e-300)
-            worst = max(worst, dev)
-    return GradientCheckReport(
-        directions, fd_means, pred_means, ses, worst, bool(worst <= _GRADIENT_SIGMA_TOL)
-    )

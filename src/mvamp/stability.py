@@ -77,9 +77,8 @@ class CPOperator:
 
 @dataclass
 class SpectralForm:
-    """Choi matrix, canonical Kraus factors, and symmetric/skew eigenbasis."""
+    """Choi eigenvalues, canonical Kraus factors, and symmetric/skew eigenbasis."""
 
-    choi: np.ndarray
     theta: np.ndarray                  # nonnegative Choi eigenvalues, descending
     canonical_kraus: list              # orthonormal V_i with theta_i > 1e-12
     kraus_rank: int
@@ -136,7 +135,7 @@ def choi_and_kraus(op: CPOperator) -> SpectralForm:
         order = np.argsort(-vals, kind="stable")
         eigenvalues, flags = vals[order], sym[order]
         eigenvectors = [mats[i] for i in order]
-    return SpectralForm(choi, theta, canonical, rank, eigenvalues, eigenvectors, flags)
+    return SpectralForm(theta, canonical, rank, eigenvalues, eigenvectors, flags)
 
 
 def restricted_psd_norm(op: CPOperator, return_direction: bool = False):

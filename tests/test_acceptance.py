@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+import oracles
 from mvamp import amp, limits, model, se, stability
 
 RAD = model.ScalarPrior.rademacher()
@@ -123,7 +124,7 @@ def test_criterion_4_gaussian_closed_forms():
 def test_criterion_5_immse_identity():
     grid = np.linspace(0.2, 8.0, 10)
     devs = {
-        prior.name: limits.immse_consistency(prior, grid)
+        prior.name: oracles.immse_consistency(prior, grid)
         for prior in [RAD, GAUSS, model.ScalarPrior.bernoulli_gaussian(0.1)]
     }
     worst = max(devs.values())
@@ -135,7 +136,7 @@ def test_criterion_6_mmse_gradient_identity():
     prof = model.BlockPriorProfile((RAD, RAD), BETA)
     m = se.OverlapModel(prof)
     S = np.array([[1.0, 0.3], [0.3, 0.6]])
-    rep = se.mmse_gradient_check(m, S, 50, n_samples=20_000, n_directions=3, seed=606)
+    rep = oracles.mmse_gradient_check(m, S, 50, n_samples=20_000, n_directions=3, seed=606)
     elapsed = time.time() - t0
     _report(
         6,
@@ -283,10 +284,9 @@ def test_criterion_11_onsager_ablation_regression():
     traj = se.run_se(m, se.OperatorT(cs), np.array([[0.1]]), max_iter=100)
     reports = {}
     for mode in ("divergence", "disabled"):
-        cfg = amp.AMPConfig(max_iter=6, rho=0.1, seed=1113, keep_iterates=True,
-                            correction=mode)
-        tr = amp.run_symmetric(inst, cfg)
-        reports[mode] = amp.gaussianity_diagnostic(tr, inst, traj)
+        cfg = amp.AMPConfig(max_iter=6, rho=0.1, seed=1113, correction=mode)
+        _, seen = oracles.run_with_iterates(inst, cfg)
+        reports[mode] = oracles.gaussianity_diagnostic(seen, inst, traj)
     ratio = reports["disabled"].cov_distance[4] / reports["divergence"].cov_distance[4]
     _report(
         11,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from mvamp import amp, denoise, model, se
 
 RAD = model.ScalarPrior.rademacher()
@@ -153,10 +154,14 @@ NONCOMMUTING_VIEWS = model.CouplingSet((
 
 
 def _assert_traces_agree(a, b, tol=1e-12):
+    # a and b are (trace, iterates) pairs of oracles.run_with_iterates
+    (a, seen_a), (b, seen_b) = a, b
     assert a.iterations == b.iterations
-    for name in ("F_hat", "Q_hat", "mse", "iterates"):
+    for name in ("F_hat", "Q_hat", "mse"):
         for va, vb in zip(getattr(a, name), getattr(b, name)):
             assert np.abs(np.asarray(va) - np.asarray(vb)).max() <= tol, name
+    for (_, xa), (_, xb) in zip(seen_a, seen_b):
+        assert np.abs(xa - xb).max() <= tol, "iterates"
     assert np.abs(a.M_final - b.M_final).max() <= tol
 
 
@@ -165,18 +170,18 @@ def test_block_product_equals_dense_product(monkeypatch):
     # against the dense product Y_k @ M with the formed view
     X = model.sample_signal(PROF_RAD_BG, 600, seed=101)
     inst = model.synthesize_symmetric(X, NONCOMMUTING_VIEWS, seed=102, profile=PROF_RAD_BG)
-    cfg = amp.AMPConfig(max_iter=30, rho=0.05, seed=103, keep_iterates=True)
-    block = amp.run_symmetric(inst, cfg)
-    assert block.Q_hat[-1][0, 0] > 0.3  # an informative run, not a trivial one
+    cfg = amp.AMPConfig(max_iter=30, rho=0.05, seed=103)
+    block = oracles.run_with_iterates(inst, cfg)
+    assert block[0].Q_hat[-1][0, 0] > 0.3  # an informative run, not a trivial one
     rng = model.rng_from(104)
     X1, X2 = RAD.sample(rng, (400, 1)), GAUSS.sample(rng, (200, 1))
     bipartite = bipartite_instance(X1, X2, 1.8, (RAD, GAUSS), cfg.seed)
-    off_diagonal = amp.run_symmetric(bipartite, cfg)
+    off_diagonal = oracles.run_with_iterates(bipartite, cfg)
 
     monkeypatch.setattr(amp, "_view_product",
                         lambda instance, k, M, slices: instance.observations[k] @ M)
-    _assert_traces_agree(block, amp.run_symmetric(inst, cfg))
-    _assert_traces_agree(off_diagonal, amp.run_symmetric(bipartite, cfg))
+    _assert_traces_agree(block, oracles.run_with_iterates(inst, cfg))
+    _assert_traces_agree(off_diagonal, oracles.run_with_iterates(bipartite, cfg))
 
 
 def test_block_product_rejects_signal_off_its_block():
@@ -298,13 +303,27 @@ def test_duplicated_symmetric_equals_direct_se():
 # Gaussianity diagnostic and the Onsager correction
 # ---------------------------------------------------------------------------
 
+def test_iterate_seam_captures_each_denoiser_input():
+    # run_with_iterates keeps the (S_t, X^t) of every block_denoiser call: one
+    # pair per iteration, the last of which denoises to M_final bit for bit,
+    # and the run and the module name are left as they were
+    X = model.sample_signal(PROF_RAD_BG, 600, seed=105)
+    inst = model.synthesize_symmetric(X, NONCOMMUTING_VIEWS, seed=106, profile=PROF_RAD_BG)
+    cfg = amp.AMPConfig(max_iter=7, rho=0.1, seed=107)
+    tr, seen = oracles.run_with_iterates(inst, cfg)
+    assert amp.block_denoiser is denoise.block_denoiser
+    assert len(seen) == cfg.max_iter == tr.iterations
+    S_t, X_t = seen[-1]
+    assert np.array_equal(amp.block_denoiser(inst.profile, S_t, X_t).value, tr.M_final)
+    assert np.array_equal(amp.run_symmetric(inst, cfg).M_final, tr.M_final)
+
+
 def _diagnostic_setup(correction, seed=91, n=4000, lam=1.5, t=8):
     inst = scalar_instance(lam, n=n, seed=seed)
-    cfg = amp.AMPConfig(max_iter=t, rho=0.1, seed=seed + 1, keep_iterates=True,
-                        correction=correction)
-    tr = amp.run_symmetric(inst, cfg)
+    cfg = amp.AMPConfig(max_iter=t, rho=0.1, seed=seed + 1, correction=correction)
+    _, seen = oracles.run_with_iterates(inst, cfg)
     traj = se.run_se(M1, se.OperatorT(inst.couplings), np.array([[0.1]]), max_iter=100)
-    return amp.gaussianity_diagnostic(tr, inst, traj)
+    return oracles.gaussianity_diagnostic(seen, inst, traj)
 
 
 def test_residual_covariance_tracks_se():
@@ -316,10 +335,10 @@ def test_residual_covariance_tracks_se():
 def test_first_iteration_residual_variance():
     # t=1: residual variance ~ Sigma^1 = lam^2 rho
     inst = scalar_instance(1.0, n=4000, seed=95)
-    cfg = amp.AMPConfig(max_iter=1, rho=0.3, seed=96, keep_iterates=True)
-    tr = amp.run_symmetric(inst, cfg)
+    cfg = amp.AMPConfig(max_iter=1, rho=0.3, seed=96)
+    _, seen = oracles.run_with_iterates(inst, cfg)
     traj = se.run_se(M1, se.OperatorT(inst.couplings), np.array([[0.3]]), max_iter=10)
-    rep = amp.gaussianity_diagnostic(tr, inst, traj)
+    rep = oracles.gaussianity_diagnostic(seen, inst, traj)
     assert abs(traj.s[0][0] - 0.3) < 1e-12  # Sigma^1 = lam^2 rho with lam = 1
     assert rep.cov_distance[0] < 0.05
 
@@ -338,22 +357,13 @@ def test_battery_predictions_close():
         assert table[:6].max() < 0.08, name
 
 
-def test_diagnostic_requires_iterates():
-    inst = scalar_instance(1.0, n=300, seed=101)
-    tr = amp.run_symmetric(inst, amp.AMPConfig(max_iter=3, rho=0.1, seed=102))
-    traj = se.run_se(M1, se.OperatorT(inst.couplings), np.array([[0.1]]), max_iter=10)
-    with pytest.raises(denoise.DomainError):
-        amp.gaussianity_diagnostic(tr, inst, traj)
-
-
 def test_diagnostic_past_se_convergence():
     # SE from zero converges in one step while AMP runs 4 iterations: the
     # later iterates are compared against the orbit's fixed point
     inst = scalar_instance(1.5, n=300, seed=103)
-    tr = amp.run_symmetric(inst, amp.AMPConfig(max_iter=4, rho=0.0, seed=104,
-                                               keep_iterates=True))
+    _, seen = oracles.run_with_iterates(inst, amp.AMPConfig(max_iter=4, rho=0.0, seed=104))
     traj = se.run_se(M1, se.OperatorT(inst.couplings), np.zeros((1, 1)))
-    assert traj.iterations == 1 and len(tr.iterates) > 2
-    rep = amp.gaussianity_diagnostic(tr, inst, traj)
-    assert rep.cov_distance.shape == (len(tr.iterates),)
+    assert traj.iterations == 1 and len(seen) > 2
+    rep = oracles.gaussianity_diagnostic(seen, inst, traj)
+    assert rep.cov_distance.shape == (len(seen),)
     assert np.all(np.isfinite(rep.cov_distance))

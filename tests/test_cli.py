@@ -140,6 +140,40 @@ def test_simulate_seed_override_changes_output(tmp_path):
     assert a != b
 
 
+def test_manifest_rerun_keeps_its_seed(tmp_path):
+    # a --seed run re-run from its manifest, without --seed, repeats its
+    # manifest and outputs byte for byte; a new --seed still overrides
+    path = scalar_cfg(tmp_path)
+    a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+    assert cli.main(["simulate", "--config", path, "--out", str(a), "--seed", "7"]) == 0
+    manifest = str(a / "manifest.json")
+    assert cli.main(["simulate", "--config", manifest, "--out", str(b)]) == 0
+    for name in ("manifest.json", "trace.csv", "aggregate.csv"):
+        assert (b / name).read_bytes() == (a / name).read_bytes(), name
+    assert cli.main(["simulate", "--config", manifest, "--out", str(c), "--seed", "8"]) == 0
+    assert json.load(open(c / "manifest.json"))["seed"] == 8
+    assert (c / "trace.csv").read_bytes() != (a / "trace.csv").read_bytes()
+
+
+def test_resume_from_a_seeded_manifest(tmp_path):
+    path = sweep_cfg(tmp_path, [1.8], out="res", trials=1, n=200)
+    assert cli.main(["phase-diagram", "--config", path, "--seed", "4"]) == 0
+    manifest = str(tmp_path / "res" / "manifest.json")
+    csv_path = tmp_path / "res" / "phase_diagram.csv"
+    before = csv_path.read_bytes()
+    assert cli.main(["phase-diagram", "--config", manifest, "--resume"]) == 0
+    assert csv_path.read_bytes() == before
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, "7", True, None])
+def test_bad_manifest_seed_exits_2(tmp_path, capsys, seed):
+    raw = json.loads(open(scalar_cfg(tmp_path, trials=1, n=100, max_iter=2)).read())
+    manifest = {"version": cli.VERSION_TAG, "command": "simulate", "seed": seed, "config": raw}
+    path = write_cfg(tmp_path, manifest, name="manifest.json")
+    assert cli.main(["simulate", "--config", path]) == 2
+    assert "config error at seed" in capsys.readouterr().err
+
+
 def test_stability_command(tmp_path):
     path = scalar_cfg(tmp_path, lam=1.2)
     assert cli.main(["stability", "--config", path]) == 0

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from mvamp import denoise, limits, model, se
 
 RAD = model.ScalarPrior.rademacher()
@@ -37,7 +38,7 @@ def test_kl_rademacher_against_monte_carlo():
     s = 1.0
     v = limits.kl_channel(RAD, s)
     n = 10**7
-    mc = limits.kl_channel_monte_carlo(RAD, s, n, seed=21)
+    mc = oracles.kl_channel_monte_carlo(RAD, s, n, seed=21)
     rng = model.rng_from(22)
     x = RAD.sample(rng, 200_000)
     y = np.sqrt(s) * x + rng.standard_normal(200_000)
@@ -74,11 +75,11 @@ def test_immse_gaussian_exact():
 
 
 def test_immse_rademacher_grid():
-    assert limits.immse_consistency(RAD, [0.25, 1.0, 4.0]) < 1e-5
+    assert oracles.immse_consistency(RAD, [0.25, 1.0, 4.0]) < 1e-5
 
 
 def test_immse_bg_grid():
-    assert limits.immse_consistency(BG01, [0.5, 2.0]) < 1e-4
+    assert oracles.immse_consistency(BG01, [0.5, 2.0]) < 1e-4
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from mvamp import denoise, limits, model, se
 
 RAD = model.ScalarPrior.rademacher()
@@ -86,7 +87,8 @@ def test_paired_rule_keeps_the_bits(monkeypatch):
         m.setattr(se, "_panel_sum", _loop_pair)
         m.setattr(limits, "_panel_sum", _loop_pair)
         m.setattr(se, "_gauss_expect_pair",
-                  lambda f, order: (se.gauss_expect(f, order), se.gauss_expect(f, 2 * order)))
+                  lambda f, order: (oracles.gauss_expect(f, order),
+                                    oracles.gauss_expect(f, 2 * order)))
         looped = [[fn(p, s, order) for s in grid] for fn, p, order in cases]
     for (fn, p, _), got, want in zip(cases, paired, looped):
         for s, g, w in zip(grid, got, want):
@@ -139,7 +141,7 @@ def test_overlap_matches_monte_carlo():
     for prior, s in [(RAD, 1.0), (BG5, 2.0), (BG05, 4.0)]:
         v = se.overlap_psi_scalar(prior, s)
         n = 10**6
-        mc = se.overlap_psi_monte_carlo(prior, s, n, seed=7)
+        mc = oracles.overlap_psi_monte_carlo(prior, s, n, seed=7)
         # crude s.e. of the MC overlap estimate
         rng = model.rng_from(8)
         x = prior.sample(rng, 200_000)
@@ -307,7 +309,7 @@ def test_mmse_gradient_check_rademacher():
     prof = model.BlockPriorProfile((RAD, RAD), (0.6, 0.4))
     m = se.OverlapModel(prof)
     S = np.array([[1.0, 0.3], [0.3, 0.6]])
-    rep = se.mmse_gradient_check(m, S, 50, n_samples=20_000, seed=17)
+    rep = oracles.mmse_gradient_check(m, S, 50, n_samples=20_000, seed=17)
     assert rep.passed, rep.max_sigma_deviation
 
 
@@ -315,6 +317,6 @@ def test_mmse_gradient_check_guards():
     prof = model.BlockPriorProfile((RAD,), (1.0,))
     m = se.OverlapModel(prof)
     with pytest.raises(denoise.DomainError):
-        se.mmse_gradient_check(m, np.array([[1.0]]), 500)
-    with pytest.raises(se.InconclusiveCheckError):
-        se.mmse_gradient_check(m, np.array([[1.0]]), 4, n_samples=4, seed=0)
+        oracles.mmse_gradient_check(m, np.array([[1.0]]), 500)
+    with pytest.raises(oracles.InconclusiveCheckError):
+        oracles.mmse_gradient_check(m, np.array([[1.0]]), 4, n_samples=4, seed=0)
