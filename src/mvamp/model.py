@@ -9,6 +9,11 @@ with G_k drawn from a Gaussian Orthogonal Ensemble normalized so off-diagonal
 entries have unit variance (diagonal variance 2), i.e. G = (W + W^T)/sqrt(2).
 An instance stores X and the unscaled G_k only: AMP multiplies by G_k and by
 the rank-d spike, and Y_k is formed only when ``observations[k]`` is read.
+Each G_k is stored once, as its upper row panels G[a:a + 512, a:]
+(``SymmetricPanels``): at most (n^2 + 512 n)/2 * 8 bytes, 72 MB instead of
+128 MB at n = 4000. ``sample_goe`` draws W in 128-row strips and folds each
+strip into the panels, so no n x n array is formed, and ``np.asarray`` of the
+panels equals (W + W^T)/sqrt(2) bit for bit.
 
 Randomness is driven by ``numpy.random.SeedSequence`` spawning: every consumer
 (signal, each of the K noise views, side-information init) gets its own child
@@ -198,29 +203,81 @@ class CouplingSet:
         return CouplingSet((lam,))
 
 
+class SymmetricPanels:
+    """A symmetric n x n matrix G stored once, as its upper row panels
+    ``panels[p] = G[a:a + h, a:]`` with a = 512 p and h = min(512, n - a).
+    They hold at most (n^2 + 512 n)/2 doubles where G has n^2 (72 MB
+    instead of 128 MB at n = 4000); panel p starts at row and column
+    a = n - panels[p].shape[1]. The panels are read-only, and
+    ``np.asarray`` forms the full matrix."""
+
+    def __init__(self, panels):
+        self.panels = tuple(_freeze(p) for p in panels)
+        self.n = self.panels[0].shape[1]
+
+    @classmethod
+    def pack(cls, g: np.ndarray) -> "SymmetricPanels":
+        """The panels of a symmetric (n, n) array (its lower triangle
+        outside the diagonal blocks is not read)."""
+        return cls(g[a:a + _PANEL_ROWS, a:] for a in range(0, g.shape[0], _PANEL_ROWS))
+
+    @property
+    def nbytes(self) -> int:
+        return sum(p.nbytes for p in self.panels)
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("the full matrix of SymmetricPanels is always a new array")
+        g = np.empty((self.n, self.n))
+        for p in self.panels:
+            h, a = p.shape[0], self.n - p.shape[1]
+            g[a:a + h, a:] = p
+            g[a + h:, a:a + h] = p[:, h:].T
+        return g if dtype is None else g.astype(dtype, copy=False)
+
+
+def _as_panels(g, n: int, k: int) -> SymmetricPanels:
+    """Noise view k as panels: ``SymmetricPanels`` are taken as is, an
+    exactly symmetric (n, n) array is packed (a copy)."""
+    if not isinstance(g, SymmetricPanels):
+        g = np.asarray(g, dtype=float)
+        if g.shape != (n, n):
+            raise InvalidDimensionError(f"noise view {k} has shape {g.shape}, need ({n}, {n})")
+        if not np.array_equal(g, g.T):
+            raise InvalidDimensionError(
+                f"noise view {k} is not symmetric; a view is stored as its upper triangle")
+        g = SymmetricPanels.pack(g)
+    if g.n != n:
+        raise InvalidDimensionError(f"noise view {k} has size {g.n}, need {n}")
+    return g
+
+
 @dataclass(frozen=True)
 class MTPInstance:
     """A sampled multi-view instance: signal X (n x d), the unscaled GOE noise
     G_k of each coupling Lambda_k, and the block profile of X.
 
-    The views Y_k = (1/n) X Lambda_k X^T + (1/sqrt(n)) G_k are not stored;
+    Each G_k is held once, as the upper row panels of ``SymmetricPanels``
+    (at most (n^2 + 512 n)/2 doubles); an (n, n) array passed in is packed
+    and must be exactly symmetric. The views
+    Y_k = (1/n) X Lambda_k X^T + (1/sqrt(n)) G_k are not stored;
     ``observations[k]`` forms Y_k on demand."""
 
     X: np.ndarray
-    noise: tuple[np.ndarray, ...]
+    noise: tuple[SymmetricPanels, ...]
     couplings: CouplingSet
     profile: BlockPriorProfile
 
     def __post_init__(self):
         X = _freeze(self.X)
-        noise = tuple(_freeze(g) for g in self.noise)
         n = X.shape[0]
-        if len(noise) != self.couplings.K or any(g.shape != (n, n) for g in noise):
+        if len(self.noise) != self.couplings.K:
             raise InvalidDimensionError(
                 f"need {self.couplings.K} noise matrices of shape ({n}, {n})"
             )
         object.__setattr__(self, "X", X)
-        object.__setattr__(self, "noise", noise)
+        object.__setattr__(self, "noise",
+                           tuple(_as_panels(g, n, k) for k, g in enumerate(self.noise)))
 
     @property
     def n(self) -> int:
@@ -252,7 +309,7 @@ class _Observations(Sequence):
         k = index(k)
         inst = self._inst
         X, lam = inst.X, inst.couplings.matrices[k]
-        y = _exact_sym(X @ lam @ X.T) / inst.n + inst.noise[k] / np.sqrt(inst.n)
+        y = _exact_sym(X @ lam @ X.T) / inst.n + np.asarray(inst.noise[k]) / np.sqrt(inst.n)
         y.flags.writeable = False
         return y
 
@@ -299,63 +356,75 @@ class CoreBudget:
 
 CORES = CoreBudget()
 
-# panel height of the GOE draw and tile side of its fold; a matrix of one
-# panel takes no thread: it is drawn in less time than a thread takes to start
+# height of a drawn strip of W and tile side of its fold; a matrix of one
+# strip takes no thread: it is drawn in less time than a thread takes to start
 _GOE_TILE = 128
+# rows per stored panel of a noise view, a multiple of the draw tile
+_PANEL_ROWS = 4 * _GOE_TILE
 
 
-def _fold_panel(w: np.ndarray, j: int) -> None:
-    """w <- (w + w.T)/sqrt(2) on the tile pairs (i, j), i <= j, of row panel j:
-    the strided reads of w.T stay in cache, and the sum of each entry pair is
-    formed once (addition commutes exactly, so the bits do not change). Each
-    pair is folded once and pairs are disjoint, so panels fold in any order."""
+def _fold_panel(panels: list, w: np.ndarray, j: int) -> None:
+    """Store the drawn strip w = W[j:j + h] in the panels, folded. Its upper
+    part, from the diagonal tile on, goes to its own panel as drawn; then each
+    tile pair (i, j), i <= j, becomes (W[ri, rj] + W[rj, ri].T)/sqrt(2) in the
+    panel that holds rows ri, and its transpose fills the lower triangle of
+    the diagonal block when rows ri lie in the strip's own panel. The upper
+    entries read are still as drawn (only this strip folds them), the strided
+    reads of w.T stay in cache, and the sum of each entry pair is formed once
+    (addition commutes exactly), so the full matrix is (W + W.T)/sqrt(2) bit
+    for bit. Strips fold in the order they are drawn."""
     s = np.sqrt(2.0)
-    rj = slice(j, j + _GOE_TILE)
+    h = w.shape[0]
+    a = j - j % _PANEL_ROWS
+    own = panels[j // _PANEL_ROWS][j - a:j - a + h]
+    own[:, j - a:] = w[:, j:]
     for i in range(0, j + 1, _GOE_TILE):
-        ri = slice(i, i + _GOE_TILE)
-        tile = w[ri, rj] + w[rj, ri].T
+        b = i - i % _PANEL_ROWS
+        up = panels[i // _PANEL_ROWS][i - b:i - b + _GOE_TILE, j - b:j - b + h]
+        tile = up + w[:, i:i + _GOE_TILE].T
         tile /= s
-        w[ri, rj] = tile
-        w[rj, ri] = tile.T
+        up[...] = tile
+        if i >= a:
+            own[:, i - a:i - a + _GOE_TILE] = tile.T
 
 
-def _touch_panel(w: np.ndarray, j: int) -> None:
-    """Write one entry per 4 KiB page of row panel j (none past the last row),
-    so its pages are mapped before the generator fills them."""
-    w[j:j + _GOE_TILE].reshape(-1)[::512] = 0.0
+def sample_goe(n: int, seed) -> "SymmetricPanels":
+    """Symmetric Gaussian matrix (W + W^T)/sqrt(2): off-diagonal variance 1,
+    diagonal 2, stored as the upper row panels of ``SymmetricPanels``.
 
-
-def sample_goe(n: int, seed) -> np.ndarray:
-    """Symmetric Gaussian matrix (W + W^T)/sqrt(2): off-diagonal variance 1, diagonal 2.
-
-    W is drawn one row panel at a time, the same stream as one (n, n) draw.
-    With a spare core and more than one panel, a helper thread maps the pages
-    of the next panel and folds each drawn panel's tile pairs while the
-    generator fills the next one; otherwise the calling thread folds them
-    itself. The bits are the same either way."""
+    W is drawn one 128-row strip at a time into a strip buffer, the same
+    stream as one (n, n) draw, and each strip is folded into the panels
+    (``_fold_panel``), so no n x n array is formed. With a spare core and
+    more than one strip, a helper thread folds each drawn strip (its copy
+    into the panels maps their pages) while the generator fills the other of
+    two buffers; otherwise the calling thread folds each strip itself. The
+    bits are the same either way."""
     if n < 1:
         raise InvalidDimensionError(f"GOE size must be >= 1, got {n}")
     rng = rng_from(seed)
-    w = np.empty((n, n))
+    panels = [np.empty((min(_PANEL_ROWS, n - a), n - a)) for a in range(0, n, _PANEL_ROWS)]
     with CORES.claim(1 if n > _GOE_TILE else 0) as helpers:
+        bufs = [np.empty((min(_GOE_TILE, n), n)) for _ in range(1 + helpers)]
         if not helpers:
             for j in range(0, n, _GOE_TILE):
-                rng.standard_normal(out=w[j:j + _GOE_TILE])
-                _fold_panel(w, j)
-            return w
-        # one helper runs its tasks in order: the touch of panel j + 1 is
-        # queued before the fold of panel j, so the generator never waits
-        # behind a fold
-        with ThreadPoolExecutor(1) as pool:
-            touched, folds = pool.submit(_touch_panel, w, 0), []
-            for j in range(0, n, _GOE_TILE):
-                touched.result()
-                touched = pool.submit(_touch_panel, w, j + _GOE_TILE)
-                rng.standard_normal(out=w[j:j + _GOE_TILE])
-                folds.append(pool.submit(_fold_panel, w, j))
-            for f in [touched, *folds]:
-                f.result()
-    return w
+                w = bufs[0][:n - j]
+                rng.standard_normal(out=w)
+                _fold_panel(panels, w, j)
+        else:
+            # a buffer is drawn into again only once its strip is folded
+            with ThreadPoolExecutor(1) as pool:
+                folds = []
+                for s, j in enumerate(range(0, n, _GOE_TILE)):
+                    if s >= 2:
+                        folds[s - 2].result()
+                    w = bufs[s % 2][:n - j]
+                    rng.standard_normal(out=w)
+                    folds.append(pool.submit(_fold_panel, panels, w, j))
+                for f in folds:
+                    f.result()
+    for p in panels:
+        p.flags.writeable = False
+    return SymmetricPanels(panels)
 
 
 def sample_signal(profile: BlockPriorProfile, n: int, seed) -> np.ndarray:
@@ -378,10 +447,10 @@ def synthesize_symmetric(
     profile: BlockPriorProfile,
 ) -> MTPInstance:
     """Y_k = (1/n) X Lambda_k X^T + (1/sqrt(n)) G_k with independent GOE noise
-    per view; the instance keeps G_k only, read-only and not copied.
+    per view; the instance keeps G_k only, as the panels ``sample_goe`` drew.
 
     Each view draws from its own child of ``seed``, so views of more than
-    one panel are drawn concurrently on the spare cores (the calling thread
+    one strip are drawn concurrently on the spare cores (the calling thread
     waits and lends its own) with the bits of a serial draw."""
     X = np.asarray(X, float)
     n, d = X.shape
@@ -389,10 +458,8 @@ def synthesize_symmetric(
         raise CouplingValidationError(f"coupling size {couplings.d} != signal width {d}")
     children = np.random.SeedSequence(seed).spawn(couplings.K)
 
-    def view(child) -> np.ndarray:
-        g = sample_goe(n, np.random.default_rng(child))
-        g.flags.writeable = False
-        return g
+    def view(child) -> SymmetricPanels:
+        return sample_goe(n, np.random.default_rng(child))
 
     with CORES.claim(len(children) - 1 if n > _GOE_TILE else 0) as extra:
         if not extra:

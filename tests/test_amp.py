@@ -184,6 +184,66 @@ def test_block_product_equals_dense_product(monkeypatch):
     _assert_traces_agree(off_diagonal, oracles.run_with_iterates(bipartite, cfg))
 
 
+PACKED_PROFILES = {
+    1: (model.BlockPriorProfile((RAD,), (1.0,)),
+        model.CouplingSet((np.array([[1.6]]), np.array([[0.9]])))),
+    2: (PROF_RAD_BG, NONCOMMUTING_VIEWS),
+    3: (model.BlockPriorProfile((RAD, BG01, GAUSS), (0.5, 0.3, 0.2)),
+        model.CouplingSet((
+            np.array([[1.5, 0.4, 0.2], [0.4, 1.1, -0.3], [0.2, -0.3, 1.3]]),
+            np.array([[0.8, -0.5, 0.1], [-0.5, 1.4, 0.6], [0.1, 0.6, 0.9]]),
+        ))),
+}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [129, 511, 512, 513, 1100])
+def test_packed_product_equals_dense_product(monkeypatch, n, d):
+    # the product from the upper row panels of G_k (512 rows each) against the
+    # dense Y_k @ M over a 30-iteration K = 2 trace, with panel edges (512,
+    # 1024) and block edges at every offset from each other
+    prof, views = PACKED_PROFILES[d]
+    X = model.sample_signal(prof, n, seed=160 + d)
+    inst = model.synthesize_symmetric(X, views, seed=170 + n, profile=prof)
+    cfg = amp.AMPConfig(max_iter=30, rho=0.05, seed=180)
+    packed = oracles.run_with_iterates(inst, cfg)
+    monkeypatch.setattr(amp, "_view_product",
+                        lambda instance, k, M, slices: instance.observations[k] @ M)
+    _assert_traces_agree(packed, oracles.run_with_iterates(inst, cfg))
+
+
+@pytest.mark.parametrize("n1, n2", [(300, 213), (700, 400)])
+def test_packed_product_equals_dense_product_bipartite(monkeypatch, n1, n2):
+    # the off-diagonal view of the bipartite model, whose product reads only
+    # the panels' rows in one block and columns in the other
+    rng = model.rng_from(190 + n1)
+    X1, X2 = RAD.sample(rng, (n1, 1)), GAUSS.sample(rng, (n2, 1))
+    inst = bipartite_instance(X1, X2, 1.8, (RAD, GAUSS), 191)
+    cfg = amp.AMPConfig(max_iter=30, rho=0.05, seed=192)
+    packed = oracles.run_with_iterates(inst, cfg)
+    monkeypatch.setattr(amp, "_view_product",
+                        lambda instance, k, M, slices: instance.observations[k] @ M)
+    _assert_traces_agree(packed, oracles.run_with_iterates(inst, cfg))
+
+
+@pytest.mark.parametrize("n", [129, 511, 512])
+def test_one_panel_product_keeps_the_dense_bits(n):
+    # n <= 512: one panel, the whole matrix, and the same GEMV per block
+    prof, _ = PACKED_PROFILES[3]
+    g = model.sample_goe(n, seed=200 + n)
+    assert len(g.panels) == 1
+    slices = prof.block_slices(n)
+    M = np.zeros((n, 3))
+    rng = model.rng_from(201)
+    for j, sl in enumerate(slices):
+        M[sl, j] = rng.standard_normal(sl.stop - sl.start)
+    G = np.asarray(g)
+    dense = np.empty((n, 3))
+    for j, sl in enumerate(slices):
+        dense[:, j] = G[:, sl] @ M[sl, j]
+    assert np.array_equal(amp._block_product(g, M, slices), dense)
+
+
 def test_block_product_rejects_signal_off_its_block():
     X = np.array(model.sample_signal(PROF_RAD_BG, 200, seed=111))
     X[5, 1] = 0.3  # row 5 lies in block 1, column 2 belongs to block 2

@@ -11,11 +11,11 @@ from mvamp import model
 
 
 def test_goe_symmetric_and_deterministic():
-    g1 = model.sample_goe(32, seed=5)
-    g2 = model.sample_goe(32, seed=5)
+    g1 = np.asarray(model.sample_goe(32, seed=5))
+    g2 = np.asarray(model.sample_goe(32, seed=5))
     assert np.array_equal(g1, g2)
     assert np.array_equal(g1, g1.T)
-    assert not np.array_equal(g1, model.sample_goe(32, seed=6))
+    assert not np.array_equal(g1, np.asarray(model.sample_goe(32, seed=6)))
 
 
 def test_goe_rejects_empty():
@@ -28,12 +28,31 @@ def test_goe_tiles_keep_the_bits():
     # the tile edges, and the panel-by-panel draw equals one (n, n) draw
     for n in (1, 127, 128, 129, 257, 300, 1000):
         w = model.rng_from(40 + n).standard_normal((n, n))
-        assert np.array_equal(model.sample_goe(n, seed=40 + n), (w + w.T) / np.sqrt(2.0)), n
+        assert np.array_equal(np.asarray(model.sample_goe(n, seed=40 + n)),
+                              (w + w.T) / np.sqrt(2.0)), n
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_goe_panels_keep_the_bits(monkeypatch, cores):
+    # the upper row panels G[a:a + 512, a:], filled strip by strip with and
+    # without the helper thread, form (w + w.T)/sqrt(2) bit for bit, also
+    # where panel edges fall inside and at the end of a strip
+    monkeypatch.setattr(model, "usable_cores", lambda: cores)
+    for n in (511, 512, 513, 600, 1100, 1537):
+        w = model.rng_from(40 + n).standard_normal((n, n))
+        full = (w + w.T) / np.sqrt(2.0)
+        g = model.sample_goe(n, seed=40 + n)
+        assert np.array_equal(np.asarray(g), full), n
+        starts = range(0, n, 512)
+        assert len(g.panels) == len(starts)
+        for p, a in zip(g.panels, starts):
+            assert np.array_equal(p, full[a:a + 512, a:]) and not p.flags.writeable
+        assert g.nbytes == 8 * sum(min(512, n - a) * (n - a) for a in starts)
 
 
 def test_goe_1x1_diagonal_variance():
     # single entry is sqrt(2) * standard normal: variance 2 over seeds
-    vals = np.array([model.sample_goe(1, seed=s)[0, 0] for s in range(4000)])
+    vals = np.array([np.asarray(model.sample_goe(1, seed=s))[0, 0] for s in range(4000)])
     assert abs(vals.mean()) < 0.1
     assert abs(vals.var() - 2.0) < 0.15
 
@@ -44,7 +63,7 @@ def test_goe_ensemble_entry_variances():
     off_acc, diag_acc = [], []
     mask = ~np.eye(n, dtype=bool)
     for s in range(500):
-        g = model.sample_goe(n, seed=s)
+        g = np.asarray(model.sample_goe(n, seed=s))
         off_acc.append(g[mask].var())
         diag_acc.append(np.diag(g).var())
     assert 0.9 < np.mean(off_acc) < 1.1
@@ -60,7 +79,7 @@ def test_goe_operator_norm_law():
     hits = 0
     vals = []
     for s in range(50):
-        g = model.sample_goe(n, seed=1000 + s)
+        g = np.asarray(model.sample_goe(n, seed=1000 + s))
         # a Ritz-value accuracy of 1e-8, six orders below the 3% band
         top = float(np.abs(eigsh(g, k=1, which="LM", tol=1e-8,
                                  return_eigenvectors=False))[0])
@@ -165,15 +184,19 @@ def test_instance_holds_only_the_noise():
     X = model.sample_signal(prof, n, seed=19)
     cs = model.CouplingSet((np.array([[1.0, 0.5], [0.5, 2.0]]), np.array([[0.3, 0.0], [0.0, 0.7]])))
     inst = model.synthesize_symmetric(X, cs, seed=20, profile=prof)
-    assert sum(g.nbytes for g in inst.noise) == 8 * cs.K * n * n
-    assert all(not g.flags.writeable for g in inst.noise)
-    # the synthesized noise is taken as is; a writeable array passed in is copied
+    # each view is stored once, as its upper row panels G[a:a + 512, a:]
+    # (one panel of n x n here, n <= 512)
+    assert sum(g.nbytes for g in inst.noise) == (
+        8 * cs.K * sum(min(512, n - a) * (n - a) for a in range(0, n, 512)))
+    assert all(not p.flags.writeable for g in inst.noise for p in g.panels)
+    # the synthesized noise is taken as is; an array passed in is packed (a copy)
     again = model.MTPInstance(X, inst.noise, cs, prof)
     assert all(a is b for a, b in zip(again.noise, inst.noise))
-    mine = np.array(inst.noise[1])
+    mine = np.asarray(inst.noise[1])
     copied = model.MTPInstance(X, (inst.noise[0], mine), cs, prof)
-    assert not np.shares_memory(copied.noise[1], mine)
-    assert not copied.noise[1].flags.writeable
+    assert not any(np.shares_memory(p, mine) for p in copied.noise[1].panels)
+    assert not any(p.flags.writeable for p in copied.noise[1].panels)
+    assert np.array_equal(np.asarray(copied.noise[1]), mine)
     tracemalloc.start()
     try:
         assert len(inst.observations) == cs.K
@@ -185,6 +208,50 @@ def test_instance_holds_only_the_noise():
         model.MTPInstance(X, inst.noise[:1], cs, prof)
     with pytest.raises(TypeError):  # the block profile is required
         model.MTPInstance(X, inst.noise, cs)
+
+
+def test_instance_refuses_non_symmetric_noise():
+    # a view is stored as its upper triangle, so a lower triangle that differs
+    # would be lost: such an array is refused, naming the view
+    prof = model.BlockPriorProfile((model.ScalarPrior.rademacher(),), (1.0,))
+    n = 40
+    X = model.sample_signal(prof, n, seed=21)
+    cs = model.CouplingSet((np.eye(1), 2.0 * np.eye(1)))
+    sym = np.asarray(model.sample_goe(n, seed=22))
+    skewed = sym.copy()
+    skewed[30, 3] += 1e-12
+    with pytest.raises(model.InvalidDimensionError, match="noise view 1 is not symmetric"):
+        model.MTPInstance(X, (sym, skewed), cs, prof)
+    with pytest.raises(model.InvalidDimensionError, match="noise view 0"):
+        model.MTPInstance(X, (sym[:, :-1], sym), cs, prof)
+    inst = model.MTPInstance(X, (sym, sym), cs, prof)
+    assert np.array_equal(np.asarray(inst.noise[1]), sym)
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_packed_noise_memory(monkeypatch, cores):
+    # K = 2 views at n = 4000: the panels hold at most (n^2 + 512 n)/2 doubles per view
+    # (0.5625 of the full matrices), and one synthesis never holds a full
+    # n x n array: its traced peak is the panels plus one 4 MB strip buffer
+    # per view drawn at a time (1 core: one view after the other; 2 cores:
+    # both views at once, no helper). With a helper per view (4 or more cores)
+    # each view holds a second strip buffer, so the core count is pinned.
+    import tracemalloc
+
+    monkeypatch.setattr(model, "usable_cores", lambda: cores)
+    prof = model.BlockPriorProfile((model.ScalarPrior.rademacher(),), (1.0,))
+    n, K = 4000, 2
+    X = model.sample_signal(prof, n, seed=23)
+    cs = model.CouplingSet((np.eye(1), 2.0 * np.eye(1)))
+    full = 8 * n * n * K
+    tracemalloc.start()
+    try:
+        inst = model.synthesize_symmetric(X, cs, seed=24, profile=prof)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(g.nbytes for g in inst.noise) <= 0.57 * full
+    assert peak < 0.6 * full, peak / full
 
 
 def test_synthesize_symmetric_bit_level_d2():
@@ -324,7 +391,7 @@ def test_heteroskedastic_matches_hadamard_form():
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40))
 def test_goe_symmetry_property(seed, n):
-    g = model.sample_goe(n, seed=seed)
+    g = np.asarray(model.sample_goe(n, seed=seed))
     assert np.array_equal(g, g.T)
     assert np.isfinite(g).all()
 
