@@ -20,8 +20,9 @@ runs, each in its own subdirectory of OUT next to the config it used:
 - that config's ``limits`` once more with the non-PSD ``xi = [[0, 1], [1, 0]]``,
   eps [0.5] and targets [0.8, 1.5], so the bound of an indefinite H is
   covered;
-- that config's ``se`` and ``stability`` once more with a Gaussian first
-  block (priors gaussian / bg:0.1), so the Gauss-Hermite overlap is covered.
+- that config's ``se``, ``stability`` and ``simulate`` once more with a
+  Gaussian first block (priors gaussian / bg:0.1), so the closed-form
+  Gaussian channel and the Gaussian denoiser are covered.
 
 mvamp is imported from PYTHONPATH, so pointing it at another tree's ``src``
 snapshots that tree with the same inputs; ``diff -r`` of two snapshots then
@@ -209,7 +210,7 @@ def main(argv=None) -> int:
     gaussian = small_config()
     gaussian["model"]["priors"] = ["gaussian", "bg:0.1"]
     codes += [run(out, f"small-{command}-gaussian", command, gaussian, 2)
-              for command in ("se", "stability")]
+              for command in ("se", "stability", "simulate")]
     return max(codes)
 
 

@@ -1,7 +1,8 @@
 """Bayes-optimal conditional-mean denoisers and their analytic derivatives.
 
 All scalar denoisers act on the standardized channel  y = sqrt(s) X + Z  with
-Z ~ N(0,1) independent of X, and return E[X | y]; the block denoiser takes the
+Z ~ N(0,1) independent of X, and return E[X | y] together with its
+derivative in y from one pass over the prior; the block denoiser takes the
 raw AMP iterate and standardizes each column itself. The Bernoulli-Gaussian case
 is evaluated through the mixture responsibility in log space so it stays
 finite for arbitrarily large |y|.
@@ -64,55 +65,24 @@ def _bg_responsibility(y, s: float, eps: float):
 
 
 def posterior_mean_scalar(prior: ScalarPrior, s: float, y):
-    """E[X | sqrt(s) X + Z = y]; vectorized over y."""
+    """(eta, eta'): E[X | sqrt(s) X + Z = y] and its derivative in y,
+    vectorized over y. eta' = sqrt(s) Var(X | y), the Tweedie identity."""
     s = _check_snr(s)
     y = np.asarray(y, float)
     if s == 0.0:
-        return np.zeros_like(y)
-    rs = np.sqrt(s)
-    if prior.kind == RADEMACHER:
-        return np.tanh(rs * y)
-    if prior.kind == GAUSSIAN:
-        return rs / (1.0 + s) * y
-    eps = prior.eps
-    r = _bg_responsibility(y, s, eps)
-    return r * rs * y / (eps + s)
-
-
-def posterior_mean_derivative_scalar(prior: ScalarPrior, s: float, y):
-    """d/dy of posterior_mean_scalar; matches centered finite differences."""
-    s = _check_snr(s)
-    y = np.asarray(y, float)
-    if s == 0.0:
-        return np.zeros_like(y)
+        return np.zeros_like(y), np.zeros_like(y)
     rs = np.sqrt(s)
     if prior.kind == RADEMACHER:
         t = np.tanh(rs * y)
-        return rs * (1.0 - t * t)
+        return t, rs * (1.0 - t * t)
     if prior.kind == GAUSSIAN:
-        return np.full_like(y, rs / (1.0 + s))
+        k = rs / (1.0 + s)
+        return k * y, np.full_like(y, k)
     eps = prior.eps
     r = _bg_responsibility(y, s, eps)
     gamma = s / (eps + s)  # d logit / dy = gamma * y
-    return rs / (eps + s) * (r + r * (1.0 - r) * gamma * np.square(y))
-
-
-def posterior_variance_scalar(prior: ScalarPrior, s: float, y):
-    """Var(X | sqrt(s) X + Z = y); closed form per prior."""
-    s = _check_snr(s)
-    y = np.asarray(y, float)
-    if s == 0.0:
-        return np.ones_like(y)
-    if prior.kind == RADEMACHER:
-        t = np.tanh(np.sqrt(s) * y)
-        return 1.0 - t * t
-    if prior.kind == GAUSSIAN:
-        return np.full_like(y, 1.0 / (1.0 + s))
-    eps = prior.eps
-    r = _bg_responsibility(y, s, eps)
-    mean_spike = np.sqrt(s) * y / (eps + s)
-    second = r * (1.0 / (eps + s) + mean_spike**2)
-    return second - (r * mean_spike) ** 2
+    eta = r * rs * y / (eps + s)
+    return eta, rs / (eps + s) * (r + r * (1.0 - r) * gamma * np.square(y))
 
 
 def block_denoiser(profile: BlockPriorProfile, S: np.ndarray, Y: np.ndarray) -> DenoiserEval:
@@ -144,7 +114,6 @@ def block_denoiser(profile: BlockPriorProfile, S: np.ndarray, Y: np.ndarray) -> 
     for j, sl in enumerate(profile.block_slices(n)):
         scale = 1.0 / np.sqrt(s[j]) if s[j] > 0 else 0.0
         col = Y[sl, j] * scale
-        prior = profile.priors[j]
-        value[sl, j] = posterior_mean_scalar(prior, s[j], col)
-        div[j, j] = scale * (posterior_mean_derivative_scalar(prior, s[j], col).sum() / n)
+        value[sl, j], deta = posterior_mean_scalar(profile.priors[j], s[j], col)
+        div[j, j] = scale * (deta.sum() / n)
     return DenoiserEval(value, div)

@@ -5,7 +5,8 @@ The Gaussian-channel relative entropy per block,
     D_j(s) = KL( law(sqrt(s) X_j + Z) || law(Z) ),
 
 is computed by numerical integration of p_s log(p_s / phi) with the mixture
-marginal p_s. The achievable-overlap formula is the box-constrained program
+marginal p_s; the Gaussian D(s) = (s - log(1 + s)) / 2 is closed form. The
+achievable-overlap formula is the box-constrained program
 
     max_{q in [0, beta]}  <beta, D(H q)> - (1/4) <q, H q>,    H = sum_k Lambda_k**2,
 
@@ -56,15 +57,9 @@ def _p_log_p_over_phi(logp):
 
 
 def _kl_integrand_panels(prior: ScalarPrior, s: float):
-    """(integrand, breakpoints) for 2 * int_0^L p_s(y) log(p_s/phi)(y) dy."""
+    """(integrand, breakpoints) for 2 * int_0^L p_s(y) log(p_s/phi)(y) dy of a
+    Rademacher or Bernoulli-Gaussian prior."""
     L = 12.0 + 6.0 * math.sqrt(s)
-    if prior.kind == GAUSSIAN:
-        sig2 = 1.0 + s
-        L = max(L, 10.0 * math.sqrt(sig2))
-        f = _p_log_p_over_phi(
-            lambda y: _LOG_NORM - 0.5 * np.log(sig2) - np.square(y) / (2.0 * sig2)
-        )
-        return f, sorted({0.0, math.sqrt(sig2), 3.0 * math.sqrt(sig2), L})
     if prior.kind == RADEMACHER:
         rs = math.sqrt(s)
         f = _p_log_p_over_phi(lambda y: _LOG_NORM + np.log(0.5) + np.logaddexp(
@@ -84,7 +79,11 @@ def _kl_integrand_panels(prior: ScalarPrior, s: float):
 
 
 def _kl_once(prior: ScalarPrior, s: float, order: int) -> tuple[float, float]:
-    """D(s) by panel integration at order and at 2 * order."""
+    """D(s) by panel integration at order and at 2 * order; the Gaussian D is
+    closed form, so both of its values are exact."""
+    if prior.kind == GAUSSIAN:
+        kl = 0.5 * (s - math.log1p(s))
+        return kl, kl
     f, breaks = _kl_integrand_panels(prior, s)
     v1, v2 = _panel_sum(f, breaks, order)
     return 2.0 * v1, 2.0 * v2

@@ -10,13 +10,13 @@ vector q alone,
 
 entrywise in beta and psi, and every caller forms s the same way, as H @ q.
 
-Quadrature: Gauss-Hermite for the Gaussian overlap; the Rademacher overlap
-and the Bernoulli-Gaussian mixture are integrated with panel Gauss-Legendre,
-split where the integrand turns (for BG, at the responsibility transition,
-where Gauss-Hermite converges too slowly). Every evaluation is also made at
-doubled order and must agree to 1e-8. One integrand call covers both orders
-and every panel: the nodes form one (panels, 3 * order) array, and each value
-is then summed panel by panel, so it has the bits of a per-panel loop.
+The Gaussian channel is closed form, psi(s) = s / (1 + s). The Rademacher
+overlap and the Bernoulli-Gaussian mixture are integrated with panel
+Gauss-Legendre, split where the integrand turns (for BG, at the
+responsibility transition). Every evaluation is also made at doubled order
+and must agree to 1e-8. One integrand call covers both orders and every
+panel: the nodes form one (panels, 3 * order) array, and each value is then
+summed panel by panel, so it has the bits of a per-panel loop.
 """
 
 from __future__ import annotations
@@ -48,33 +48,18 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _hermegauss(order: int):
-    # probabilists' Hermite nodes/weights: integral against exp(-x^2/2)
-    x, w = np.polynomial.hermite_e.hermegauss(order)
-    return _read_only(x), _read_only(w / np.sqrt(2.0 * np.pi))
-
-
-@lru_cache(maxsize=64)
 def _leggauss(order: int):
     x, w = np.polynomial.legendre.leggauss(order)
     return _read_only(x), _read_only(w)
 
 
 @lru_cache(maxsize=64)
-def _paired_rule(rule, order: int):
-    """(nodes, w_order, w_2order): the nodes of ``rule`` at order and at 2 * order
-    concatenated, so one integrand call serves both orders."""
-    x1, w1 = rule(order)
-    x2, w2 = rule(2 * order)
+def _paired_rule(order: int):
+    """(nodes, w_order, w_2order): the Gauss-Legendre nodes at order and at
+    2 * order concatenated, so one integrand call serves both orders."""
+    x1, w1 = _leggauss(order)
+    x2, w2 = _leggauss(2 * order)
     return _read_only(np.concatenate([x1, x2])), w1, w2
-
-
-def _gauss_expect_pair(f, order: int) -> tuple[float, float]:
-    """E[f(Z)] for Z ~ N(0, 1) by Gauss-Hermite quadrature at order and at
-    2 * order, from one call of f."""
-    x, w1, w2 = _paired_rule(_hermegauss, order)
-    fx = f(x)
-    return float(np.dot(w1, fx[:order])), float(np.dot(w2, fx[order:]))
 
 
 def _panel_sum(f, breaks, order: int) -> tuple[float, float]:
@@ -87,7 +72,7 @@ def _panel_sum(f, breaks, order: int) -> tuple[float, float]:
     as a dot product, and each value is summed panel by panel, so it has the
     bits of a loop that calls f per panel and per order (one matrix-vector
     product would move the last ulp)."""
-    x, w1, w2 = _paired_rule(_leggauss, order)
+    x, w1, w2 = _paired_rule(order)
     mid, half = [], []
     for lo, hi in zip(breaks[:-1], breaks[1:]):
         mid.append((lo + hi) / 2.0)
@@ -140,11 +125,11 @@ def _psi_bg(s: float, eps: float, order: int) -> tuple[float, float]:
 
 
 def _psi_once(prior: ScalarPrior, s: float, order: int) -> tuple[float, float]:
-    """psi(s) by quadrature at order and at 2 * order."""
+    """psi(s) by quadrature at order and at 2 * order; the Gaussian psi is
+    closed form, so both of its values are exact."""
     if prior.kind == GAUSSIAN:
-        # eta is linear, so the integrand is quadratic and quadrature is exact
-        c = math.sqrt(s) / (1.0 + s) * math.sqrt(1.0 + s)
-        return _gauss_expect_pair(lambda u: np.square(c * u), order)
+        psi = s / (1.0 + s)
+        return psi, psi
     if prior.kind == RADEMACHER:
         # by symmetry condition on X = +1: E_{y~N(sqrt(s),1)}[tanh^2(sqrt(s) y)]
         # over rs +- 10; tanh transitions on scale 1/sqrt(s) around y = 0, so
@@ -212,11 +197,6 @@ class OperatorT:
         for lam in self.couplings.matrices:
             out += lam @ Q @ lam
         return (out + out.T) / 2.0
-
-    @property
-    def hadamard_matrix(self) -> np.ndarray:
-        """sum_k Lambda_k**2 entrywise: the vector form of T on diagonal overlaps."""
-        return self.couplings.hadamard_square_sum()
 
 
 @dataclass(frozen=True)
@@ -290,7 +270,7 @@ def run_se(
     q = np.diag(Q1).copy()
     if np.any(Q1 != np.diag(q)) or np.any(q < 0):
         raise DomainError(f"Q1 must be diagonal and nonnegative, got {Q1.tolist()}")
-    H = op.hadamard_matrix
+    H = op.couplings.hadamard_square_sum()
     qs, ss = [q], [H @ q]
     converged = False
     for _ in range(max_iter):

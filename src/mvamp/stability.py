@@ -205,7 +205,7 @@ def classify_fixed_point(
     q = np.asarray(q_star, float)
     if q.shape != (op.d,):
         raise DomainError(f"q_star must be an overlap vector of shape ({op.d},), got {q.shape}")
-    H = op.hadamard_matrix
+    H = op.couplings.hadamard_square_sum()
     s = H @ q
     resid = float(np.abs(model.psi_vector(s) - q).max())
     if resid >= 1e-8:

@@ -9,20 +9,30 @@ and the overlap, KL and Gaussianity tests:
 - ``mmse_gradient_check`` checks the MMSE gradient identity;
 - ``overlap_psi_monte_carlo`` and ``kl_channel_monte_carlo`` are sampling
   estimators of the overlap and of the channel KL divergence;
+- ``posterior_variance_scalar`` is the closed-form posterior variance, which
+  the denoiser's derivative must equal up to the factor sqrt(s);
 - ``immse_consistency`` checks the I-MMSE identity dD/ds = psi(s) / 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from mvamp import amp
-from mvamp.denoise import DomainError, posterior_mean_scalar, posterior_variance_scalar
+from mvamp.denoise import DomainError, _bg_responsibility, _check_snr, posterior_mean_scalar
 from mvamp.limits import kl_channel
 from mvamp.model import GAUSSIAN, RADEMACHER, MTPInstance, ScalarPrior, rng_from
-from mvamp.se import OperatorT, OverlapModel, SETrajectory, _hermegauss, overlap_psi_scalar
+from mvamp.se import OperatorT, OverlapModel, SETrajectory, overlap_psi_scalar
+
+
+@lru_cache(maxsize=64)
+def _hermegauss(order: int):
+    # probabilists' Hermite nodes/weights: integral against exp(-x^2/2)
+    x, w = np.polynomial.hermite_e.hermegauss(order)
+    return x, w / np.sqrt(2.0 * np.pi)
 
 
 def gauss_expect(f, order: int) -> float:
@@ -36,8 +46,26 @@ def overlap_psi_monte_carlo(prior: ScalarPrior, s: float, n_samples: int, seed=0
     rng = rng_from(seed)
     x = prior.sample(rng, n_samples)
     y = np.sqrt(s) * x + rng.standard_normal(n_samples)
-    eta = posterior_mean_scalar(prior, s, y)
+    eta, _ = posterior_mean_scalar(prior, s, y)
     return float(np.mean(eta * eta))
+
+
+def posterior_variance_scalar(prior: ScalarPrior, s: float, y):
+    """Var(X | sqrt(s) X + Z = y); closed form per prior."""
+    s = _check_snr(s)
+    y = np.asarray(y, float)
+    if s == 0.0:
+        return np.ones_like(y)
+    if prior.kind == RADEMACHER:
+        t = np.tanh(np.sqrt(s) * y)
+        return 1.0 - t * t
+    if prior.kind == GAUSSIAN:
+        return np.full_like(y, 1.0 / (1.0 + s))
+    eps = prior.eps
+    r = _bg_responsibility(y, s, eps)
+    mean_spike = np.sqrt(s) * y / (eps + s)
+    second = r * (1.0 / (eps + s) + mean_spike**2)
+    return second - (r * mean_spike) ** 2
 
 
 # ---------------------------------------------------------------------------

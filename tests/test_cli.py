@@ -371,7 +371,7 @@ def test_bound_and_se_read_the_same_H(tmp_path, monkeypatch):
         return real_refine(model, H, *args, **kwargs)
 
     def run_se(model, op, *args, **kwargs):
-        se_H.add(op.hadamard_matrix.tobytes())
+        se_H.add(op.couplings.hadamard_square_sum().tobytes())
         return real_se(model, op, *args, **kwargs)
 
     monkeypatch.setattr(limits, "refine_fixed_point", refine_fixed_point)

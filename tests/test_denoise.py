@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from mvamp import denoise, model
 
 RAD = model.ScalarPrior.rademacher()
@@ -23,7 +24,7 @@ def two_point_bayes_oracle(s, y):
 def test_rademacher_matches_two_point_oracle():
     y = np.linspace(-8, 8, 101)
     for s in [0.1, 1.0, 4.0]:
-        got = denoise.posterior_mean_scalar(RAD, s, y)
+        got, _ = denoise.posterior_mean_scalar(RAD, s, y)
         assert np.allclose(got, two_point_bayes_oracle(s, y), atol=1e-12)
         assert np.allclose(got, np.tanh(np.sqrt(s) * y))
 
@@ -32,22 +33,23 @@ def test_gaussian_posterior_mean():
     y = np.linspace(-5, 5, 11)
     for s in [0.3, 2.0]:
         assert np.allclose(
-            denoise.posterior_mean_scalar(GAUSS, s, y), np.sqrt(s) / (1 + s) * y
+            denoise.posterior_mean_scalar(GAUSS, s, y)[0], np.sqrt(s) / (1 + s) * y
         )
 
 
 def test_zero_snr_returns_prior_mean():
     y = np.array([-3.0, 0.0, 5.0])
     for prior in PRIORS:
-        assert np.all(denoise.posterior_mean_scalar(prior, 0.0, y) == 0.0)
-        assert np.all(denoise.posterior_mean_derivative_scalar(prior, 0.0, y) == 0.0)
+        eta, deta = denoise.posterior_mean_scalar(prior, 0.0, y)
+        assert np.all(eta == 0.0)
+        assert np.all(deta == 0.0)
 
 
 def test_bg_eps_one_equals_gaussian():
     y = np.linspace(-30, 30, 301)
     for s in [0.5, 3.0]:
-        a = denoise.posterior_mean_scalar(BG1, s, y)
-        b = denoise.posterior_mean_scalar(GAUSS, s, y)
+        a, _ = denoise.posterior_mean_scalar(BG1, s, y)
+        b, _ = denoise.posterior_mean_scalar(GAUSS, s, y)
         assert np.abs(a - b).max() < 1e-12
 
 
@@ -55,11 +57,10 @@ def test_negative_snr_rejected():
     with pytest.raises(denoise.DomainError):
         denoise.posterior_mean_scalar(RAD, -0.1, 0.0)
     with pytest.raises(denoise.DomainError):
-        denoise.posterior_mean_derivative_scalar(GAUSS, -1.0, 0.0)
+        denoise.posterior_mean_scalar(GAUSS, -1.0, 0.0)
     # a NaN or infinite SNR is refused as well, not turned into NaN values
     for s in (float("nan"), float("inf"), float("-inf")):
-        for fn in (denoise.posterior_mean_scalar, denoise.posterior_mean_derivative_scalar,
-                   denoise.posterior_variance_scalar):
+        for fn in (denoise.posterior_mean_scalar, oracles.posterior_variance_scalar):
             with pytest.raises(denoise.DomainError):
                 fn(RAD, s, [0.0, 1.0])
 
@@ -70,10 +71,10 @@ def test_derivative_matches_finite_differences():
     y = np.linspace(-10, 10, 81)
     for prior in PRIORS:
         for s in [0.1, 1.0, 10.0]:
-            a = denoise.posterior_mean_derivative_scalar(prior, s, y)
+            _, a = denoise.posterior_mean_scalar(prior, s, y)
             fd = (
-                denoise.posterior_mean_scalar(prior, s, y + h)
-                - denoise.posterior_mean_scalar(prior, s, y - h)
+                denoise.posterior_mean_scalar(prior, s, y + h)[0]
+                - denoise.posterior_mean_scalar(prior, s, y - h)[0]
             ) / (2 * h)
             rel = np.abs(a - fd) / np.maximum(np.abs(a), 1e-4)
             assert rel.max() < 1e-6, (prior.name, s, rel.max())
@@ -84,7 +85,7 @@ def test_rademacher_derivative_closed_form():
     s = 2.3
     t = np.tanh(np.sqrt(s) * y)
     assert np.allclose(
-        denoise.posterior_mean_derivative_scalar(RAD, s, y), np.sqrt(s) * (1 - t * t)
+        denoise.posterior_mean_scalar(RAD, s, y)[1], np.sqrt(s) * (1 - t * t)
     )
 
 
@@ -96,7 +97,7 @@ def test_nishimori_identity_per_prior():
         for s in [0.5, 2.0]:
             x = prior.sample(rng, n)
             y = np.sqrt(s) * x + rng.standard_normal(n)
-            eta = denoise.posterior_mean_scalar(prior, s, y)
+            eta, _ = denoise.posterior_mean_scalar(prior, s, y)
             lhs = eta * x
             rhs = eta * eta
             diff = lhs - rhs
@@ -107,11 +108,10 @@ def test_nishimori_identity_per_prior():
 def test_boundedness_and_lipschitz_bounds():
     y = np.linspace(-200, 200, 20001)
     for s in [0.25, 1.0, 9.0]:
-        eta = denoise.posterior_mean_scalar(RAD, s, y)
+        eta, der = denoise.posterior_mean_scalar(RAD, s, y)
         assert np.abs(eta).max() <= 1.0
-        der = denoise.posterior_mean_derivative_scalar(RAD, s, y)
         assert der.max() <= np.sqrt(s) + 1e-12
-        derg = denoise.posterior_mean_derivative_scalar(GAUSS, s, y)
+        _, derg = denoise.posterior_mean_scalar(GAUSS, s, y)
         assert derg.max() <= np.sqrt(s) / (1 + s) + 1e-12
 
 
@@ -119,12 +119,24 @@ def test_posterior_variance_forms():
     y = np.linspace(-4, 4, 9)
     s = 1.7
     assert np.allclose(
-        denoise.posterior_variance_scalar(RAD, s, y), 1 - np.tanh(np.sqrt(s) * y) ** 2
+        oracles.posterior_variance_scalar(RAD, s, y), 1 - np.tanh(np.sqrt(s) * y) ** 2
     )
-    assert np.allclose(denoise.posterior_variance_scalar(GAUSS, s, y), 1 / (1 + s))
+    assert np.allclose(oracles.posterior_variance_scalar(GAUSS, s, y), 1 / (1 + s))
     # BG variance is nonnegative and finite for large y
-    v = denoise.posterior_variance_scalar(BG01, 2.0, np.array([0.0, 50.0, -80.0]))
+    v = oracles.posterior_variance_scalar(BG01, 2.0, np.array([0.0, 50.0, -80.0]))
     assert np.all(v >= 0) and np.isfinite(v).all()
+
+
+def test_derivative_is_scaled_posterior_variance():
+    # Tweedie: eta'(y) = sqrt(s) Var(X | y) on the channel y = sqrt(s) X + Z
+    y = np.linspace(-8, 8, 161)
+    for prior in (RAD, GAUSS, BG01, BG1):
+        for s in (0.01, 1.7, 50.0):
+            _, deta = denoise.posterior_mean_scalar(prior, s, y)
+            want = np.sqrt(s) * oracles.posterior_variance_scalar(prior, s, y)
+            gap = np.abs(deta - want)
+            # where tanh rounds to 1 both sides are exactly 0
+            assert np.all(gap <= 1e-12 * np.abs(want)), (prior.name, s, gap.max())
 
 
 def _profile2():
@@ -138,9 +150,9 @@ def test_block_denoiser_at_zero_input():
     assert np.abs(ev.value).max() == 0.0
     # D_jj = (n_j/n) eta'(s_j, 0) / sqrt(s_j), the divergence w.r.t. the raw iterate
     for j, (sl_size, s) in enumerate([(12, 1.0), (8, 2.0)]):
-        expected = sl_size / n * denoise.posterior_mean_derivative_scalar(
+        expected = sl_size / n * denoise.posterior_mean_scalar(
             prof.priors[j], s, 0.0
-        ) / np.sqrt(s)
+        )[1] / np.sqrt(s)
         assert np.isclose(ev.divergence[j, j], expected)
     assert ev.divergence[0, 1] == 0.0 == ev.divergence[1, 0]
 
@@ -203,9 +215,9 @@ def test_block_denoiser_is_the_exact_posterior_mean():
     y=st.floats(-1e3, 1e3),
 )
 def test_rademacher_bounded_monotone_property(s, y):
-    v = float(denoise.posterior_mean_scalar(RAD, s, y))
+    v = float(denoise.posterior_mean_scalar(RAD, s, y)[0])
     assert -1.0 <= v <= 1.0
-    v2 = float(denoise.posterior_mean_scalar(RAD, s, y + 0.5))
+    v2 = float(denoise.posterior_mean_scalar(RAD, s, y + 0.5)[0])
     assert v2 >= v - 1e-12  # monotone nondecreasing in y
 
 
@@ -213,5 +225,6 @@ def test_rademacher_bounded_monotone_property(s, y):
 @given(s=st.floats(1e-4, 30.0), y=st.floats(-100.0, 100.0), eps=st.floats(0.01, 1.0))
 def test_bg_outputs_finite_property(s, y, eps):
     prior = model.ScalarPrior.bernoulli_gaussian(eps)
-    assert np.isfinite(denoise.posterior_mean_scalar(prior, s, y))
-    assert np.isfinite(denoise.posterior_mean_derivative_scalar(prior, s, y))
+    eta, deta = denoise.posterior_mean_scalar(prior, s, y)
+    assert np.isfinite(eta)
+    assert np.isfinite(deta)

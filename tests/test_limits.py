@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,11 @@ def test_kl_gaussian_closed_form():
     for prior in [GAUSS, model.ScalarPrior.bernoulli_gaussian(1.0)]:
         for s in [0.1, 1.0, 10.0, 100.0]:
             assert abs(limits.kl_channel(prior, s) - 0.5 * (s - np.log1p(s))) < 1e-8
+    # at small s, against the exact series D = (1/2) sum_{m>=2} (-s)^m / m
+    for s in [1e-6, 1e-5, 1e-4, 1e-3, 1e-2]:
+        x = Fraction(s)
+        exact = float(sum((-x) ** m / m for m in range(2, 12)) / 2)
+        assert abs(limits.kl_channel(GAUSS, s) - exact) <= 1e-9 * exact, s
 
 
 def test_kl_rademacher_against_monte_carlo():
@@ -99,7 +106,7 @@ def test_variational_gaussian_closed_form():
     assert abs(res.mmse_bounds[0] - 0.25) < 1e-8
     m = se.OverlapModel(model.BlockPriorProfile((GAUSS,), (1.0,)))
     op = se.OperatorT(model.CouplingSet.heteroskedastic(np.array([[2.0]])))
-    H = op.hadamard_matrix
+    H = op.couplings.hadamard_square_sum()
     for q, _ in res.candidates:
         assert np.abs(q - m.psi_vector(H @ q)).max() < 1e-8
 
@@ -122,7 +129,7 @@ def test_variational_54_past_threshold_residuals():
     c = 2.0 / T1_NORM
     res = limits.variational_solve(m, c * XI, grid_res=200)
     op = se.OperatorT(model.CouplingSet.heteroskedastic(np.sqrt(c * XI)))
-    H = op.hadamard_matrix
+    H = op.couplings.hadamard_square_sum()
     for q, _ in res.candidates:
         assert np.abs(q - m.psi_vector(H @ q)).max() < 1e-6
 

@@ -140,7 +140,7 @@ def test_classify_nu_equals_operator_norm_at_zero():
     # nonnegative orthant is ||J||_2, attained at a nonnegative unit direction
     m, op = _hetero(0.5, 1.3)
     v = stability.classify_fixed_point(m, op, np.zeros(2))
-    J = np.diag(m.dpsi_vector(np.zeros(2))) @ op.hadamard_matrix
+    J = np.diag(m.dpsi_vector(np.zeros(2))) @ op.couplings.hadamard_square_sum()
     assert abs(v.nu - np.linalg.norm(J, 2)) < 1e-12
     assert np.all(v.maximizing_direction >= 0)
     assert abs(np.linalg.norm(v.maximizing_direction) - 1.0) < 1e-12
@@ -169,7 +169,7 @@ def test_classify_saturated_fixed_point_is_stable():
     # very high SNR: q* ~ beta, psi' ~ 0, nu ~ 0
     m, op = _hetero(0.5, 40.0)
     traj = se.run_se(m, op, np.diag([1e-4, 1e-4]), max_iter=5000)
-    q, resid = se.refine_fixed_point(m, op.hadamard_matrix, traj.q_star)
+    q, resid = se.refine_fixed_point(m, op.couplings.hadamard_square_sum(), traj.q_star)
     assert resid < 1e-9
     v = stability.classify_fixed_point(m, op, q)
     assert v.classification == "stable"
