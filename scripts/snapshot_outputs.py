@@ -2,9 +2,11 @@
 compare two such directories.
 
     PYTHONPATH=src python3 scripts/snapshot_outputs.py OUT
+    PYTHONPATH=src python3 scripts/snapshot_outputs.py --golden
     python3 scripts/snapshot_outputs.py --compare A B
 
-runs, each in its own subdirectory of OUT next to the config it used:
+runs, each in its own subdirectory of OUT next to the config it used, and
+writes ``exit_codes.json``, the exit code of each run by subdirectory:
 
 - the ``config(1)`` of every perfbench workload with that workload's command
   at ``--jobs 1``; theory-curves also writes ``theory_rows.json``, the rows
@@ -24,6 +26,10 @@ runs, each in its own subdirectory of OUT next to the config it used:
   Gaussian first block (priors gaussian / bg:0.1), so the closed-form
   Gaussian channel and the Gaussian denoiser are covered.
 
+``--golden`` runs only the fast configs, every one above but the n = 4000
+phase-sweep and amp-long, and writes them into ``tests/golden/outputs``
+(emptied first), which ``tests/test_golden.py`` compares against.
+
 mvamp is imported from PYTHONPATH, so pointing it at another tree's ``src``
 snapshots that tree with the same inputs; ``diff -r`` of two snapshots then
 shows every output a change moved. The workload configs are read from this
@@ -35,7 +41,8 @@ when the bytes are equal, else how many numeric cells differ and the largest
 columns, or the key paths of the JSON leaves with list positions written
 ``[*]``. A cell is a field of a CSV file or a leaf of a JSON file; any other
 file is one cell holding its bytes. It exits 1 if a file is missing from one
-side or a non-numeric cell differs.
+side or a non-numeric cell differs. ``cell_diffs`` lists the differing cells
+of one pair of files, for this report and for the golden-output test.
 """
 
 from __future__ import annotations
@@ -44,11 +51,14 @@ import csv
 import json
 import math
 import os
+import shutil
 import sys
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GOLDEN = os.path.join(ROOT, "tests", "golden", "outputs")
+
 sys.dont_write_bytecode = True  # importing workloads leaves perfbench/ as it is
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                                "perfbench"))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import workloads  # noqa: E402
 
 
@@ -134,32 +144,47 @@ def _place(path: str, loc: tuple, header: dict) -> tuple:
     return 0, "<bytes>"
 
 
-def compare_files(a: str, b: str) -> tuple[int, float, int, list]:
-    """(numeric cells that differ, their largest |delta|, other cells that
-    differ, the names of the places where they differ in column or key order)."""
+def cell_diffs(a: str, b: str) -> list[tuple[str, object, object, float | None]]:
+    """(place, cell of a, cell of b, |delta|) of every cell where files a and
+    b differ, in column or key order. |delta| is None unless both cells are
+    numbers; it is inf where NaN meets a number, and two NaNs are equal. A
+    cell present on one side only is None on the other."""
     ca, cb = cells(a), cells(b)
     header = {c: cell for (r, c), cell in (cb | ca).items() if r == 0} if a.endswith(".csv") else {}
-    numeric, delta, other, places = 0, 0.0, 0, set()
+    out = []
     for loc in ca.keys() | cb.keys():
         x, y = ca.get(loc), cb.get(loc)
         if loc in ca and loc in cb and x == y:
             continue
-        places.add(_place(a, loc, header))
         u, v = _number(x), _number(y)
         if u is None or v is None:
-            other += 1
-        elif not (math.isnan(u) and math.isnan(v)):
-            numeric += 1
+            delta = None
+        elif math.isnan(u) and math.isnan(v):
+            continue
+        else:
             gap = abs(u - v) if u != v else 0.0
-            delta = max(delta, math.inf if math.isnan(gap) else gap)
-    return numeric, delta, other, [name for _, name in sorted(places)]
+            delta = math.inf if math.isnan(gap) else gap
+        out.append((_place(a, loc, header), x, y, delta))
+    out.sort(key=lambda t: t[0])
+    return [(name, x, y, delta) for (_, name), x, y, delta in out]
+
+
+def compare_files(a: str, b: str) -> tuple[int, float, int, list]:
+    """(numeric cells that differ, their largest |delta|, other cells that
+    differ, the names of the places where they differ in column or key order)."""
+    diffs = cell_diffs(a, b)
+    deltas = [delta for _, _, _, delta in diffs if delta is not None]
+    places = list(dict.fromkeys(name for name, _, _, _ in diffs))
+    return len(deltas), max(deltas, default=0.0), len(diffs) - len(deltas), places
+
+
+def files(root: str) -> set:
+    """The paths of every file under root, relative to it."""
+    return {os.path.relpath(os.path.join(d, f), root)
+            for d, _, names in os.walk(root) for f in names}
 
 
 def compare(a_dir: str, b_dir: str) -> int:
-    def files(root):
-        return {os.path.relpath(os.path.join(d, f), root)
-                for d, _, names in os.walk(root) for f in names}
-
     in_a, in_b = files(a_dir), files(b_dir)
     status = 0
     for name in sorted(in_a | in_b):
@@ -180,14 +205,46 @@ def compare(a_dir: str, b_dir: str) -> int:
     return status
 
 
+def snapshot(out: str, fast: bool = False) -> dict:
+    """Run every config (only the fast ones if ``fast``) into out, which must
+    be empty or absent, and write its exit_codes.json; returns the codes."""
+    os.makedirs(out, exist_ok=True)
+    codes = {}
+    for wl in workloads.WORKLOADS.values():
+        if fast and wl.name != "theory-curves":  # the n = 4000 workloads are not fast
+            continue
+        codes[wl.name] = run(out, wl.name, wl.command, wl.config(1), 1)
+        if wl.theory:
+            write_theory_rows(os.path.join(out, wl.name))
+    small = small_config()
+    for command in ("se", "stability", "simulate", "limits", "phase-diagram"):
+        codes[f"small-{command}"] = run(out, f"small-{command}", command, small, 2)
+    small["amp"]["correction"] = "disabled"
+    codes["small-simulate-disabled"] = run(out, "small-simulate-disabled", "simulate", small, 2)
+    small["sweep"].update(xi=[[0.0, 1.0], [1.0, 0.0]], eps=[0.5], target_norms=[0.8, 1.5])
+    codes["small-limits-non-psd"] = run(out, "small-limits-non-psd", "limits", small, 2)
+    gaussian = small_config()
+    gaussian["model"]["priors"] = ["gaussian", "bg:0.1"]
+    for command in ("se", "stability", "simulate"):
+        codes[f"small-{command}-gaussian"] = run(out, f"small-{command}-gaussian", command,
+                                                  gaussian, 2)
+    with open(os.path.join(out, "exit_codes.json"), "w") as fh:
+        json.dump(codes, fh, indent=2, sort_keys=True)
+    return codes
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) == 3 and args[0] == "--compare":
         return compare(args[1], args[2])
-    if len(args) != 1:
-        print("usage: snapshot_outputs.py OUT | --compare A B", file=sys.stderr)
+    if args == ["--golden"]:
+        shutil.rmtree(GOLDEN, ignore_errors=True)
+        out, fast = GOLDEN, True
+    elif len(args) == 1 and not args[0].startswith("--"):
+        out, fast = args[0], False
+    else:
+        print("usage: snapshot_outputs.py OUT | --golden | --compare A B", file=sys.stderr)
         return 2
-    out = args[0]
     os.makedirs(out, exist_ok=True)
     if os.listdir(out):
         print(f"{out} is not empty", file=sys.stderr)
@@ -195,23 +252,7 @@ def main(argv=None) -> int:
     from mvamp import cli
 
     print(f"mvamp from {os.path.dirname(cli.__file__)}")
-    codes = []
-    for wl in workloads.WORKLOADS.values():
-        codes.append(run(out, wl.name, wl.command, wl.config(1), 1))
-        if wl.theory:
-            write_theory_rows(os.path.join(out, wl.name))
-    small = small_config()
-    codes += [run(out, f"small-{command}", command, small, 2)
-              for command in ("se", "stability", "simulate", "limits", "phase-diagram")]
-    small["amp"]["correction"] = "disabled"
-    codes.append(run(out, "small-simulate-disabled", "simulate", small, 2))
-    small["sweep"].update(xi=[[0.0, 1.0], [1.0, 0.0]], eps=[0.5], target_norms=[0.8, 1.5])
-    codes.append(run(out, "small-limits-non-psd", "limits", small, 2))
-    gaussian = small_config()
-    gaussian["model"]["priors"] = ["gaussian", "bg:0.1"]
-    codes += [run(out, f"small-{command}-gaussian", command, gaussian, 2)
-              for command in ("se", "stability", "simulate")]
-    return max(codes)
+    return max(snapshot(out, fast).values())
 
 
 if __name__ == "__main__":

@@ -2,14 +2,14 @@
 
 Modules:
     model      signal priors, couplings, instance synthesis
-    denoise    Bayes-optimal denoisers and derivatives
-    amp        the AMP recursion
-    se         state evolution, overlap functions, fixed-point refinement
+    se         the scalar channel (posterior mean, overlap, relative entropy)
+               and state evolution with fixed-point refinement
+    amp        the AMP recursion and its block denoiser
     stability  completely positive operator toolkit and fixed-point stability
-    limits     channel KL divergences and the variational MMSE bound
+    limits     the variational MMSE bound
     cli        experiment harness (``mvamp`` console entry point)
 """
 
 __version__ = "0.3.0"
 
-from . import amp, denoise, limits, model, se, stability  # noqa: F401
+from . import amp, limits, model, se, stability  # noqa: F401

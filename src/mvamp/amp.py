@@ -1,5 +1,6 @@
 """The AMP engine: symmetric multi-view recursion with Bayes view weights and
-Onsager correction, and per-iteration empirical diagnostics.
+Onsager correction, its separable Bayes block denoiser, and per-iteration
+empirical diagnostics.
 
 Recursion (symmetric, rescaled observations):
 
@@ -19,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoise import DomainError, block_denoiser
-from .model import MTPInstance, rng_from
-from .se import OperatorT
+from .model import BlockPriorProfile, MTPInstance, rng_from
+from .se import DomainError, OperatorT, posterior_mean_scalar
 
 _INIT_TAG = 0x5149  # distinguishes the side-information stream from noise views
 
@@ -62,6 +62,52 @@ class AMPTrace:
     @property
     def iterations(self) -> int:
         return len(self.Q_hat) - 1
+
+
+@dataclass(frozen=True)
+class DenoiserEval:
+    """Denoised matrix together with the averaged-derivative matrix D_hat.
+
+    divergence[j, k] = (1/n) sum_i d/dY[i, j] value[i, k]; for separable
+    block denoisers this is diagonal.
+    """
+
+    value: np.ndarray
+    divergence: np.ndarray
+
+
+def block_denoiser(profile: BlockPriorProfile, S: np.ndarray, Y: np.ndarray) -> DenoiserEval:
+    """Separable Bayes denoiser of the raw AMP iterate Y = X S + Z, where the
+    rows of Z are N(0, S) and column j of X is zero outside block j.
+
+    Entry (i, j) with i in block j is the scalar posterior mean at SNR
+    s_j = S[j, j] (clipped at 0) of the standardized input Y[i, j] / sqrt(s_j);
+    all off-block entries are zero. The divergence is taken with respect to Y,
+    so D[j, j] = (1/n) sum_i eta_j'(Y[i, j] / sqrt(s_j)) / sqrt(s_j).
+
+    Reading only diag(S) is exact, not a projection: row i of block j is
+    y = x_ij S[j, :] + z with z ~ N(0, S), whose log-likelihood in x_ij is
+    x_ij S[j, :] S^{-1} y - x_ij^2 S[j, :] S^{-1} S[:, j] / 2
+    = x_ij e_j^T y - x_ij^2 s_j / 2. It depends on y only through entry j,
+    which is the scalar channel y_j = s_j x_ij + sqrt(s_j) N(0, 1).
+    """
+    d = profile.d
+    S = np.asarray(S, float)
+    if S.shape != (d, d):
+        raise DomainError(f"SNR shape {S.shape} != ({d}, {d})")
+    Y = np.asarray(Y, float)
+    n = Y.shape[0]
+    if Y.shape[1] != d:
+        raise DomainError(f"iterate width {Y.shape[1]} != d={d}")
+    s = np.clip(np.diag(S), 0.0, None)
+    value = np.zeros_like(Y)
+    div = np.zeros((d, d))
+    for j, sl in enumerate(profile.block_slices(n)):
+        scale = 1.0 / np.sqrt(s[j]) if s[j] > 0 else 0.0
+        col = Y[sl, j] * scale
+        value[sl, j], deta = posterior_mean_scalar(profile.priors[j], s[j], col)
+        div[j, j] = scale * (deta.sum() / n)
+    return DenoiserEval(value, div)
 
 
 def init_side_information(X: np.ndarray, rho: float, slices, seed) -> np.ndarray:

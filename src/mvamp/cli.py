@@ -23,13 +23,12 @@ import numpy as np
 
 from . import __version__
 from .amp import AMPConfig, AMPTrace, DivergenceError, run_symmetric
-from .denoise import DomainError
 # KLTable and variational_solve stay importable here: perfbench/tracing.py wraps them by name.
 from .limits import (  # noqa: F401
     KLTable,
     SweepRow,
-    _nodes_per_axis,
     limits_sweep,
+    nodes_per_axis,
     variational_solve,
 )
 from .model import (
@@ -42,7 +41,7 @@ from .model import (
     sample_signal,
     synthesize_symmetric,
 )
-from .se import OperatorT, OverlapModel, PrecisionError, run_se
+from .se import DomainError, OperatorT, OverlapModel, PrecisionError, run_se
 from .stability import FixedPointPreconditionError, classify_fixed_point
 
 VERSION_TAG = f"mvamp-{__version__}"
@@ -180,7 +179,7 @@ class SweepSection:
         for key in ("n", "trials"):
             _check(getattr(self, key) >= 1, f"sweep.{key}", "must be >= 1")
         _check(self.grid_res >= 2, "sweep.grid_res", "must be >= 2")
-        cap = _nodes_per_axis(self.grid_res, 2)  # what the two-block scan would use
+        cap = nodes_per_axis(self.grid_res, 2)  # what the two-block scan would use
         _check(self.grid_res == cap, "sweep.grid_res", f"must be <= {cap}")
         try:
             for profile in profiles:

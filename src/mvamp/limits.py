@@ -1,11 +1,10 @@
 """Fundamental-limits solver for the block rank-one model.
 
-The Gaussian-channel relative entropy per block,
+The bound reads the Gaussian-channel relative entropy per block,
 
     D_j(s) = KL( law(sqrt(s) X_j + Z) || law(Z) ),
 
-is computed by numerical integration of p_s log(p_s / phi) with the mixture
-marginal p_s; the Gaussian D(s) = (s - log(1 + s)) / 2 is closed form. The
+from ``se.kl_channel``, next to the overlap psi of state evolution. The
 achievable-overlap formula is the box-constrained program
 
     max_{q in [0, beta]}  <beta, D(H q)> - (1/4) <q, H q>,    H = sum_k Lambda_k**2,
@@ -20,88 +19,19 @@ Newton-polishes each branch.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .denoise import DomainError, _bg_log_terms, _check_snr
-from .model import (
-    GAUSSIAN,
-    RADEMACHER,
-    CouplingSet,
-    ScalarPrior,
-)
+from .model import CouplingSet, ScalarPrior
 from .se import (
+    DomainError,
     OverlapModel,
     PrecisionError,
-    _bg_breaks,
-    _panel_sum,
+    kl_channel,
     overlap_psi_scalar,
     refine_fixed_point,
 )
-
-
-_LOG_NORM = -0.5 * np.log(2.0 * np.pi)
-_KL_ORDER = 80  # Gauss-Legendre nodes per panel of kl_channel
-
-
-def _p_log_p_over_phi(logp):
-    """y -> p(y) log(p(y)/phi(y)) for the channel marginal with log-density logp."""
-
-    def f(y):
-        lp = logp(y)
-        return np.exp(lp) * (lp - (_LOG_NORM - np.square(y) * 0.5))
-
-    return f
-
-
-def _kl_integrand_panels(prior: ScalarPrior, s: float):
-    """(integrand, breakpoints) for 2 * int_0^L p_s(y) log(p_s/phi)(y) dy of a
-    Rademacher or Bernoulli-Gaussian prior."""
-    L = 12.0 + 6.0 * math.sqrt(s)
-    if prior.kind == RADEMACHER:
-        rs = math.sqrt(s)
-        f = _p_log_p_over_phi(lambda y: _LOG_NORM + np.log(0.5) + np.logaddexp(
-            np.square(y - rs) * -0.5, np.square(y + rs) * -0.5
-        ))
-        breaks = {0.0, L}
-        for v in (max(rs - 4.0, 0.0), rs, rs + 4.0):
-            if 0 < v < L:
-                breaks.add(v)
-        return f, sorted(breaks)
-    eps = prior.eps
-    L = max(L, 10.0 * math.sqrt(1.0 + s / eps))
-    f = _p_log_p_over_phi(lambda y: _LOG_NORM + np.logaddexp(*_bg_log_terms(y, s, eps)))
-    breaks = set(_bg_breaks(s, eps))
-    breaks.add(L)
-    return f, sorted(v for v in breaks if v <= L)
-
-
-def _kl_once(prior: ScalarPrior, s: float, order: int) -> tuple[float, float]:
-    """D(s) by panel integration at order and at 2 * order; the Gaussian D is
-    closed form, so both of its values are exact."""
-    if prior.kind == GAUSSIAN:
-        kl = 0.5 * (s - math.log1p(s))
-        return kl, kl
-    f, breaks = _kl_integrand_panels(prior, s)
-    v1, v2 = _panel_sum(f, breaks, order)
-    return 2.0 * v1, 2.0 * v2
-
-
-def kl_channel(prior: ScalarPrior, s: float) -> float:
-    """KL(P_{sqrt(s) X + Z} || P_Z) >= 0, by panel integration of p log(p/phi);
-    the doubled-order evaluation must agree to max(1e-12, 1e-8 |D|)."""
-    s = _check_snr(s)
-    if s == 0.0:
-        return 0.0
-    v1, v2 = _kl_once(prior, s, _KL_ORDER)
-    if not abs(v1 - v2) <= max(1e-12, 1e-8 * abs(v2)):
-        raise PrecisionError(
-            f"KL integration not converged for {prior.name} at s={s}: "
-            f"|delta| = {abs(v1 - v2):.2e}"
-        )
-    return max(v2, 0.0)
 
 
 class KLTable:
@@ -144,7 +74,7 @@ def _exact_objective(q, model: OverlapModel, H) -> float:
     )
 
 
-def _nodes_per_axis(grid_res: int, d: int) -> int:
+def nodes_per_axis(grid_res: int, d: int) -> int:
     """grid_res, capped so that the grid holds about 4e6 points."""
     return min(grid_res, max(8, int(round(4e6 ** (1.0 / d)))))
 
@@ -195,7 +125,7 @@ def variational_solve(
     if grid_res < 2:
         raise DomainError(f"grid_res must be >= 2, got {grid_res}")
 
-    per_axis = _nodes_per_axis(grid_res, d)
+    per_axis = nodes_per_axis(grid_res, d)
     s_need = H @ beta
     if kl_tables is None:
         kl_tables = [KLTable(p, max(float(c) * 1.001, 1e-6), per_axis, model.quad_order)
@@ -264,7 +194,7 @@ def limits_sweep(
     targets = np.asarray(target_norms, float)
     cs = targets / base_norm
     s_cap = float((cs.max() * xi @ beta).max()) * 1.001
-    tables = [KLTable(p, max(s_cap, 1e-6), _nodes_per_axis(grid_res, model.d), model.quad_order)
+    tables = [KLTable(p, max(s_cap, 1e-6), nodes_per_axis(grid_res, model.d), model.quad_order)
               for p in model.profile.priors]
     wanted = set(range(len(cs)) if indices is None else indices)
     rows = []

@@ -134,6 +134,8 @@ class BlockPriorProfile:
         if len(self.priors) != len(self.beta):
             raise InvalidProfileError("priors and beta length mismatch")
         b = np.asarray(self.beta, float)
+        if not np.isfinite(b).all():
+            raise InvalidProfileError(f"block fractions must be finite, got {self.beta}")
         if np.any(b <= 0) or np.any(b > 1):
             raise InvalidProfileError(f"block fractions must lie in (0, 1], got {self.beta}")
         if abs(b.sum() - 1.0) > 1e-8:
@@ -182,6 +184,8 @@ class CouplingSet:
         for k, m in enumerate(mats):
             if m.ndim != 2 or m.shape != (d, d):
                 raise CouplingValidationError("coupling matrices must be square with equal size")
+            if not np.isfinite(m).all():
+                raise CouplingValidationError(f"coupling matrix {k} is not finite")
             if not np.array_equal(m, m.T):
                 raise CouplingValidationError(f"coupling matrix {k} is not symmetric")
         object.__setattr__(self, "matrices", mats)

@@ -1,22 +1,33 @@
-"""Deterministic state evolution: overlap functions, the coupling operator, and
-fixed-point machinery.
+"""The scalar Gaussian channel y = sqrt(s) X + Z, and deterministic state
+evolution: the coupling operator and fixed-point machinery.
 
-The overlap of a scalar prior at SNR s is psi(s) = E[E[X | sqrt(s) X + Z]^2],
-a nondecreasing map from [0, inf) to [0, 1). Block profiles act diagonally:
-block j sees only its own SNR s_j, so state evolution carries the overlap
-vector q alone,
+Every quantity of the channel reads one prior at one SNR s, with Z ~ N(0,1)
+independent of X:
+
+- the posterior mean eta(y) = E[X | y] and its derivative in y, from one
+  pass over the prior (AMP's denoiser);
+- the overlap psi(s) = E[E[X | y]^2], a nondecreasing map from [0, inf) to
+  [0, 1) (the nonlinearity of state evolution);
+- the relative entropy D(s) = KL(law(y) || law(Z)) (the variational bound).
+
+The Bernoulli-Gaussian posterior is evaluated through the mixture
+responsibility in log space, so it stays finite for arbitrarily large |y|.
+
+Block profiles act diagonally: block j sees only its own SNR s_j, so state
+evolution carries the overlap vector q alone,
 
     q^{t+1} = beta * psi(H q^t),    s^t = H q^t,    H = sum_k Lambda_k**2,
 
 entrywise in beta and psi, and every caller forms s the same way, as H @ q.
 
-The Gaussian channel is closed form, psi(s) = s / (1 + s). The Rademacher
-overlap and the Bernoulli-Gaussian mixture are integrated with panel
-Gauss-Legendre, split where the integrand turns (for BG, at the
-responsibility transition). Every evaluation is also made at doubled order
-and must agree to 1e-8. One integrand call covers both orders and every
-panel: the nodes form one (panels, 3 * order) array, and each value is then
-summed panel by panel, so it has the bits of a per-panel loop.
+The Gaussian channel is closed form, psi(s) = s / (1 + s) and
+D(s) = (s - log(1 + s)) / 2. The Rademacher and Bernoulli-Gaussian psi and D
+are integrated with panel Gauss-Legendre, split where the integrand turns
+(for BG, at the responsibility transition). Every evaluation is also made at
+doubled order and must agree (psi to 1e-8, D to max(1e-12, 1e-8 |D|)). One
+integrand call covers both orders and every panel: the nodes form one
+(panels, 3 * order) array, and each value is then summed panel by panel, so
+it has the bits of a per-panel loop.
 """
 
 from __future__ import annotations
@@ -27,7 +38,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .denoise import DomainError, _bg_responsibility, _check_snr
 from .model import (
     GAUSSIAN,
     RADEMACHER,
@@ -37,8 +47,63 @@ from .model import (
 )
 
 
+class DomainError(ValueError):
+    pass
+
+
 class PrecisionError(RuntimeError):
     pass
+
+
+def _check_snr(s: float) -> float:
+    """s as a float; DomainError unless it is finite and nonnegative."""
+    s = float(s)
+    if not math.isfinite(s):
+        raise DomainError(f"SNR must be finite, got {s}")
+    if s < 0:
+        raise DomainError(f"SNR must be nonnegative, got {s}")
+    return s
+
+
+def _bg_log_terms(y, s: float, eps: float):
+    """(log_null, log_spike): the logs of the two BG(eps) components of the
+    channel marginal, eps N(0, sig2) with sig2 = 1 + s/eps and (1 - eps) N(0, 1),
+    without the shared -log(2 pi)/2; log_null is -inf when eps = 1."""
+    sig2 = 1.0 + s / eps
+    y2 = np.square(y)
+    log_null = np.log1p(-eps) - y2 * 0.5 if eps < 1.0 else np.full_like(y, -np.inf)
+    log_spike = np.log(eps) - 0.5 * np.log(sig2) - y2 / (2.0 * sig2)
+    return log_null, log_spike
+
+
+def _bg_responsibility(y, s: float, eps: float):
+    """P(spike | y) for the BG(eps) channel, evaluated stably as a logistic
+    function of log_null - log_spike."""
+    if eps >= 1.0:
+        return np.ones_like(np.asarray(y, float))
+    log_null, log_spike = _bg_log_terms(y, s, eps)
+    return 1.0 / (1.0 + np.exp(np.clip(log_null - log_spike, -745.0, 745.0)))
+
+
+def posterior_mean_scalar(prior: ScalarPrior, s: float, y):
+    """(eta, eta'): E[X | sqrt(s) X + Z = y] and its derivative in y,
+    vectorized over y. eta' = sqrt(s) Var(X | y), the Tweedie identity."""
+    s = _check_snr(s)
+    y = np.asarray(y, float)
+    if s == 0.0:
+        return np.zeros_like(y), np.zeros_like(y)
+    rs = np.sqrt(s)
+    if prior.kind == RADEMACHER:
+        t = np.tanh(rs * y)
+        return t, rs * (1.0 - t * t)
+    if prior.kind == GAUSSIAN:
+        k = rs / (1.0 + s)
+        return k * y, np.full_like(y, k)
+    eps = prior.eps
+    r = _bg_responsibility(y, s, eps)
+    gamma = s / (eps + s)  # d logit / dy = gamma * y
+    eta = r * rs * y / (eps + s)
+    return eta, rs / (eps + s) * (r + r * (1.0 - r) * gamma * np.square(y))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -173,6 +238,68 @@ def overlap_psi_derivative_scalar(prior: ScalarPrior, s: float, order: int = 61)
     up = overlap_psi_scalar(prior, s + h, order)
     dn = overlap_psi_scalar(prior, s - h, order)
     return (up - dn) / (2.0 * h)
+
+
+_LOG_NORM = -0.5 * np.log(2.0 * np.pi)
+_KL_ORDER = 80  # Gauss-Legendre nodes per panel of kl_channel
+
+
+def _p_log_p_over_phi(logp):
+    """y -> p(y) log(p(y)/phi(y)) for the channel marginal with log-density logp."""
+
+    def f(y):
+        lp = logp(y)
+        return np.exp(lp) * (lp - (_LOG_NORM - np.square(y) * 0.5))
+
+    return f
+
+
+def _kl_integrand_panels(prior: ScalarPrior, s: float):
+    """(integrand, breakpoints) for 2 * int_0^L p_s(y) log(p_s/phi)(y) dy of a
+    Rademacher or Bernoulli-Gaussian prior."""
+    L = 12.0 + 6.0 * math.sqrt(s)
+    if prior.kind == RADEMACHER:
+        rs = math.sqrt(s)
+        f = _p_log_p_over_phi(lambda y: _LOG_NORM + np.log(0.5) + np.logaddexp(
+            np.square(y - rs) * -0.5, np.square(y + rs) * -0.5
+        ))
+        breaks = {0.0, L}
+        for v in (max(rs - 4.0, 0.0), rs, rs + 4.0):
+            if 0 < v < L:
+                breaks.add(v)
+        return f, sorted(breaks)
+    eps = prior.eps
+    L = max(L, 10.0 * math.sqrt(1.0 + s / eps))
+    f = _p_log_p_over_phi(lambda y: _LOG_NORM + np.logaddexp(*_bg_log_terms(y, s, eps)))
+    breaks = set(_bg_breaks(s, eps))
+    breaks.add(L)
+    return f, sorted(v for v in breaks if v <= L)
+
+
+def _kl_once(prior: ScalarPrior, s: float, order: int) -> tuple[float, float]:
+    """D(s) by panel integration at order and at 2 * order; the Gaussian D is
+    closed form, so both of its values are exact."""
+    if prior.kind == GAUSSIAN:
+        kl = 0.5 * (s - math.log1p(s))
+        return kl, kl
+    f, breaks = _kl_integrand_panels(prior, s)
+    v1, v2 = _panel_sum(f, breaks, order)
+    return 2.0 * v1, 2.0 * v2
+
+
+def kl_channel(prior: ScalarPrior, s: float) -> float:
+    """KL(P_{sqrt(s) X + Z} || P_Z) >= 0, by panel integration of p log(p/phi);
+    the doubled-order evaluation must agree to max(1e-12, 1e-8 |D|)."""
+    s = _check_snr(s)
+    if s == 0.0:
+        return 0.0
+    v1, v2 = _kl_once(prior, s, _KL_ORDER)
+    if not abs(v1 - v2) <= max(1e-12, 1e-8 * abs(v2)):
+        raise PrecisionError(
+            f"KL integration not converged for {prior.name} at s={s}: "
+            f"|delta| = {abs(v1 - v2):.2e}"
+        )
+    return max(v2, 0.0)
 
 
 @dataclass(frozen=True)

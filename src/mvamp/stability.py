@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoise import DomainError
+from .se import DomainError
 from .se import OperatorT, OverlapModel
 
 

@@ -22,10 +22,18 @@ from functools import lru_cache
 import numpy as np
 
 from mvamp import amp
-from mvamp.denoise import DomainError, _bg_responsibility, _check_snr, posterior_mean_scalar
-from mvamp.limits import kl_channel
 from mvamp.model import GAUSSIAN, RADEMACHER, MTPInstance, ScalarPrior, rng_from
-from mvamp.se import OperatorT, OverlapModel, SETrajectory, overlap_psi_scalar
+from mvamp.se import (
+    DomainError,
+    OperatorT,
+    OverlapModel,
+    SETrajectory,
+    _bg_responsibility,
+    _check_snr,
+    kl_channel,
+    overlap_psi_scalar,
+    posterior_mean_scalar,
+)
 
 
 @lru_cache(maxsize=64)

@@ -111,7 +111,7 @@ def test_criterion_4_gaussian_closed_forms():
         abs(se.overlap_psi_scalar(GAUSS, s) - s / (1 + s)) for s in [0.1, 1.0, 10.0, 100.0]
     )
     worst_kl = max(
-        abs(limits.kl_channel(GAUSS, s) - 0.5 * (s - np.log1p(s)))
+        abs(se.kl_channel(GAUSS, s) - 0.5 * (s - np.log1p(s)))
         for s in [0.1, 1.0, 10.0, 100.0]
     )
     _report(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from mvamp import amp, denoise, model, se
+from mvamp import amp, model, se
 
 RAD = model.ScalarPrior.rademacher()
 GAUSS = model.ScalarPrior.gaussian_unit()
@@ -40,7 +40,7 @@ def test_init_extremes():
     assert abs(float((X.T @ m0)[0, 0]) / 500) < 5 / np.sqrt(500)
     m1 = amp.init_side_information(X, 1.0, PROF1.block_slices(500), seed=4)
     assert np.array_equal(m1, X)
-    with pytest.raises(denoise.DomainError):
+    with pytest.raises(se.DomainError):
         amp.init_side_information(X, 1.5, PROF1.block_slices(500), seed=0)
 
 
@@ -119,7 +119,7 @@ def test_divergence_error_reports_iteration(monkeypatch):
     inst = scalar_instance(1.0, n=200, seed=51)
 
     def bad_denoiser(profile, S, Y):
-        return denoise.DenoiserEval(np.full_like(Y, np.inf), np.zeros((1, 1)))
+        return amp.DenoiserEval(np.full_like(Y, np.inf), np.zeros((1, 1)))
 
     monkeypatch.setattr(amp, "block_denoiser", bad_denoiser)
     with pytest.raises(amp.DivergenceError) as exc:
@@ -135,7 +135,7 @@ def test_overflowing_overlap_is_a_divergence(monkeypatch):
 
     def huge_denoiser(profile, S, Y):
         calls.append(S)
-        return denoise.DenoiserEval(np.full_like(Y, 1e200), np.zeros((1, 1)))
+        return amp.DenoiserEval(np.full_like(Y, 1e200), np.zeros((1, 1)))
 
     monkeypatch.setattr(amp, "block_denoiser", huge_denoiser)
     with np.errstate(over="ignore"), pytest.raises(amp.DivergenceError) as exc:
@@ -249,7 +249,7 @@ def test_block_product_rejects_signal_off_its_block():
     X[5, 1] = 0.3  # row 5 lies in block 1, column 2 belongs to block 2
     inst = model.synthesize_symmetric(X, NONCOMMUTING_VIEWS, seed=112, profile=PROF_RAD_BG)
     cfg = amp.AMPConfig(max_iter=3, rho=0.1, seed=113)
-    with pytest.raises(denoise.DomainError, match="outside block 2"):
+    with pytest.raises(se.DomainError, match="outside block 2"):
         amp.run_symmetric(inst, cfg)
 
 
@@ -370,8 +370,9 @@ def test_iterate_seam_captures_each_denoiser_input():
     X = model.sample_signal(PROF_RAD_BG, 600, seed=105)
     inst = model.synthesize_symmetric(X, NONCOMMUTING_VIEWS, seed=106, profile=PROF_RAD_BG)
     cfg = amp.AMPConfig(max_iter=7, rho=0.1, seed=107)
+    block_denoiser = amp.block_denoiser
     tr, seen = oracles.run_with_iterates(inst, cfg)
-    assert amp.block_denoiser is denoise.block_denoiser
+    assert amp.block_denoiser is block_denoiser
     assert len(seen) == cfg.max_iter == tr.iterations
     S_t, X_t = seen[-1]
     assert np.array_equal(amp.block_denoiser(inst.profile, S_t, X_t).value, tr.M_final)

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from mvamp import denoise, model
+from mvamp import amp, model
+from mvamp.se import DomainError, posterior_mean_scalar
 
 RAD = model.ScalarPrior.rademacher()
 GAUSS = model.ScalarPrior.gaussian_unit()
@@ -24,7 +25,7 @@ def two_point_bayes_oracle(s, y):
 def test_rademacher_matches_two_point_oracle():
     y = np.linspace(-8, 8, 101)
     for s in [0.1, 1.0, 4.0]:
-        got, _ = denoise.posterior_mean_scalar(RAD, s, y)
+        got, _ = posterior_mean_scalar(RAD, s, y)
         assert np.allclose(got, two_point_bayes_oracle(s, y), atol=1e-12)
         assert np.allclose(got, np.tanh(np.sqrt(s) * y))
 
@@ -33,14 +34,14 @@ def test_gaussian_posterior_mean():
     y = np.linspace(-5, 5, 11)
     for s in [0.3, 2.0]:
         assert np.allclose(
-            denoise.posterior_mean_scalar(GAUSS, s, y)[0], np.sqrt(s) / (1 + s) * y
+            posterior_mean_scalar(GAUSS, s, y)[0], np.sqrt(s) / (1 + s) * y
         )
 
 
 def test_zero_snr_returns_prior_mean():
     y = np.array([-3.0, 0.0, 5.0])
     for prior in PRIORS:
-        eta, deta = denoise.posterior_mean_scalar(prior, 0.0, y)
+        eta, deta = posterior_mean_scalar(prior, 0.0, y)
         assert np.all(eta == 0.0)
         assert np.all(deta == 0.0)
 
@@ -48,20 +49,20 @@ def test_zero_snr_returns_prior_mean():
 def test_bg_eps_one_equals_gaussian():
     y = np.linspace(-30, 30, 301)
     for s in [0.5, 3.0]:
-        a, _ = denoise.posterior_mean_scalar(BG1, s, y)
-        b, _ = denoise.posterior_mean_scalar(GAUSS, s, y)
+        a, _ = posterior_mean_scalar(BG1, s, y)
+        b, _ = posterior_mean_scalar(GAUSS, s, y)
         assert np.abs(a - b).max() < 1e-12
 
 
 def test_negative_snr_rejected():
-    with pytest.raises(denoise.DomainError):
-        denoise.posterior_mean_scalar(RAD, -0.1, 0.0)
-    with pytest.raises(denoise.DomainError):
-        denoise.posterior_mean_scalar(GAUSS, -1.0, 0.0)
+    with pytest.raises(DomainError):
+        posterior_mean_scalar(RAD, -0.1, 0.0)
+    with pytest.raises(DomainError):
+        posterior_mean_scalar(GAUSS, -1.0, 0.0)
     # a NaN or infinite SNR is refused as well, not turned into NaN values
     for s in (float("nan"), float("inf"), float("-inf")):
-        for fn in (denoise.posterior_mean_scalar, oracles.posterior_variance_scalar):
-            with pytest.raises(denoise.DomainError):
+        for fn in (posterior_mean_scalar, oracles.posterior_variance_scalar):
+            with pytest.raises(DomainError):
                 fn(RAD, s, [0.0, 1.0])
 
 
@@ -71,10 +72,10 @@ def test_derivative_matches_finite_differences():
     y = np.linspace(-10, 10, 81)
     for prior in PRIORS:
         for s in [0.1, 1.0, 10.0]:
-            _, a = denoise.posterior_mean_scalar(prior, s, y)
+            _, a = posterior_mean_scalar(prior, s, y)
             fd = (
-                denoise.posterior_mean_scalar(prior, s, y + h)[0]
-                - denoise.posterior_mean_scalar(prior, s, y - h)[0]
+                posterior_mean_scalar(prior, s, y + h)[0]
+                - posterior_mean_scalar(prior, s, y - h)[0]
             ) / (2 * h)
             rel = np.abs(a - fd) / np.maximum(np.abs(a), 1e-4)
             assert rel.max() < 1e-6, (prior.name, s, rel.max())
@@ -85,7 +86,7 @@ def test_rademacher_derivative_closed_form():
     s = 2.3
     t = np.tanh(np.sqrt(s) * y)
     assert np.allclose(
-        denoise.posterior_mean_scalar(RAD, s, y)[1], np.sqrt(s) * (1 - t * t)
+        posterior_mean_scalar(RAD, s, y)[1], np.sqrt(s) * (1 - t * t)
     )
 
 
@@ -97,7 +98,7 @@ def test_nishimori_identity_per_prior():
         for s in [0.5, 2.0]:
             x = prior.sample(rng, n)
             y = np.sqrt(s) * x + rng.standard_normal(n)
-            eta, _ = denoise.posterior_mean_scalar(prior, s, y)
+            eta, _ = posterior_mean_scalar(prior, s, y)
             lhs = eta * x
             rhs = eta * eta
             diff = lhs - rhs
@@ -108,10 +109,10 @@ def test_nishimori_identity_per_prior():
 def test_boundedness_and_lipschitz_bounds():
     y = np.linspace(-200, 200, 20001)
     for s in [0.25, 1.0, 9.0]:
-        eta, der = denoise.posterior_mean_scalar(RAD, s, y)
+        eta, der = posterior_mean_scalar(RAD, s, y)
         assert np.abs(eta).max() <= 1.0
         assert der.max() <= np.sqrt(s) + 1e-12
-        _, derg = denoise.posterior_mean_scalar(GAUSS, s, y)
+        _, derg = posterior_mean_scalar(GAUSS, s, y)
         assert derg.max() <= np.sqrt(s) / (1 + s) + 1e-12
 
 
@@ -132,7 +133,7 @@ def test_derivative_is_scaled_posterior_variance():
     y = np.linspace(-8, 8, 161)
     for prior in (RAD, GAUSS, BG01, BG1):
         for s in (0.01, 1.7, 50.0):
-            _, deta = denoise.posterior_mean_scalar(prior, s, y)
+            _, deta = posterior_mean_scalar(prior, s, y)
             want = np.sqrt(s) * oracles.posterior_variance_scalar(prior, s, y)
             gap = np.abs(deta - want)
             # where tanh rounds to 1 both sides are exactly 0
@@ -146,11 +147,11 @@ def _profile2():
 def test_block_denoiser_at_zero_input():
     prof = _profile2()
     n = 20
-    ev = denoise.block_denoiser(prof, np.diag([1.0, 2.0]), np.zeros((n, 2)))
+    ev = amp.block_denoiser(prof, np.diag([1.0, 2.0]), np.zeros((n, 2)))
     assert np.abs(ev.value).max() == 0.0
     # D_jj = (n_j/n) eta'(s_j, 0) / sqrt(s_j), the divergence w.r.t. the raw iterate
     for j, (sl_size, s) in enumerate([(12, 1.0), (8, 2.0)]):
-        expected = sl_size / n * denoise.posterior_mean_scalar(
+        expected = sl_size / n * posterior_mean_scalar(
             prof.priors[j], s, 0.0
         )[1] / np.sqrt(s)
         assert np.isclose(ev.divergence[j, j], expected)
@@ -160,7 +161,7 @@ def test_block_denoiser_at_zero_input():
 def test_block_denoiser_single_block_matches_scalar():
     prof = model.BlockPriorProfile((RAD,), (1.0,))
     Y = np.random.default_rng(3).standard_normal((15, 1))
-    ev = denoise.block_denoiser(prof, np.array([[1.3]]), Y)
+    ev = amp.block_denoiser(prof, np.array([[1.3]]), Y)
     # the raw iterate is y = s x + sqrt(s) z; its Rademacher posterior mean is tanh(y)
     assert np.allclose(ev.value, np.tanh(Y))
 
@@ -171,7 +172,7 @@ def test_block_denoiser_gaussian_blocks_divergence():
     n = 1000
     Y = np.random.default_rng(4).standard_normal((n, 2))
     s = np.array([0.8, 2.5])
-    ev = denoise.block_denoiser(prof, np.diag(s), Y)
+    ev = amp.block_denoiser(prof, np.diag(s), Y)
     for j in range(2):
         beta_j = prof.block_sizes(n)[j] / n
         assert np.isclose(ev.divergence[j, j], beta_j / (1 + s[j]))
@@ -181,8 +182,8 @@ def test_block_denoiser_reads_only_diag():
     prof = _profile2()
     S = np.array([[1.0, 0.2], [0.2, 1.0]])
     Y = np.ones((10, 2))
-    ev = denoise.block_denoiser(prof, S, Y)
-    ref = denoise.block_denoiser(prof, np.eye(2), Y)
+    ev = amp.block_denoiser(prof, S, Y)
+    ref = amp.block_denoiser(prof, np.eye(2), Y)
     assert np.array_equal(ev.value, ref.value)
     assert np.array_equal(ev.divergence, ref.divergence)
 
@@ -196,7 +197,7 @@ def test_block_denoiser_is_the_exact_posterior_mean():
     n = 10
     S = np.array([[1.3, 0.5], [0.5, 0.8]])
     Xt = np.random.default_rng(9).standard_normal((n, 2))
-    ev = denoise.block_denoiser(prof, S, Xt)
+    ev = amp.block_denoiser(prof, S, Xt)
     value = np.zeros((n, 2))
     div = np.zeros((2, 2))
     for k, sl in enumerate(prof.block_slices(n)):
@@ -215,9 +216,9 @@ def test_block_denoiser_is_the_exact_posterior_mean():
     y=st.floats(-1e3, 1e3),
 )
 def test_rademacher_bounded_monotone_property(s, y):
-    v = float(denoise.posterior_mean_scalar(RAD, s, y)[0])
+    v = float(posterior_mean_scalar(RAD, s, y)[0])
     assert -1.0 <= v <= 1.0
-    v2 = float(denoise.posterior_mean_scalar(RAD, s, y + 0.5)[0])
+    v2 = float(posterior_mean_scalar(RAD, s, y + 0.5)[0])
     assert v2 >= v - 1e-12  # monotone nondecreasing in y
 
 
@@ -225,6 +226,6 @@ def test_rademacher_bounded_monotone_property(s, y):
 @given(s=st.floats(1e-4, 30.0), y=st.floats(-100.0, 100.0), eps=st.floats(0.01, 1.0))
 def test_bg_outputs_finite_property(s, y, eps):
     prior = model.ScalarPrior.bernoulli_gaussian(eps)
-    eta, deta = denoise.posterior_mean_scalar(prior, s, y)
+    eta, deta = posterior_mean_scalar(prior, s, y)
     assert np.isfinite(eta)
     assert np.isfinite(deta)

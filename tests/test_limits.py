@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from mvamp import denoise, limits, model, se
+from mvamp import limits, model, se
 
 RAD = model.ScalarPrior.rademacher()
 GAUSS = model.ScalarPrior.gaussian_unit()
@@ -25,25 +25,25 @@ def _overlap(priors, beta):
 
 def test_kl_zero_snr_is_zero():
     for prior in [RAD, GAUSS, BG01]:
-        assert limits.kl_channel(prior, 0.0) == 0.0
+        assert se.kl_channel(prior, 0.0) == 0.0
 
 
 def test_kl_gaussian_closed_form():
     # BG(1) is the standard Gaussian reached through the BG mixture terms
     for prior in [GAUSS, model.ScalarPrior.bernoulli_gaussian(1.0)]:
         for s in [0.1, 1.0, 10.0, 100.0]:
-            assert abs(limits.kl_channel(prior, s) - 0.5 * (s - np.log1p(s))) < 1e-8
+            assert abs(se.kl_channel(prior, s) - 0.5 * (s - np.log1p(s))) < 1e-8
     # at small s, against the exact series D = (1/2) sum_{m>=2} (-s)^m / m
     for s in [1e-6, 1e-5, 1e-4, 1e-3, 1e-2]:
         x = Fraction(s)
         exact = float(sum((-x) ** m / m for m in range(2, 12)) / 2)
-        assert abs(limits.kl_channel(GAUSS, s) - exact) <= 1e-9 * exact, s
+        assert abs(se.kl_channel(GAUSS, s) - exact) <= 1e-9 * exact, s
 
 
 def test_kl_rademacher_against_monte_carlo():
     # independent estimator E[log(p_s/phi)]; agreement within 5 MC standard errors
     s = 1.0
-    v = limits.kl_channel(RAD, s)
+    v = se.kl_channel(RAD, s)
     n = 10**7
     mc = oracles.kl_channel_monte_carlo(RAD, s, n, seed=21)
     rng = model.rng_from(22)
@@ -57,7 +57,7 @@ def test_kl_rademacher_against_monte_carlo():
 def test_kl_nonnegative_increasing_convex():
     grid = np.linspace(0.0, 8.0, 33)
     for prior in [RAD, GAUSS, BG01, BG05]:
-        vals = np.array([limits.kl_channel(prior, s) for s in grid])
+        vals = np.array([se.kl_channel(prior, s) for s in grid])
         assert np.all(vals >= 0)
         assert np.all(np.diff(vals) >= -1e-12)
         second = np.diff(vals, 2)
@@ -65,8 +65,8 @@ def test_kl_nonnegative_increasing_convex():
 
 
 def test_kl_rejects_negative_snr():
-    with pytest.raises(denoise.DomainError):
-        limits.kl_channel(RAD, -1.0)
+    with pytest.raises(se.DomainError):
+        se.kl_channel(RAD, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +77,7 @@ def test_immse_gaussian_exact():
     # dD/ds = s/(1+s)/2 for the Gaussian channel
     for s in [0.3, 2.0]:
         h = 1e-4
-        fd = (limits.kl_channel(GAUSS, s + h) - limits.kl_channel(GAUSS, s - h)) / (2 * h)
+        fd = (se.kl_channel(GAUSS, s + h) - se.kl_channel(GAUSS, s - h)) / (2 * h)
         assert abs(fd - 0.5 * s / (1 + s)) < 1e-8
 
 
@@ -164,11 +164,11 @@ def test_variational_non_psd_fallback():
 
 
 def test_variational_rejects_negative_H_and_coarse_grid():
-    with pytest.raises(denoise.DomainError):
+    with pytest.raises(se.DomainError):
         limits.variational_solve(_overlap([RAD, RAD], [0.5, 0.5]),
                                  np.array([[1.0, -0.1], [-0.1, 1.0]]))
     for grid_res in (0, 1):
-        with pytest.raises(denoise.DomainError):
+        with pytest.raises(se.DomainError):
             limits.variational_solve(_overlap([GAUSS], [1.0]), np.array([[4.0]]), grid_res=grid_res)
     assert limits.variational_solve(_overlap([GAUSS], [1.0]), np.array([[4.0]]),
                                     grid_res=2).grid_res == 2
@@ -184,7 +184,7 @@ def _sup_inf_objective(q, m, H):
         if qj > 0:
             s = brentq(lambda s: b * m.psi_scalar(j, s) - qj, 0.0, 1e3, xtol=1e-14,
                        rtol=4 * np.finfo(float).eps)
-            total += b * limits.kl_channel(prior, s) - 0.5 * s * qj
+            total += b * se.kl_channel(prior, s) - 0.5 * s * qj
     return total
 
 
@@ -219,10 +219,10 @@ def test_kl_table_nodes_against_a_root_solve():
             s = brentq(lambda s: b * se.overlap_psi_scalar(prior, s, 61) - q_i, 0.0, 20.0,
                        xtol=1e-14, rtol=4 * np.finfo(float).eps)
             assert abs(s - s_i) <= 1e-9 * max(1.0, s_i)
-            assert abs(b * limits.kl_channel(prior, s) - 0.5 * s * q_i - g_i) < 1e-12
+            assert abs(b * se.kl_channel(prior, s) - 0.5 * s * q_i - g_i) < 1e-12
             # the inf: no other s does better
             for s_other in (0.5 * s_i, 2.0 * s_i):
-                assert b * limits.kl_channel(prior, s_other) - 0.5 * s_other * q_i > g_i
+                assert b * se.kl_channel(prior, s_other) - 0.5 * s_other * q_i > g_i
 
 
 def test_variational_three_blocks():
@@ -262,5 +262,5 @@ def test_kl_tables_must_hold_the_grid():
     m = _overlap([GAUSS], [1.0])
     H = np.array([[4.0]])
     for table in (limits.KLTable(GAUSS, 5.0, n_nodes=50), limits.KLTable(GAUSS, 3.0, n_nodes=400)):
-        with pytest.raises(denoise.DomainError):
+        with pytest.raises(se.DomainError):
             limits.variational_solve(m, H, kl_tables=[table])

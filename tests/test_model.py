@@ -129,6 +129,23 @@ def test_profile_block_sizes_and_validation():
         model.BlockPriorProfile((), ())
 
 
+def test_profile_refuses_non_finite_fractions():
+    # NaN compares False with every bound, so only a finiteness check sees it
+    rad = model.ScalarPrior.rademacher()
+    for priors, beta in (((rad,), (np.nan,)), ((rad, rad), (np.nan, 1.0)),
+                         ((rad, rad), (np.inf, 0.5))):
+        with pytest.raises(model.InvalidProfileError, match="finite"):
+            model.BlockPriorProfile(priors, beta)
+
+
+def test_couplings_refuse_non_finite_matrices():
+    # a NaN matrix is not finite (not "not symmetric"), and an inf one is refused
+    for bad in (np.nan, np.inf):
+        lam = np.array([[1.0, 0.2], [0.2, bad]])
+        with pytest.raises(model.CouplingValidationError, match="coupling matrix 1 is not finite"):
+            model.CouplingSet((np.eye(2), lam))
+
+
 def test_sample_signal_support_pattern():
     prof = model.BlockPriorProfile(
         (model.ScalarPrior.rademacher(), model.ScalarPrior.rademacher()), (0.6, 0.4)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from mvamp import denoise, limits, model, se
+from mvamp import model, se
 
 RAD = model.ScalarPrior.rademacher()
 GAUSS = model.ScalarPrior.gaussian_unit()
@@ -81,11 +81,10 @@ def test_paired_rule_keeps_the_bits(monkeypatch):
     grid = np.geomspace(1e-4, 80.0, 40)
     bg01, bg1 = model.ScalarPrior.bernoulli_gaussian(0.1), model.ScalarPrior.bernoulli_gaussian(1.0)
     cases = [(se._psi_once, p, 61) for p in (RAD, BG05, bg01, bg1)]
-    cases += [(limits._kl_once, p, 80) for p in (RAD, bg01)]
+    cases += [(se._kl_once, p, 80) for p in (RAD, bg01)]
     paired = [[fn(p, s, order) for s in grid] for fn, p, order in cases]
     with monkeypatch.context() as m:
         m.setattr(se, "_panel_sum", _loop_pair)
-        m.setattr(limits, "_panel_sum", _loop_pair)
         looped = [[fn(p, s, order) for s in grid] for fn, p, order in cases]
     for (fn, p, _), got, want in zip(cases, paired, looped):
         for s, g, w in zip(grid, got, want):
@@ -121,16 +120,16 @@ def test_non_finite_snr_rejected(monkeypatch):
     # quadrature value that is not finite fails the doubling check, which
     # names the prior and the SNR
     for s in (float("nan"), float("inf")):
-        for kernel in (se.overlap_psi_scalar, se.overlap_psi_derivative_scalar, limits.kl_channel):
-            with pytest.raises(denoise.DomainError, match="finite"):
+        for kernel in (se.overlap_psi_scalar, se.overlap_psi_derivative_scalar, se.kl_channel):
+            with pytest.raises(se.DomainError, match="finite"):
                 kernel(RAD, s)
     nan_pair = lambda prior, s, order: (float("nan"), float("nan"))  # noqa: E731
     monkeypatch.setattr(se, "_psi_once", nan_pair)
-    monkeypatch.setattr(limits, "_kl_once", nan_pair)
+    monkeypatch.setattr(se, "_kl_once", nan_pair)
     with pytest.raises(se.PrecisionError, match=f"for {RAD.name} at s=1.0:"):
         se.overlap_psi_scalar(RAD, 1.0)
     with pytest.raises(se.PrecisionError, match=f"for {RAD.name} at s=1.0:"):
-        limits.kl_channel(RAD, 1.0)
+        se.kl_channel(RAD, 1.0)
 
 
 def test_overlap_matches_monte_carlo():
@@ -142,13 +141,13 @@ def test_overlap_matches_monte_carlo():
         rng = model.rng_from(8)
         x = prior.sample(rng, 200_000)
         y = np.sqrt(s) * x + rng.standard_normal(200_000)
-        eta2 = denoise.posterior_mean_scalar(prior, s, y)[0] ** 2
+        eta2 = se.posterior_mean_scalar(prior, s, y)[0] ** 2
         band = 5 * eta2.std() / np.sqrt(n)
         assert abs(v - mc) < band + 1e-4, (prior.name, s, v, mc)
 
 
 def test_negative_snr_rejected():
-    with pytest.raises(denoise.DomainError):
+    with pytest.raises(se.DomainError):
         se.overlap_psi_scalar(RAD, -0.5)
 
 
@@ -208,13 +207,13 @@ def test_apply_T_preserves_psd():
 
 def test_apply_T_rejects_bad_input():
     op = se.OperatorT(model.CouplingSet((np.eye(2),)))
-    with pytest.raises(denoise.DomainError):
+    with pytest.raises(se.DomainError):
         op.apply(np.eye(3))
-    with pytest.raises(denoise.DomainError):
+    with pytest.raises(se.DomainError):
         op.apply(np.array([[0.0, 1.0], [0.0, 0.0]]))
     # a non-finite entry fails too: the symmetry gap of a NaN compares False
     for bad in ([[np.nan, 1.0], [0.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]]):
-        with pytest.raises(denoise.DomainError, match="finite"):
+        with pytest.raises(se.DomainError, match="finite"):
             op.apply(np.array(bad))
 
 
@@ -266,7 +265,7 @@ def test_run_se_heteroskedastic_saturates_at_beta():
 
 def test_run_se_rejects_non_psd_start():
     m, op = _scalar_setup(1.0)
-    with pytest.raises(denoise.DomainError):
+    with pytest.raises(se.DomainError):
         se.run_se(m, op, np.array([[-0.1]]))
 
 
@@ -276,7 +275,7 @@ def test_run_se_rejects_non_diagonal_or_negative_start():
     m = se.OverlapModel(model.BlockPriorProfile((RAD, BG5), (0.6, 0.4)))
     op = se.OperatorT(model.CouplingSet((np.array([[1.6, 0.6], [0.6, 1.0]]),)))
     for Q1 in ([[0.05, 0.01], [0.01, 0.05]], [[0.05, 0.0], [0.0, -1e-3]], np.eye(3)):
-        with pytest.raises(denoise.DomainError):
+        with pytest.raises(se.DomainError):
             se.run_se(m, op, np.array(Q1))
     traj = se.run_se(m, op, np.diag([0.05, 0.0]), max_iter=3)
     assert traj.q.shape == traj.s.shape == (4, 2)
@@ -312,7 +311,7 @@ def test_mmse_gradient_check_rademacher():
 def test_mmse_gradient_check_guards():
     prof = model.BlockPriorProfile((RAD,), (1.0,))
     m = se.OverlapModel(prof)
-    with pytest.raises(denoise.DomainError):
+    with pytest.raises(se.DomainError):
         oracles.mmse_gradient_check(m, np.array([[1.0]]), 500)
     with pytest.raises(oracles.InconclusiveCheckError):
         oracles.mmse_gradient_check(m, np.array([[1.0]]), 4, n_samples=4, seed=0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mvamp import denoise, model, se, stability
+from mvamp import model, se, stability
 
 RAD = model.ScalarPrior.rademacher()
 XI = np.array([[0.7, 0.3], [0.3, 0.7]])
@@ -186,7 +186,7 @@ def test_classify_requires_overlap_vector():
     # a matrix or a vector of the wrong length is refused, not read for its diagonal
     m, op = _hetero(0.5, 2.0)
     for q in (np.zeros((2, 2)), np.zeros(3), np.zeros((2, 1))):
-        with pytest.raises(denoise.DomainError):
+        with pytest.raises(se.DomainError):
             stability.classify_fixed_point(m, op, q)
 
 
