@@ -6,6 +6,8 @@ and the overlap, KL and Gaussianity tests:
 - ``run_with_iterates`` runs AMP and keeps each pre-denoising iterate X^t,
   read at the ``amp.block_denoiser`` call that receives it;
 - ``gaussianity_diagnostic`` compares those iterates with their SE law;
+- ``trial_seed`` and ``trial_mean_z`` make a Monte Carlo check of many
+  instances: one seed per trial, and each cell's trial mean in stderr units;
 - ``mmse_gradient_check`` checks the MMSE gradient identity;
 - ``overlap_psi_monte_carlo`` and ``kl_channel_monte_carlo`` are sampling
   estimators of the overlap and of the channel KL divergence;
@@ -274,7 +276,8 @@ def _battery_prediction(prior: ScalarPrior, k: float, sigma2: float, name: str):
 @dataclass
 class GaussianityReport:
     cov_distance: np.ndarray          # per iteration ||emp residual cov - Sigma^t||_F
-    battery: dict                     # name -> (t, block) arrays of |emp - predicted|
+    cov_gap: np.ndarray               # per iteration emp residual cov - Sigma^t, (t, d, d)
+    battery: dict                     # name -> (t, block) arrays of emp - predicted
 
 
 def gaussianity_diagnostic(
@@ -295,20 +298,36 @@ def gaussianity_diagnostic(
     slices = profile.block_slices(n)
     op = OperatorT(instance.couplings)
     n_t = len(iterates)
-    cov_dist = np.zeros(n_t)
+    cov_gap = np.zeros((n_t, d, d))
     battery = {name: np.zeros((n_t, d)) for name in _BATTERY}
     for i, (_, Xt) in enumerate(iterates):
         # S^t for t = i+1, = Sigma^t under Bayes weights; an orbit that
         # converged in fewer steps sits at its fixed point
         K = op.apply(np.diag(se_traj.q[min(i, se_traj.iterations)]))
         R = Xt - X @ K
-        C = R.T @ R / n
-        cov_dist[i] = float(np.linalg.norm(C - K))
+        cov_gap[i] = R.T @ R / n - K
         for j, sl in enumerate(slices):
             for name in _BATTERY:
                 emp = float(np.mean(_BATTERY[name](X[sl, j], Xt[sl, j])))
                 pred = _battery_prediction(
                     profile.priors[j], float(K[j, j]), float(K[j, j]), name
                 )
-                battery[name][i, j] = abs(emp - pred)
-    return GaussianityReport(cov_dist, battery)
+                battery[name][i, j] = emp - pred
+    return GaussianityReport(np.linalg.norm(cov_gap, axis=(1, 2)), cov_gap, battery)
+
+
+def trial_seed(base: int, trial: int) -> int:
+    """The instance seed of trial ``trial`` of the seed base ``base``."""
+    return int(np.random.SeedSequence([base, trial]).generate_state(1)[0])
+
+
+def trial_mean_z(samples) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, |mean| / stderr) of each cell over the trials on axis 0. A cell
+    that is the same in every trial has stderr 0: its z is 0 if it is 0, and
+    inf otherwise."""
+    a = np.asarray(samples, float)
+    mean = a.mean(axis=0)
+    stderr = a.std(axis=0, ddof=1) / np.sqrt(len(a))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(mean == 0.0, 0.0, np.abs(mean) / stderr)
+    return mean, z

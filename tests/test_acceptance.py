@@ -47,23 +47,29 @@ def _amp_mse_mean(profile, couplings, n, trials, rho, max_iter, seed):
 
 
 def test_criterion_1_se_amp_agreement():
+    # each entry of Q_hat^t, t <= 20, over 20 instances: its trial mean minus
+    # q_SE^t lies within 4 stderr. One instance's worst deviation has median
+    # 0.024 at n = 4000, so a bound of 0.05 on the max over 10 trials failed
+    # on 18 of 20 fresh seed bases; this statistic passes on 20 of 20, and a
+    # disabled or 0.9-scaled Onsager term fails it on 10 of 10 (CHANGES).
     t0 = time.time()
     profile, m, op, _ = _hetero_setup(0.5, 2.0)
     traj = se.run_se(m, op, np.diag(0.05 * np.asarray(BETA)), max_iter=400)
-    worst = 0.0
-    for trial in range(10):
-        inst_seed = int(np.random.SeedSequence([1001, trial]).generate_state(1)[0])
+    q_se = np.array([np.diag(traj.q[t] if t < len(traj.q) else traj.q[-1]) for t in range(21)])
+    dev = []
+    for trial in range(20):
+        inst_seed = oracles.trial_seed(1001, trial)
         X = model.sample_signal(profile, 4000, inst_seed)
         inst = model.synthesize_symmetric(X, op.couplings, inst_seed, profile=profile)
         tr = amp.run_symmetric(inst, amp.AMPConfig(max_iter=20, rho=0.05, seed=inst_seed))
-        for t in range(min(21, len(tr.Q_hat))):
-            q_se = np.diag(traj.q[t] if t < len(traj.q) else traj.q[-1])
-            worst = max(worst, float(np.abs(tr.Q_hat[t] - q_se).max()))
+        dev.append(np.array(tr.Q_hat) - q_se)
+    mean, z = oracles.trial_mean_z(dev)
     elapsed = time.time() - t0
     _report(
         1,
-        worst <= 0.05 and elapsed <= 300.0,
-        f"Q_hat vs SE max deviation {worst:.4f} (tol 0.05), {elapsed:.0f}s (cap 300s)",
+        z.max() <= 4.0 and elapsed <= 300.0,
+        f"Q_hat vs SE over 20 trials: max |mean deviation| {np.abs(mean).max():.4f}, "
+        f"max {z.max():.2f} stderr (tol 4), {elapsed:.0f}s (cap 300s)",
     )
 
 

@@ -387,10 +387,30 @@ def _diagnostic_setup(correction, seed=91, n=4000, lam=1.5, t=8):
     return oracles.gaussianity_diagnostic(seen, inst, traj)
 
 
+# The AMP-vs-SE checks below each read 20 fresh instances at n = 4000 and
+# test the trial mean of a signed statistic against its stderr, so their
+# verdict does not hang on the seed. On one instance the residual variance
+# C - K at t = 5 has sd 0.066 with no bias (200 instances: mean +0.001), so
+# a bound of 0.05 on one instance's |C - K| failed at about half the seeds;
+# |C - K| <= 0.05 at t = 5 and <= 0.08 at every t held on 8 of 20 fresh
+# seeds, and the battery bound (< 0.08 on one instance) on 1 of 20. The
+# z-statistics pass on 20 of 20 fresh seed bases, and both a disabled and a
+# 0.9-scaled Onsager term fail them on 10 of 10 (CHANGES gives the counts).
+DIAGNOSTIC_TRIALS = 20
+Z_TOL = 4.0
+
+
+def _diagnostic_trials(correction, base, t=8):
+    return [_diagnostic_setup(correction, seed=oracles.trial_seed(base, trial), t=t)
+            for trial in range(DIAGNOSTIC_TRIALS)]
+
+
 def test_residual_covariance_tracks_se():
-    rep = _diagnostic_setup("divergence")
-    assert rep.cov_distance[4] <= 0.05  # t = 5
-    assert rep.cov_distance.max() <= 0.08
+    # the empirical residual covariance C = R^T R / n of X^t - X K^t against
+    # SE's K^t = Sigma^t, at every t <= 8: its trial mean within Z_TOL stderr
+    gaps = [rep.cov_gap for rep in _diagnostic_trials("divergence", base=91)]
+    mean, z = oracles.trial_mean_z(gaps)
+    assert z.max() <= Z_TOL, (z.ravel(), mean.ravel())
 
 
 def test_first_iteration_residual_variance():
@@ -405,17 +425,24 @@ def test_first_iteration_residual_variance():
 
 
 def test_onsager_ablation_inflates_residuals():
-    on = _diagnostic_setup("divergence", seed=97)
-    off = _diagnostic_setup("disabled", seed=97)
-    assert on.cov_distance[4] <= 0.05
-    assert off.cov_distance[4] >= 0.2
-    assert off.cov_distance[4] >= 4 * on.cov_distance[4]
+    # with the Onsager term the residuals track SE; without it the trial mean
+    # of C - K at t = 5 exceeds 0.2 and four times the corrected one's
+    on = [rep.cov_gap for rep in _diagnostic_trials("divergence", base=97)]
+    off = [rep.cov_gap for rep in _diagnostic_trials("disabled", base=97)]
+    on_mean, on_z = oracles.trial_mean_z(on)
+    off_mean, _ = oracles.trial_mean_z(off)
+    assert on_z.max() <= Z_TOL, on_z.ravel()
+    assert off_mean[4, 0, 0] >= 0.2
+    assert off_mean[4, 0, 0] >= 4 * abs(on_mean[4, 0, 0])
 
 
 def test_battery_predictions_close():
-    rep = _diagnostic_setup("divergence", seed=99, n=4000, t=6)
-    for name, table in rep.battery.items():
-        assert table[:6].max() < 0.08, name
+    # each pseudo-Lipschitz test function's empirical mean minus its SE
+    # prediction, t <= 6: its trial mean within Z_TOL stderr
+    reps = _diagnostic_trials("divergence", base=99, t=6)
+    for name in oracles._BATTERY:
+        mean, z = oracles.trial_mean_z([rep.battery[name] for rep in reps])
+        assert z.max() <= Z_TOL, (name, z.ravel(), mean.ravel())
 
 
 def test_diagnostic_past_se_convergence():
