@@ -24,7 +24,10 @@ writes ``exit_codes.json``, the exit code of each run by subdirectory:
   covered;
 - that config's ``se``, ``stability`` and ``simulate`` once more with a
   Gaussian first block (priors gaussian / bg:0.1), so the closed-form
-  Gaussian channel and the Gaussian denoiser are covered.
+  Gaussian channel and the Gaussian denoiser are covered;
+- that config's ``simulate`` once more at n = 1100 with 2 trials of 6
+  iterations, so a view of three stored panels and the blocked symmetric
+  product across them are covered.
 
 ``--golden`` runs only the fast configs, every one above but the n = 4000
 phase-sweep and amp-long, and writes them into ``tests/golden/outputs``
@@ -228,6 +231,10 @@ def snapshot(out: str, fast: bool = False) -> dict:
     for command in ("se", "stability", "simulate"):
         codes[f"small-{command}-gaussian"] = run(out, f"small-{command}-gaussian", command,
                                                   gaussian, 2)
+    panels = small_config()
+    panels["model"]["n"] = 1100
+    panels["amp"].update(max_iter=6, trials=2)
+    codes["small-simulate-1100"] = run(out, "small-simulate-1100", "simulate", panels, 2)
     with open(os.path.join(out, "exit_codes.json"), "w") as fh:
         json.dump(codes, fh, indent=2, sort_keys=True)
     return codes
