@@ -6,14 +6,14 @@ couplings Lambda_k,
     Y_k = (1/n) X Lambda_k X^T + (1/sqrt(n)) G_k,
 
 with G_k drawn from a Gaussian Orthogonal Ensemble normalized so off-diagonal
-entries have unit variance (diagonal variance 2), i.e. G = (W + W^T)/sqrt(2).
+entries have unit variance (diagonal variance 2), the law of (W + W^T)/sqrt(2).
 An instance stores X and the unscaled G_k only: AMP multiplies by G_k and by
 the rank-d spike, and Y_k is formed only when ``observations[k]`` is read.
 Each G_k is stored once, as its upper row panels G[a:a + 512, a:]
 (``SymmetricPanels``): at most (n^2 + 512 n)/2 * 8 bytes, 72 MB instead of
-128 MB at n = 4000. ``sample_goe`` draws W in 128-row strips and folds each
-strip into the panels, so no n x n array is formed, and ``np.asarray`` of the
-panels equals (W + W^T)/sqrt(2) bit for bit.
+128 MB at n = 4000. ``sample_goe`` draws only the upper triangle, row by row
+straight into the panels, and mirrors the diagonal blocks, so it draws
+n (n + 1)/2 normals and forms no n x n array.
 
 Randomness is driven by ``numpy.random.SeedSequence`` spawning: every consumer
 (signal, each of the K noise views, side-information init) gets its own child
@@ -336,9 +336,9 @@ class CoreBudget:
     calls ``claim`` already runs on a core of its own, so at most
     ``usable_cores() - 1`` are spare; a thread that waits on the threads it
     starts lends them its own. The budget is process-wide because cores are:
-    concurrent trials and the helper threads of synthesis share one count, so
-    synthesis starts a thread only on a core that no trial or other helper
-    holds."""
+    concurrent trials and the view threads of synthesis share one count, so
+    synthesis starts a thread only on a core that no trial or other
+    synthesis holds."""
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -360,74 +360,38 @@ class CoreBudget:
 
 CORES = CoreBudget()
 
-# height of a drawn strip of W and tile side of its fold; a matrix of one
-# strip takes no thread: it is drawn in less time than a thread takes to start
-_GOE_TILE = 128
-# rows per stored panel of a noise view, a multiple of the draw tile
-_PANEL_ROWS = 4 * _GOE_TILE
-
-
-def _fold_panel(panels: list, w: np.ndarray, j: int) -> None:
-    """Store the drawn strip w = W[j:j + h] in the panels, folded. Its upper
-    part, from the diagonal tile on, goes to its own panel as drawn; then each
-    tile pair (i, j), i <= j, becomes (W[ri, rj] + W[rj, ri].T)/sqrt(2) in the
-    panel that holds rows ri, and its transpose fills the lower triangle of
-    the diagonal block when rows ri lie in the strip's own panel. The upper
-    entries read are still as drawn (only this strip folds them), the strided
-    reads of w.T stay in cache, and the sum of each entry pair is formed once
-    (addition commutes exactly), so the full matrix is (W + W.T)/sqrt(2) bit
-    for bit. Strips fold in the order they are drawn."""
-    s = np.sqrt(2.0)
-    h = w.shape[0]
-    a = j - j % _PANEL_ROWS
-    own = panels[j // _PANEL_ROWS][j - a:j - a + h]
-    own[:, j - a:] = w[:, j:]
-    for i in range(0, j + 1, _GOE_TILE):
-        b = i - i % _PANEL_ROWS
-        up = panels[i // _PANEL_ROWS][i - b:i - b + _GOE_TILE, j - b:j - b + h]
-        tile = up + w[:, i:i + _GOE_TILE].T
-        tile /= s
-        up[...] = tile
-        if i >= a:
-            own[:, i - a:i - a + _GOE_TILE] = tile.T
+# a view of at most this many rows takes no thread: it is drawn in less time
+# than a thread takes to start
+_SERIAL_ROWS = 128
+# rows per stored panel of a noise view
+_PANEL_ROWS = 512
 
 
 def sample_goe(n: int, seed) -> "SymmetricPanels":
-    """Symmetric Gaussian matrix (W + W^T)/sqrt(2): off-diagonal variance 1,
-    diagonal 2, stored as the upper row panels of ``SymmetricPanels``.
+    """Symmetric Gaussian matrix G, off-diagonal variance 1 and diagonal
+    variance 2 (the law of (W + W^T)/sqrt(2)), stored as the upper row
+    panels of ``SymmetricPanels``.
 
-    W is drawn one 128-row strip at a time into a strip buffer, the same
-    stream as one (n, n) draw, and each strip is folded into the panels
-    (``_fold_panel``), so no n x n array is formed. With a spare core and
-    more than one strip, a helper thread folds each drawn strip (its copy
-    into the panels maps their pages) while the generator fills the other of
-    two buffers; otherwise the calling thread folds each strip itself. The
-    bits are the same either way."""
+    Only the upper triangle is drawn. Row by row, in row order and from the
+    one stream, G[i, i:] is drawn as N(0, 1) straight into its panel row (a
+    contiguous slice); then each panel scales its diagonal by sqrt(2) and
+    copies the strict upper part of its diagonal block into the lower part.
+    No n x n array and no buffer is formed."""
     if n < 1:
         raise InvalidDimensionError(f"GOE size must be >= 1, got {n}")
     rng = rng_from(seed)
-    panels = [np.empty((min(_PANEL_ROWS, n - a), n - a)) for a in range(0, n, _PANEL_ROWS)]
-    with CORES.claim(1 if n > _GOE_TILE else 0) as helpers:
-        bufs = [np.empty((min(_GOE_TILE, n), n)) for _ in range(1 + helpers)]
-        if not helpers:
-            for j in range(0, n, _GOE_TILE):
-                w = bufs[0][:n - j]
-                rng.standard_normal(out=w)
-                _fold_panel(panels, w, j)
-        else:
-            # a buffer is drawn into again only once its strip is folded
-            with ThreadPoolExecutor(1) as pool:
-                folds = []
-                for s, j in enumerate(range(0, n, _GOE_TILE)):
-                    if s >= 2:
-                        folds[s - 2].result()
-                    w = bufs[s % 2][:n - j]
-                    rng.standard_normal(out=w)
-                    folds.append(pool.submit(_fold_panel, panels, w, j))
-                for f in folds:
-                    f.result()
-    for p in panels:
+    panels = []
+    for a in range(0, n, _PANEL_ROWS):
+        p = np.empty((min(_PANEL_ROWS, n - a), n - a))
+        h = p.shape[0]
+        for r in range(h):
+            rng.standard_normal(out=p[r, r:])
+        diag = np.arange(h)
+        p[diag, diag] *= np.sqrt(2.0)
+        block = p[:, :h]
+        np.copyto(block, block.T, where=np.tri(h, k=-1, dtype=bool))
         p.flags.writeable = False
+        panels.append(p)
     return SymmetricPanels(panels)
 
 
@@ -454,7 +418,7 @@ def synthesize_symmetric(
     per view; the instance keeps G_k only, as the panels ``sample_goe`` drew.
 
     Each view draws from its own child of ``seed``, so views of more than
-    one strip are drawn concurrently on the spare cores (the calling thread
+    128 rows are drawn concurrently on the spare cores (the calling thread
     waits and lends its own) with the bits of a serial draw."""
     X = np.asarray(X, float)
     n, d = X.shape
@@ -465,7 +429,7 @@ def synthesize_symmetric(
     def view(child) -> SymmetricPanels:
         return sample_goe(n, np.random.default_rng(child))
 
-    with CORES.claim(len(children) - 1 if n > _GOE_TILE else 0) as extra:
+    with CORES.claim(len(children) - 1 if n > _SERIAL_ROWS else 0) as extra:
         if not extra:
             noise = tuple(map(view, children))
         else:

@@ -1,7 +1,10 @@
 """Monte Carlo and quadrature oracles that the tests check the package against.
 
 Nothing in ``mvamp`` calls these; they back acceptance criteria 5, 6 and 11
-and the overlap, KL and Gaussianity tests:
+and the GOE, overlap, KL and Gaussianity tests:
+
+- ``goe_upper_draw`` forms the full matrix of ``model.sample_goe`` in plain
+  numpy;
 
 - ``run_with_iterates`` runs AMP and keeps each pre-denoising iterate X^t,
   read at the ``amp.block_denoiser`` call that receives it;
@@ -36,6 +39,18 @@ from mvamp.se import (
     overlap_psi_scalar,
     posterior_mean_scalar,
 )
+
+
+def goe_upper_draw(n: int, seed) -> np.ndarray:
+    """The n x n matrix that ``model.sample_goe(n, seed)`` stores: row by row,
+    in row order from one stream, G[i, i:] ~ N(0, 1); then the diagonal is
+    scaled by sqrt(2) and the upper triangle mirrored into the lower one."""
+    rng = np.random.default_rng(seed)
+    g = np.zeros((n, n))
+    for i in range(n):
+        g[i, i:] = rng.standard_normal(n - i)
+    g[np.diag_indices(n)] *= np.sqrt(2.0)
+    return np.triu(g) + np.triu(g, 1).T
 
 
 @lru_cache(maxsize=64)

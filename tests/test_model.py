@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from mvamp import model
 
 
@@ -23,24 +24,29 @@ def test_goe_rejects_empty():
         model.sample_goe(0, seed=1)
 
 
-def test_goe_tiles_keep_the_bits():
-    # the tiled symmetrization equals (w + w.T)/sqrt(2) bit for bit, also at
-    # the tile edges, and the panel-by-panel draw equals one (n, n) draw
-    for n in (1, 127, 128, 129, 257, 300, 1000):
-        w = model.rng_from(40 + n).standard_normal((n, n))
-        assert np.array_equal(np.asarray(model.sample_goe(n, seed=40 + n)),
-                              (w + w.T) / np.sqrt(2.0)), n
+def test_goe_draws_only_the_upper_triangle(monkeypatch):
+    # the draw takes n (n + 1)/2 normals from its stream, one row's upper part
+    # after the other, and starts no thread
+    def no_thread(self):
+        raise AssertionError("sample_goe started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    for n in (1, 2, 600):
+        rng, ref = model.rng_from(60 + n), model.rng_from(60 + n)
+        g = model.sample_goe(n, seed=rng)
+        ref.standard_normal(n * (n + 1) // 2)
+        assert rng.standard_normal() == ref.standard_normal(), n
+        assert np.array_equal(np.asarray(g), oracles.goe_upper_draw(n, 60 + n)), n
 
 
 @pytest.mark.parametrize("cores", [1, 2])
 def test_goe_panels_keep_the_bits(monkeypatch, cores):
-    # the upper row panels G[a:a + 512, a:], filled strip by strip with and
-    # without the helper thread, form (w + w.T)/sqrt(2) bit for bit, also
-    # where panel edges fall inside and at the end of a strip
+    # the upper row panels G[a:a + 512, a:] hold the upper-triangle draw of
+    # the plain-numpy oracle bit for bit, for any core count, also where a
+    # panel edge falls at, just before and just after a row of the draw
     monkeypatch.setattr(model, "usable_cores", lambda: cores)
-    for n in (511, 512, 513, 600, 1100, 1537):
-        w = model.rng_from(40 + n).standard_normal((n, n))
-        full = (w + w.T) / np.sqrt(2.0)
+    for n in (1, 127, 128, 129, 511, 512, 513, 1100, 1537):
+        full = oracles.goe_upper_draw(n, 40 + n)
         g = model.sample_goe(n, seed=40 + n)
         assert np.array_equal(np.asarray(g), full), n
         starts = range(0, n, 512)
@@ -249,10 +255,9 @@ def test_instance_refuses_non_symmetric_noise():
 def test_packed_noise_memory(monkeypatch, cores):
     # K = 2 views at n = 4000: the panels hold at most (n^2 + 512 n)/2 doubles per view
     # (0.5625 of the full matrices), and one synthesis never holds a full
-    # n x n array: its traced peak is the panels plus one 4 MB strip buffer
-    # per view drawn at a time (1 core: one view after the other; 2 cores:
-    # both views at once, no helper). With a helper per view (4 or more cores)
-    # each view holds a second strip buffer, so the core count is pinned.
+    # n x n array: its traced peak is the panels plus the few MB that
+    # mirroring a 512-row diagonal block takes, per view drawn at a time
+    # (1 core: one view after the other; 2 cores: both views at once).
     import tracemalloc
 
     monkeypatch.setattr(model, "usable_cores", lambda: cores)
@@ -286,15 +291,10 @@ def test_synthesize_symmetric_bit_level_d2():
     assert np.array_equal(Y - part, (Y - part).T)
 
 
-def _goe_oracle(child, n):
-    w = np.random.default_rng(child).standard_normal((n, n))
-    return (w + w.T) / np.sqrt(2.0)
-
-
 @pytest.mark.parametrize("cores", [1, 2, 3])
 def test_synthesize_symmetric_parallel_keeps_the_bits(monkeypatch, cores):
-    # views on concurrent threads and folds on a helper thread give the bits
-    # of an independent serial draw per spawned child, for any core count
+    # views on concurrent threads give the bits of an independent serial
+    # upper-triangle draw per spawned child, for any core count
     monkeypatch.setattr(model, "usable_cores", lambda: cores)
     prof = model.BlockPriorProfile((model.ScalarPrior.rademacher(),), (1.0,))
     start = threading.active_count()
@@ -306,15 +306,14 @@ def test_synthesize_symmetric_parallel_keeps_the_bits(monkeypatch, cores):
             children = np.random.SeedSequence(70 + K).spawn(K)
             assert len(inst.noise) == K
             for g, child in zip(inst.noise, children):
-                assert np.array_equal(g, _goe_oracle(child, n)), (n, K)
+                assert np.array_equal(g, oracles.goe_upper_draw(n, child)), (n, K)
             assert threading.active_count() == start
 
 
-@pytest.mark.parametrize("target, K", [("sample_goe", 3), ("_fold_panel", 1)])
+@pytest.mark.parametrize("target, K", [("sample_goe", 3)])
 def test_synthesis_worker_error_propagates_and_frees_threads(monkeypatch, target, K):
-    # an error in a view thread (K = 3) or in the fold helper (K = 1) reaches
-    # the caller, every thread is joined, and the claimed cores go back to the
-    # budget
+    # an error in a view thread reaches the caller, every thread is joined,
+    # and the claimed cores go back to the budget
     monkeypatch.setattr(model, "usable_cores", lambda: 3)
     real = getattr(model, target)
     calls = []
