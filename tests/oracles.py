@@ -5,7 +5,6 @@ and the GOE, overlap, KL and Gaussianity tests:
 
 - ``goe_upper_draw`` forms the full matrix of ``model.sample_goe`` in plain
   numpy;
-
 - ``run_with_iterates`` runs AMP and keeps each pre-denoising iterate X^t,
   read at the ``amp.block_denoiser`` call that receives it;
 - ``gaussianity_diagnostic`` compares those iterates with their SE law;

@@ -41,9 +41,9 @@ def test_goe_draws_only_the_upper_triangle(monkeypatch):
 
 @pytest.mark.parametrize("cores", [1, 2])
 def test_goe_panels_keep_the_bits(monkeypatch, cores):
-    # the upper row panels G[a:a + 512, a:] hold the upper-triangle draw of
-    # the plain-numpy oracle bit for bit, for any core count, also where a
-    # panel edge falls at, just before and just after a row of the draw
+    # the upper row panels G[a:a + 512, a:] hold the plain-numpy oracle's
+    # upper-triangle draw bit for bit, for any core count, with one to four
+    # panels and on either side of a panel edge
     monkeypatch.setattr(model, "usable_cores", lambda: cores)
     for n in (1, 127, 128, 129, 511, 512, 513, 1100, 1537):
         full = oracles.goe_upper_draw(n, 40 + n)
