@@ -32,7 +32,6 @@ from .limits import (  # noqa: F401
     variational_solve,
 )
 from .model import (
-    CORES,
     BlockPriorProfile,
     CouplingSet,
     CouplingValidationError,
@@ -334,13 +333,11 @@ def _mean_stderr(samples) -> tuple[np.ndarray, np.ndarray]:
 
 def _pmap(fn, items, jobs: int):
     """Yield ``fn(item)`` in item order, ``jobs`` items at a time; closing the
-    generator cancels the items that have not started. The workers hold
-    ``jobs - 1`` cores of the process budget (the waiting caller lends its
-    own), so synthesis starts no helper thread on a core a trial is using."""
+    generator cancels the items that have not started."""
     if jobs == 1:
         yield from map(fn, items)
         return
-    with CORES.claim(jobs - 1), ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
         yield from pool.map(fn, items)
 
 

@@ -17,17 +17,16 @@ n (n + 1)/2 normals and forms no n x n array.
 
 Randomness is driven by ``numpy.random.SeedSequence`` spawning: every consumer
 (signal, each of the K noise views, side-information init) gets its own child
-stream, so instances are bit-reproducible and views are independent even when
-trials run concurrently.
+stream, so instances are bit-reproducible and views are independent. The K
+views of an instance are drawn on up to min(K, cores) threads, inside a trial
+worker thread or not, with the bits of a serial draw.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import index
 
@@ -331,35 +330,6 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-class CoreBudget:
-    """The cores of the process that no thread has claimed. A thread that
-    calls ``claim`` already runs on a core of its own, so at most
-    ``usable_cores() - 1`` are spare; a thread that waits on the threads it
-    starts lends them its own. The budget is process-wide because cores are:
-    concurrent trials and the view threads of synthesis share one count, so
-    synthesis starts a thread only on a core that no trial or other
-    synthesis holds."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._claimed = 0
-
-    @contextmanager
-    def claim(self, k: int):
-        """Take up to k spare cores; yield how many were granted (possibly 0)
-        and return them on exit."""
-        with self._lock:
-            got = max(0, min(k, usable_cores() - 1 - self._claimed))
-            self._claimed += got
-        try:
-            yield got
-        finally:
-            with self._lock:
-                self._claimed -= got
-
-
-CORES = CoreBudget()
-
 # a view of at most this many rows takes no thread: it is drawn in less time
 # than a thread takes to start
 _SERIAL_ROWS = 128
@@ -418,8 +388,8 @@ def synthesize_symmetric(
     per view; the instance keeps G_k only, as the panels ``sample_goe`` drew.
 
     Each view draws from its own child of ``seed``, so views of more than
-    128 rows are drawn concurrently on the spare cores (the calling thread
-    waits and lends its own) with the bits of a serial draw."""
+    128 rows are drawn on min(K, ``usable_cores()``) threads with the bits
+    of a serial draw; smaller views, or one view, are drawn inline."""
     X = np.asarray(X, float)
     n, d = X.shape
     if couplings.d != d:
@@ -429,11 +399,11 @@ def synthesize_symmetric(
     def view(child) -> SymmetricPanels:
         return sample_goe(n, np.random.default_rng(child))
 
-    with CORES.claim(len(children) - 1 if n > _SERIAL_ROWS else 0) as extra:
-        if not extra:
-            noise = tuple(map(view, children))
-        else:
-            with ThreadPoolExecutor(extra + 1) as pool:
-                noise = tuple(pool.map(view, children))
+    threads = min(len(children), usable_cores()) if n > _SERIAL_ROWS else 1
+    if threads == 1:
+        noise = tuple(map(view, children))
+    else:
+        with ThreadPoolExecutor(threads) as pool:
+            noise = tuple(pool.map(view, children))
     return MTPInstance(X, noise, couplings, profile)
 

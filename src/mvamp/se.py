@@ -113,18 +113,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _leggauss(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return _read_only(x), _read_only(w)
-
-
-@lru_cache(maxsize=64)
 def _paired_rule(order: int):
     """(nodes, w_order, w_2order): the Gauss-Legendre nodes at order and at
     2 * order concatenated, so one integrand call serves both orders."""
-    x1, w1 = _leggauss(order)
-    x2, w2 = _leggauss(2 * order)
-    return _read_only(np.concatenate([x1, x2])), w1, w2
+    x1, w1 = np.polynomial.legendre.leggauss(order)
+    x2, w2 = np.polynomial.legendre.leggauss(2 * order)
+    return _read_only(np.concatenate([x1, x2])), _read_only(w1), _read_only(w2)
 
 
 def _panel_sum(f, breaks, order: int) -> tuple[float, float]:
@@ -216,11 +210,15 @@ def _psi_once(prior: ScalarPrior, s: float, order: int) -> tuple[float, float]:
 def overlap_psi_scalar(prior: ScalarPrior, s: float, order: int = 61) -> float:
     """E[E[X | sqrt(s) X + Z]^2] in [0, 1]; raises PrecisionError if the
     quadrature has not converged (order vs. doubled order beyond 1e-8, or a
-    value that is not finite)."""
+    value that is not finite), and DomainError if a finite s is so large
+    that the quadrature overflows."""
     s = _check_snr(s)
     if s == 0.0:
         return 0.0
-    v1, v2 = _psi_once(prior, s, order)
+    try:
+        v1, v2 = _psi_once(prior, s, order)
+    except OverflowError:
+        raise DomainError(f"overlap of {prior.name} overflows at s={s}") from None
     if not abs(v1 - v2) <= 1e-8:
         raise PrecisionError(
             f"overlap quadrature not converged for {prior.name} at s={s}: "

@@ -102,6 +102,23 @@ def test_se_nonconvergence_exit_3(tmp_path):
     assert cli.main(["se", "--config", path]) == 3
 
 
+@pytest.mark.parametrize("command", ["se", "stability", "limits"])
+def test_overflowing_snr_exits_3(tmp_path, capsys, command):
+    # a finite SNR so large that the BG overlap overflows is a numerical
+    # failure that names the prior and s, not a traceback
+    if command == "limits":
+        path = sweep_cfg(tmp_path, [1e300])
+    else:
+        path = write_cfg(tmp_path, {
+            "model": {"n": 50, "priors": ["bg:0.5"],
+                      "couplings": {"kind": "hetero", "c": 1e300, "xi": [[1.0]]}},
+            "output": {"dir": str(tmp_path / "out")},
+        })
+    assert cli.main([command, "--config", path]) == 3
+    err = capsys.readouterr().err
+    assert "bg:0.5" in err and "s=" in err, err
+
+
 def test_simulate_outputs_and_manifest_round_trip(tmp_path):
     path = scalar_cfg(tmp_path)
     assert cli.main(["simulate", "--config", path]) == 0
@@ -129,6 +146,22 @@ def test_simulate_with_jobs(tmp_path):
     assert cli.main(["simulate", "--config", path, "--jobs", "2"]) == 0
     rows = list(csv.DictReader(open(tmp_path / "outj" / "trace.csv")))
     assert {r["trial"] for r in rows} == {"0", "1"}
+
+
+def test_simulate_outputs_do_not_depend_on_jobs(tmp_path):
+    # two views of 300 rows draw on view threads inside the trial workers;
+    # the CSVs are the bits of a one-worker run
+    path = write_cfg(tmp_path, {
+        "model": {"n": 300, "priors": ["rademacher"], "beta": [1.0],
+                  "couplings": {"kind": "explicit", "matrices": [[[1.5]], [[1.2]]]}},
+        "amp": {"max_iter": 4, "rho": 0.1, "trials": 3, "seed": 5},
+        "output": {"dir": str(tmp_path / "out")},
+    })
+    for jobs in ("1", "3"):
+        assert cli.main(["simulate", "--config", path, "--jobs", jobs,
+                         "--out", str(tmp_path / jobs)]) == 0
+    for name in ("trace.csv", "aggregate.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "3" / name).read_bytes()
 
 
 def test_simulate_seed_override_changes_output(tmp_path):
@@ -254,6 +287,15 @@ def test_phase_diagram_resume_skips_done(tmp_path):
     # the recomputed point matches the original run (determinism)
     orig = {r["norm_Tc"]: r for r in rows1}
     assert rows2[1] == orig[rows2[1]["norm_Tc"]]
+
+
+def test_phase_diagram_does_not_depend_on_jobs(tmp_path):
+    path = sweep_cfg(tmp_path, [0.6, 1.8])
+    for jobs in ("1", "2"):
+        assert cli.main(["phase-diagram", "--config", path, "--jobs", jobs,
+                         "--out", str(tmp_path / jobs)]) == 0
+    one, two = ((tmp_path / jobs / "phase_diagram.csv").read_bytes() for jobs in ("1", "2"))
+    assert one == two
 
 
 def test_phase_diagram_se_mse_monotone_in_c(tmp_path):

@@ -1,6 +1,4 @@
-import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -39,12 +37,10 @@ def test_goe_draws_only_the_upper_triangle(monkeypatch):
         assert np.array_equal(np.asarray(g), oracles.goe_upper_draw(n, 60 + n)), n
 
 
-@pytest.mark.parametrize("cores", [1, 2])
-def test_goe_panels_keep_the_bits(monkeypatch, cores):
+def test_goe_panels_keep_the_bits():
     # the upper row panels G[a:a + 512, a:] hold the plain-numpy oracle's
-    # upper-triangle draw bit for bit, for any core count, with one to four
-    # panels and on either side of a panel edge
-    monkeypatch.setattr(model, "usable_cores", lambda: cores)
+    # upper-triangle draw bit for bit, with one to four panels and on either
+    # side of a panel edge
     for n in (1, 127, 128, 129, 511, 512, 513, 1100, 1537):
         full = oracles.goe_upper_draw(n, 40 + n)
         g = model.sample_goe(n, seed=40 + n)
@@ -310,12 +306,10 @@ def test_synthesize_symmetric_parallel_keeps_the_bits(monkeypatch, cores):
             assert threading.active_count() == start
 
 
-@pytest.mark.parametrize("target, K", [("sample_goe", 3)])
-def test_synthesis_worker_error_propagates_and_frees_threads(monkeypatch, target, K):
-    # an error in a view thread reaches the caller, every thread is joined,
-    # and the claimed cores go back to the budget
+def test_synthesis_worker_error_propagates_and_frees_threads(monkeypatch):
+    # an error in a view thread reaches the caller and every thread is joined
     monkeypatch.setattr(model, "usable_cores", lambda: 3)
-    real = getattr(model, target)
+    real = model.sample_goe
     calls = []
 
     def flaky(*args):
@@ -324,50 +318,13 @@ def test_synthesis_worker_error_propagates_and_frees_threads(monkeypatch, target
             raise RuntimeError("worker failed")
         return real(*args)
 
-    monkeypatch.setattr(model, target, flaky)
+    monkeypatch.setattr(model, "sample_goe", flaky)
     prof = model.BlockPriorProfile((model.ScalarPrior.rademacher(),), (1.0,))
-    cs = model.CouplingSet(tuple(np.full((1, 1), k + 1.0) for k in range(K)))
+    cs = model.CouplingSet(tuple(np.full((1, 1), k + 1.0) for k in range(3)))
     start = threading.active_count()
     with pytest.raises(RuntimeError, match="worker failed"):
         model.synthesize_symmetric(np.ones((300, 1)), cs, seed=3, profile=prof)
     assert threading.active_count() == start
-    with model.CORES.claim(5) as got:
-        assert got == 2
-
-
-def test_core_budget_never_overgrants(monkeypatch):
-    # 8 threads claim and return cores in a tight loop with a short switch
-    # interval; at no time do the grants exceed the spare cores, and all
-    # of them come back
-    cores = 3
-    monkeypatch.setattr(model, "usable_cores", lambda: cores)
-    budget = model.CoreBudget()
-    lock, held, worst = threading.Lock(), [0], [0]
-
-    def churn():
-        for k in range(300):
-            with budget.claim(k % 3) as got:
-                with lock:
-                    held[0] += got
-                    worst[0] = max(worst[0], held[0])
-                time.sleep(0)
-                with lock:
-                    held[0] -= got
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=churn) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
-    assert worst[0] <= cores - 1
-    with budget.claim(cores) as got:
-        assert got == cores - 1
 
 
 def test_synthesize_noise_averages_out():
