@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from mvamp import cli, limits
+from mvamp import cli, limits, model
 from mvamp.se import PrecisionError
 
 
@@ -148,9 +148,10 @@ def test_simulate_with_jobs(tmp_path):
     assert {r["trial"] for r in rows} == {"0", "1"}
 
 
-def test_simulate_outputs_do_not_depend_on_jobs(tmp_path):
-    # two views of 300 rows draw on view threads inside the trial workers;
-    # the CSVs are the bits of a one-worker run
+def test_simulate_outputs_do_not_depend_on_jobs(tmp_path, monkeypatch):
+    # two views of 300 rows draw on two view threads inside each trial
+    # worker; the CSVs are the bits of a one-worker run
+    monkeypatch.setattr(model, "usable_cores", lambda: 2)
     path = write_cfg(tmp_path, {
         "model": {"n": 300, "priors": ["rademacher"], "beta": [1.0],
                   "couplings": {"kind": "explicit", "matrices": [[[1.5]], [[1.2]]]}},
