@@ -37,13 +37,19 @@ def test_goe_draws_only_the_upper_triangle(monkeypatch):
         assert np.array_equal(np.asarray(g), oracles.goe_upper_draw(n, 60 + n)), n
 
 
-def test_goe_panels_keep_the_bits():
+@pytest.mark.parametrize("threads", [1, 2])
+def test_goe_panels_keep_the_bits(threads):
     # the upper row panels G[a:a + 512, a:] hold the plain-numpy oracle's
     # upper-triangle draw bit for bit, with one to four panels and on either
-    # side of a panel edge
-    for n in (1, 127, 128, 129, 511, 512, 513, 1100, 1537):
+    # side of a panel edge, whether the views are drawn one after the other
+    # or on concurrent threads as an instance's views are
+    from concurrent.futures import ThreadPoolExecutor
+
+    sizes = (1, 127, 128, 129, 511, 512, 513, 1100, 1537)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        views = list(pool.map(lambda n: model.sample_goe(n, seed=40 + n), sizes))
+    for n, g in zip(sizes, views):
         full = oracles.goe_upper_draw(n, 40 + n)
-        g = model.sample_goe(n, seed=40 + n)
         assert np.array_equal(np.asarray(g), full), n
         starts = range(0, n, 512)
         assert len(g.panels) == len(starts)
