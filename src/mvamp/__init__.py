@@ -10,6 +10,6 @@ Modules:
     cli        experiment harness (``mvamp`` console entry point)
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from . import amp, limits, model, se, stability  # noqa: F401

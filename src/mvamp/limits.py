@@ -20,6 +20,7 @@ Newton-polishes each branch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -49,6 +50,17 @@ class KLTable:
         self.nodes = self.s_max * u * u
         self.psi = np.array([overlap_psi_scalar(prior, s, quad_order) for s in self.nodes])
         self.kl = np.array([kl_channel(prior, s) for s in self.nodes])
+        for a in (self.nodes, self.psi, self.kl):
+            a.setflags(write=False)  # a table is shared by every sweep that reads it
+
+
+@lru_cache(maxsize=16)
+def _shared_table(prior: ScalarPrior, s_max: float, n_nodes: int, quad_order: int) -> KLTable:
+    """The one ``KLTable`` of these arguments in this process: every sweep
+    with the same prior and range reads the same (read-only) values. The class
+    is looked up at call time, so a wrapper installed on ``KLTable`` sees
+    each build."""
+    return KLTable(prior, s_max, n_nodes, quad_order)
 
 
 @dataclass
@@ -81,11 +93,17 @@ def nodes_per_axis(grid_res: int, d: int) -> int:
 
 def _node_objective(qs, gs, H) -> np.ndarray:
     """F(q) = (1/4) q^T H q + sum_j g_j(q_j) at every point of the grid
-    product(qs), as an array of shape (len(qs[0]), ..., len(qs[-1]))."""
+    product(qs), as an array of shape (len(qs[0]), ..., len(qs[-1])).
+
+    Each diagonal term (1/4) H_jj q_j^2 is folded into its axis vector g_j
+    and each pair j < k into one outer product of (1/4) (H_jk + H_kj) q_j with
+    q_k, so the grid is written once plus twice per pair (3 passes at d = 2)."""
+    d = len(qs)
+    vals = sum(np.ix_(*[g + 0.25 * H[j, j] * np.square(q) for j, (q, g) in enumerate(zip(qs, gs))]))
     Q = np.ix_(*qs)
-    vals = sum(np.ix_(*gs))
-    for j, k in np.ndindex(H.shape):
-        vals += 0.25 * H[j, k] * Q[j] * Q[k]
+    for j in range(d):
+        for k in range(j + 1, d):
+            vals += (0.25 * (H[j, k] + H[k, j]) * Q[j]) * Q[k]
     return vals
 
 
@@ -128,7 +146,7 @@ def variational_solve(
     per_axis = nodes_per_axis(grid_res, d)
     s_need = H @ beta
     if kl_tables is None:
-        kl_tables = [KLTable(p, max(float(c) * 1.001, 1e-6), per_axis, model.quad_order)
+        kl_tables = [_shared_table(p, max(float(c) * 1.001, 1e-6), per_axis, model.quad_order)
                      for p, c in zip(model.profile.priors, s_need)]
     if any(t.nodes.size != per_axis or t.s_max < c for t, c in zip(kl_tables, s_need)):
         raise DomainError("each KL table needs the grid's nodes per axis and s_max >= (H beta)_j")
@@ -185,16 +203,17 @@ def limits_sweep(
 
     Returns the rows of the target positions ``indices`` (default: all), in
     target order. A row needs only its own solve and that of the previous
-    target, whose sign of q* sets the transition flag; the KL tables are
-    built once, with a range from the whole target list, so a row does not
-    depend on which other rows are asked for."""
+    target, whose sign of q* sets the transition flag; the KL tables take
+    their range from the whole target list, so a row does not depend on which
+    other rows are asked for, and a sweep of another eps with the same Xi,
+    beta and targets reads the same Rademacher table (``_shared_table``)."""
     beta = model.beta
     xi = np.asarray(xi, float)
     base_norm = float(np.linalg.norm(np.diag(beta) @ xi, 2))
     targets = np.asarray(target_norms, float)
     cs = targets / base_norm
     s_cap = float((cs.max() * xi @ beta).max()) * 1.001
-    tables = [KLTable(p, max(s_cap, 1e-6), nodes_per_axis(grid_res, model.d), model.quad_order)
+    tables = [_shared_table(p, max(s_cap, 1e-6), nodes_per_axis(grid_res, model.d), model.quad_order)
               for p in model.profile.priors]
     wanted = set(range(len(cs)) if indices is None else indices)
     rows = []

@@ -7,11 +7,15 @@ independent of X:
 - the posterior mean eta(y) = E[X | y] and its derivative in y, from one
   pass over the prior (AMP's denoiser);
 - the overlap psi(s) = E[E[X | y]^2], a nondecreasing map from [0, inf) to
-  [0, 1) (the nonlinearity of state evolution);
+  [0, 1) (the nonlinearity of state evolution), and its derivative
+  psi'(s) = E[Var(X | y)^2], the derivative of the MMSE 1 - psi (Guo, Wu,
+  Shamai and Verdu 2011);
 - the relative entropy D(s) = KL(law(y) || law(Z)) (the variational bound).
 
 The Bernoulli-Gaussian posterior is evaluated through the mixture
-responsibility in log space, so it stays finite for arbitrarily large |y|.
+responsibility in log space, so it stays finite for arbitrarily large |y|;
+the BG quadratures read the same responsibility as 1 / (1 + exp(c - b y^2)),
+with c and b computed once per s.
 
 Block profiles act diagonally: block j sees only its own SNR s_j, so state
 evolution carries the overlap vector q alone,
@@ -20,11 +24,12 @@ evolution carries the overlap vector q alone,
 
 entrywise in beta and psi, and every caller forms s the same way, as H @ q.
 
-The Gaussian channel is closed form, psi(s) = s / (1 + s) and
-D(s) = (s - log(1 + s)) / 2. The Rademacher and Bernoulli-Gaussian psi and D
-are integrated with panel Gauss-Legendre, split where the integrand turns
-(for BG, at the responsibility transition). Every evaluation is also made at
-doubled order and must agree (psi to 1e-8, D to max(1e-12, 1e-8 |D|)). One
+The Gaussian channel is closed form, psi(s) = s / (1 + s),
+psi'(s) = 1 / (1 + s)^2 and D(s) = (s - log(1 + s)) / 2. The Rademacher and
+Bernoulli-Gaussian psi, psi' and D are integrated with panel Gauss-Legendre,
+split where the integrand turns (for BG, at the responsibility transition).
+Every evaluation is also made at doubled order and must agree (psi and psi'
+to 1e-8, D to max(1e-12, 1e-8 |D|)). One
 integrand call covers both orders and every panel: the nodes form one
 (panels, 3 * order) array, and each value is then summed panel by panel, so
 it has the bits of a per-panel loop.
@@ -168,19 +173,67 @@ def _bg_breaks(s: float, eps: float) -> list[float]:
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
+def _bg_logit(s: float, eps: float) -> tuple[float, float]:
+    """(c, b) with log_null - log_spike = c - b y^2 (``_bg_log_terms``); c is
+    -inf when eps = 1, where the null component is absent."""
+    c = math.log1p(-eps) - math.log(eps) + 0.5 * math.log(1.0 + s / eps) if eps < 1.0 else -math.inf
+    return c, s / (2.0 * (eps + s))
+
+
+def _bg_spike_weight(y2, c: float, b: float):
+    """P(spike | y) = 1 / (1 + exp(c - b y^2)) at y2 = y^2, for the BG quadratures;
+    an exp that overflows gives 0, as the +-745 clip of ``_bg_responsibility``."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(c - b * y2))
+
+
 def _psi_bg(s: float, eps: float, order: int) -> tuple[float, float]:
     # psi = eps * kappa^2 * E_{N(0, sig2)}[y^2 r(y)] with kappa = sqrt(s)/(eps+s),
     # using r(y) p(y) = eps * phi_spike(y) to collapse the mixture; the
     # integrand is even, so it is integrated over [0, L] and doubled
     sig = math.sqrt(1.0 + s / eps)
     kappa2 = s / (eps + s) ** 2
+    c, b = _bg_logit(s, eps)
 
     def integrand(y):
-        return np.square(y) * _bg_responsibility(y, s, eps) * np.exp(np.square(y / sig) * -0.5)
+        y2 = np.square(y)
+        return y2 * _bg_spike_weight(y2, c, b) * np.exp(np.square(y / sig) * -0.5)
 
     norm = 1.0 / (sig * _SQRT_2PI)
     v1, v2 = _panel_sum(integrand, _bg_breaks(s, eps), order)
     return eps * kappa2 * (2.0 * v1 * norm), eps * kappa2 * (2.0 * v2 * norm)
+
+
+def _dpsi_bg(s: float, eps: float, order: int) -> tuple[float, float]:
+    # E[Var(X | y)^2] with Var = r (v + (1 - r) mu^2), v = 1/(eps+s) and
+    # mu = sqrt(s) y/(eps+s) the spike posterior; r p = eps phi_spike
+    # collapses the mixture as in _psi_bg
+    sig = math.sqrt(1.0 + s / eps)
+    v = 1.0 / (eps + s)
+    k2 = s * v * v
+    c, b = _bg_logit(s, eps)
+
+    def integrand(y):
+        y2 = np.square(y)
+        r = _bg_spike_weight(y2, c, b)
+        return r * np.square(v + (1.0 - r) * (k2 * y2)) * np.exp(np.square(y / sig) * -0.5)
+
+    norm = 2.0 * eps / (sig * _SQRT_2PI)
+    v1, v2 = _panel_sum(integrand, _bg_breaks(s, eps), order)
+    return v1 * norm, v2 * norm
+
+
+def _rademacher_breaks(prior: ScalarPrior, s: float) -> tuple[float, list[float]]:
+    """(sqrt(s), panels over sqrt(s) +- 10): conditioned on X = +1, y ~
+    N(sqrt(s), 1); tanh(sqrt(s) y) transitions on scale 1/sqrt(s) around
+    y = 0, so the panels also break there."""
+    rs = math.sqrt(s)
+    lo, hi = rs - 10.0, rs + 10.0
+    if not lo < rs < hi:
+        raise DomainError(f"panels of {prior.name} collapse at s={s}: sqrt(s) +- 10 rounds to sqrt(s)")
+    width = 4.0 / max(rs, 1.0)
+    feats = [-2 * width, -width, 0.0, width, 2 * width]
+    return rs, sorted({lo, hi, *(v for v in feats if lo < v < hi)})
 
 
 def _psi_once(prior: ScalarPrior, s: float, order: int) -> tuple[float, float]:
@@ -191,13 +244,7 @@ def _psi_once(prior: ScalarPrior, s: float, order: int) -> tuple[float, float]:
         return psi, psi
     if prior.kind == RADEMACHER:
         # by symmetry condition on X = +1: E_{y~N(sqrt(s),1)}[tanh^2(sqrt(s) y)]
-        # over rs +- 10; tanh transitions on scale 1/sqrt(s) around y = 0, so
-        # the panels also break there
-        rs = math.sqrt(s)
-        width = 4.0 / max(rs, 1.0)
-        lo, hi = rs - 10.0, rs + 10.0
-        feats = [-2 * width, -width, 0.0, width, 2 * width]
-        breaks = sorted({lo, hi, *(v for v in feats if lo < v < hi)})
+        rs, breaks = _rademacher_breaks(prior, s)
 
         def integrand(y):
             return np.square(np.tanh(rs * y)) * np.exp(np.square(y - rs) * -0.5)
@@ -207,35 +254,57 @@ def _psi_once(prior: ScalarPrior, s: float, order: int) -> tuple[float, float]:
     return _psi_bg(s, prior.eps, order)
 
 
+def _dpsi_once(prior: ScalarPrior, s: float, order: int) -> tuple[float, float]:
+    """psi'(s) = E[Var(X | y)^2] by quadrature at order and at 2 * order, on
+    the panels of psi; the Gaussian psi' is closed form."""
+    if prior.kind == GAUSSIAN:
+        dpsi = 1.0 / (1.0 + s) ** 2
+        return dpsi, dpsi
+    if prior.kind == RADEMACHER:
+        rs, breaks = _rademacher_breaks(prior, s)
+
+        def integrand(y):
+            t = np.tanh(rs * y)
+            return np.square(1.0 - t * t) * np.exp(np.square(y - rs) * -0.5)
+
+        v1, v2 = _panel_sum(integrand, breaks, order)
+        return v1 * (1.0 / _SQRT_2PI), v2 * (1.0 / _SQRT_2PI)
+    return _dpsi_bg(s, prior.eps, order)
+
+
+def _converged(once, what: str, prior: ScalarPrior, s: float, order: int) -> float:
+    """The 2 * order value of ``once(prior, s, order)``; PrecisionError unless
+    it is within 1e-8 of the order value (so also if either is not finite),
+    and DomainError if a finite s is so large that the quadrature overflows."""
+    try:
+        v1, v2 = once(prior, s, order)
+    except OverflowError:
+        raise DomainError(f"{what} of {prior.name} overflows at s={s}") from None
+    if not abs(v1 - v2) <= 1e-8:
+        raise PrecisionError(
+            f"{what} quadrature not converged for {prior.name} at s={s}: "
+            f"|delta| = {abs(v1 - v2):.2e}"
+        )
+    return v2
+
+
 def overlap_psi_scalar(prior: ScalarPrior, s: float, order: int = 61) -> float:
     """E[E[X | sqrt(s) X + Z]^2] in [0, 1]; raises PrecisionError if the
     quadrature has not converged (order vs. doubled order beyond 1e-8, or a
     value that is not finite), and DomainError if a finite s is so large
-    that the quadrature overflows."""
+    that the quadrature overflows or its panels collapse."""
     s = _check_snr(s)
     if s == 0.0:
         return 0.0
-    try:
-        v1, v2 = _psi_once(prior, s, order)
-    except OverflowError:
-        raise DomainError(f"overlap of {prior.name} overflows at s={s}") from None
-    if not abs(v1 - v2) <= 1e-8:
-        raise PrecisionError(
-            f"overlap quadrature not converged for {prior.name} at s={s}: "
-            f"|delta| = {abs(v1 - v2):.2e}"
-        )
-    return min(max(v2, 0.0), 1.0)
+    return min(max(_converged(_psi_once, "overlap", prior, s, order), 0.0), 1.0)
 
 
 def overlap_psi_derivative_scalar(prior: ScalarPrior, s: float, order: int = 61) -> float:
-    """d psi / d s by central differences (step max(1e-5, 1e-3 s))."""
+    """d psi / d s = E[Var(X | sqrt(s) X + Z)^2] >= 0, the derivative of the
+    MMSE 1 - psi (Guo, Wu, Shamai and Verdu 2011), by the quadrature of psi
+    with its doubled-order check and error paths."""
     s = _check_snr(s)
-    h = max(1e-5, 1e-3 * s)
-    if s - h < 0:
-        return (overlap_psi_scalar(prior, s + h, order) - overlap_psi_scalar(prior, s, order)) / h
-    up = overlap_psi_scalar(prior, s + h, order)
-    dn = overlap_psi_scalar(prior, s - h, order)
-    return (up - dn) / (2.0 * h)
+    return _converged(_dpsi_once, "overlap derivative", prior, s, order)
 
 
 _LOG_NORM = -0.5 * np.log(2.0 * np.pi)
@@ -258,6 +327,8 @@ def _kl_integrand_panels(prior: ScalarPrior, s: float):
     L = 12.0 + 6.0 * math.sqrt(s)
     if prior.kind == RADEMACHER:
         rs = math.sqrt(s)
+        if rs + 4.0 == rs:
+            raise DomainError(f"panels of {prior.name} collapse at s={s}: sqrt(s) + 4 rounds to sqrt(s)")
         f = _p_log_p_over_phi(lambda y: _LOG_NORM + np.log(0.5) + np.logaddexp(
             np.square(y - rs) * -0.5, np.square(y + rs) * -0.5
         ))
@@ -344,20 +415,13 @@ class OverlapModel:
 
     def psi_vector(self, s: np.ndarray) -> np.ndarray:
         """Block overlap vector: beta_j * psi_j(s_j); the SE nonlinearity."""
-        s = np.asarray(s, float)
-        return np.array(
-            [b * self.psi_scalar(j, max(sj, 0.0)) for j, (b, sj) in enumerate(zip(self.beta, s))]
-        )
+        return np.array([b * overlap_psi_scalar(p, max(sj, 0.0), self.quad_order)
+                         for p, b, sj in zip(self.profile.priors, self.beta, np.asarray(s, float))])
 
     def dpsi_vector(self, s: np.ndarray) -> np.ndarray:
         """Diagonal of the overlap gradient: beta_j * psi_j'(s_j)."""
-        s = np.asarray(s, float)
-        return np.array(
-            [
-                b * overlap_psi_derivative_scalar(self.profile.priors[j], max(sj, 0.0), self.quad_order)
-                for j, (b, sj) in enumerate(zip(self.beta, s))
-            ]
-        )
+        return np.array([b * overlap_psi_derivative_scalar(p, max(sj, 0.0), self.quad_order)
+                         for p, b, sj in zip(self.profile.priors, self.beta, np.asarray(s, float))])
 
 
 @dataclass
@@ -396,11 +460,15 @@ def run_se(
     if np.any(Q1 != np.diag(q)) or np.any(q < 0):
         raise DomainError(f"Q1 must be diagonal and nonnegative, got {Q1.tolist()}")
     H = op.couplings.hadamard_square_sum()
+    beta, priors, order = model.beta, model.profile.priors, model.quad_order
     qs, ss = [q], [H @ q]
     converged = False
     for _ in range(max_iter):
-        qn = model.psi_vector(ss[-1])
-        step = float(np.linalg.norm(qn - qs[-1]))
+        # model.psi_vector(ss[-1]), with beta and the priors read once per run
+        qn = np.array([b * overlap_psi_scalar(p, max(sj, 0.0), order)
+                       for p, b, sj in zip(priors, beta, ss[-1])])
+        diff = qn - qs[-1]
+        step = math.sqrt(diff @ diff)  # np.linalg.norm's sum of squares and root
         qs.append(qn)
         ss.append(H @ qn)
         if step < tol:

@@ -195,8 +195,8 @@ def classify_fixed_point(
 
     q_star is the overlap vector, shape (d,). The linearization at q* is
     J = diag(beta_j psi_j'(s_j)) H with s = H q* (H = sum_k Lambda_k**2).
-    psi is nondecreasing, so the weights are clipped at 0 (a negative finite
-    difference is rounding) and J is entrywise nonnegative. By
+    Each weight psi_j' = E[Var(X | y)^2] is a quadrature of nonnegative
+    values, so J is entrywise nonnegative. By
     Perron-Frobenius on J^T J its norm over the nonnegative orthant is then
     nu = ||J||_2, attained at the top right singular vector taken
     nonnegative; nu < 1 - delta is stable, nu > 1 + delta unstable,
@@ -212,7 +212,7 @@ def classify_fixed_point(
         raise FixedPointPreconditionError(
             f"q_star is not a fixed point (residual {resid:.3e})"
         )
-    J = np.diag(np.clip(model.dpsi_vector(s), 0.0, None)) @ H
+    J = np.diag(model.dpsi_vector(s)) @ H
     v = np.linalg.svd(J)[2][0]
     if v.max() < 0:
         v = -v

@@ -102,21 +102,30 @@ def test_se_nonconvergence_exit_3(tmp_path):
     assert cli.main(["se", "--config", path]) == 3
 
 
-@pytest.mark.parametrize("command", ["se", "stability", "limits"])
-def test_overflowing_snr_exits_3(tmp_path, capsys, command):
-    # a finite SNR so large that the BG overlap overflows is a numerical
-    # failure that names the prior and s, not a traceback
+@pytest.mark.parametrize("command, prior", [
+    pytest.param("se", "bg:0.5", id="se"),
+    pytest.param("stability", "bg:0.5", id="stability"),
+    pytest.param("limits", "rademacher", id="limits"),
+    pytest.param("se", "rademacher", id="se-rademacher"),
+    pytest.param("stability", "rademacher", id="stability-rademacher"),
+])
+def test_overflowing_snr_exits_3(tmp_path, capsys, command, prior):
+    # a finite SNR so large that the BG overlap overflows, or that the
+    # Rademacher panels collapse (sqrt(s) +- 10 rounds to sqrt(s), where the
+    # quadrature would return 0), is a numerical failure that names the prior
+    # and s, not a traceback or a silent wrong value
     if command == "limits":
+        # the sweep's blocks are Rademacher and BG(0.5); block 1's table fails first
         path = sweep_cfg(tmp_path, [1e300])
     else:
         path = write_cfg(tmp_path, {
-            "model": {"n": 50, "priors": ["bg:0.5"],
+            "model": {"n": 50, "priors": [prior],
                       "couplings": {"kind": "hetero", "c": 1e300, "xi": [[1.0]]}},
             "output": {"dir": str(tmp_path / "out")},
         })
     assert cli.main([command, "--config", path]) == 3
     err = capsys.readouterr().err
-    assert "bg:0.5" in err and "s=" in err, err
+    assert prior in err and "s=" in err, err
 
 
 def test_simulate_outputs_and_manifest_round_trip(tmp_path):

@@ -94,13 +94,13 @@ def test_paired_rule_keeps_the_bits(monkeypatch):
 def test_one_integrand_call_per_overlap(monkeypatch):
     # a BG overlap evaluates its integrand once for both orders and every panel
     calls = []
-    inner = se._bg_responsibility
+    inner = se._bg_spike_weight
 
-    def counted(y, s, eps):
-        calls.append(np.shape(y))
-        return inner(y, s, eps)
+    def counted(y2, c, b):
+        calls.append(np.shape(y2))
+        return inner(y2, c, b)
 
-    monkeypatch.setattr(se, "_bg_responsibility", counted)
+    monkeypatch.setattr(se, "_bg_spike_weight", counted)
     s = 2.0
     se.overlap_psi_scalar(BG05, s, 61)
     panels = len(se._bg_breaks(s, BG05.eps)) - 1
