@@ -95,15 +95,22 @@ def _node_objective(qs, gs, H) -> np.ndarray:
     """F(q) = (1/4) q^T H q + sum_j g_j(q_j) at every point of the grid
     product(qs), as an array of shape (len(qs[0]), ..., len(qs[-1])).
 
-    Each diagonal term (1/4) H_jj q_j^2 is folded into its axis vector g_j
-    and each pair j < k into one outer product of (1/4) (H_jk + H_kj) q_j with
-    q_k, so the grid is written once plus twice per pair (3 passes at d = 2)."""
-    d = len(qs)
-    vals = sum(np.ix_(*[g + 0.25 * H[j, j] * np.square(q) for j, (q, g) in enumerate(zip(qs, gs))]))
-    Q = np.ix_(*qs)
-    for j in range(d):
-        for k in range(j + 1, d):
-            vals += (0.25 * (H[j, k] + H[k, j]) * Q[j]) * Q[k]
+    Each diagonal term (1/4) H_jj q_j^2 is folded into its axis vector a_j and
+    each pair j < k into one product of (1/4) (H_jk + H_kj) q_j with q_k. The
+    grid is built one axis at a time, from the last: F_j = q_j (x) L_j + a_j
+    + F_{j+1}, where L_j = sum_{k > j} (1/4) (H_jk + H_kj) q_k lies on the grid
+    of the axes after j. Each step writes its grid once and adds to it twice,
+    so for every d the full grid takes 3 passes and is the only array of its
+    size."""
+    axes = [g + 0.25 * H[j, j] * np.square(q) for j, (q, g) in enumerate(zip(qs, gs))]
+    vals = axes[-1]
+    for j in range(len(qs) - 2, -1, -1):
+        rest = np.ix_(*qs[j + 1:])
+        lin = sum(0.25 * (H[j, k] + H[k, j]) * rest[k - j - 1] for k in range(j + 1, len(qs)))
+        grid = np.multiply.outer(qs[j], lin)
+        grid += axes[j].reshape((-1,) + (1,) * vals.ndim)
+        grid += vals
+        vals = grid
     return vals
 
 

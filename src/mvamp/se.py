@@ -174,32 +174,36 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def _bg_logit(s: float, eps: float) -> tuple[float, float]:
-    """(c, b) with log_null - log_spike = c - b y^2 (``_bg_log_terms``); c is
-    -inf when eps = 1, where the null component is absent."""
-    c = math.log1p(-eps) - math.log(eps) + 0.5 * math.log(1.0 + s / eps) if eps < 1.0 else -math.inf
-    return c, s / (2.0 * (eps + s))
+    """(c, b) with log_null - log_spike = c - b y^2 (``_bg_log_terms``), so
+    P(spike | y) = 1 / (1 + exp(c - b y^2)). c is -inf when eps = 1, where the
+    null component is absent, and at most 709, so exp(c - b y^2) is finite
+    (where the cap binds, the responsibility reads below 1e-307 instead of 0)."""
+    b = s / (2.0 * (eps + s))
+    if eps >= 1.0:
+        return -math.inf, b
+    c = math.log1p(-eps) - math.log(eps) + 0.5 * math.log(1.0 + s / eps)
+    return min(c, 709.0), b
 
 
-def _bg_spike_weight(y2, c: float, b: float):
-    """P(spike | y) = 1 / (1 + exp(c - b y^2)) at y2 = y^2, for the BG quadratures;
-    an exp that overflows gives 0, as the +-745 clip of ``_bg_responsibility``."""
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(c - b * y2))
+def _bg_inverse_responsibility(y2, c: float, b: float):
+    """1 / P(spike | y) = 1 + exp(c - b y^2) at y2 = y^2, for the BG quadratures."""
+    return 1.0 + np.exp(c - b * y2)
 
 
 def _psi_bg(s: float, eps: float, order: int) -> tuple[float, float]:
     # psi = eps * kappa^2 * E_{N(0, sig2)}[y^2 r(y)] with kappa = sqrt(s)/(eps+s),
     # using r(y) p(y) = eps * phi_spike(y) to collapse the mixture; the
     # integrand is even, so it is integrated over [0, L] and doubled
-    sig = math.sqrt(1.0 + s / eps)
+    sig2 = 1.0 + s / eps
     kappa2 = s / (eps + s) ** 2
     c, b = _bg_logit(s, eps)
+    a = -0.5 / sig2
 
     def integrand(y):
-        y2 = np.square(y)
-        return y2 * _bg_spike_weight(y2, c, b) * np.exp(np.square(y / sig) * -0.5)
+        y2 = y * y
+        return y2 * np.exp(a * y2) / _bg_inverse_responsibility(y2, c, b)
 
-    norm = 1.0 / (sig * _SQRT_2PI)
+    norm = 1.0 / (math.sqrt(sig2) * _SQRT_2PI)
     v1, v2 = _panel_sum(integrand, _bg_breaks(s, eps), order)
     return eps * kappa2 * (2.0 * v1 * norm), eps * kappa2 * (2.0 * v2 * norm)
 
@@ -208,17 +212,18 @@ def _dpsi_bg(s: float, eps: float, order: int) -> tuple[float, float]:
     # E[Var(X | y)^2] with Var = r (v + (1 - r) mu^2), v = 1/(eps+s) and
     # mu = sqrt(s) y/(eps+s) the spike posterior; r p = eps phi_spike
     # collapses the mixture as in _psi_bg
-    sig = math.sqrt(1.0 + s / eps)
+    sig2 = 1.0 + s / eps
     v = 1.0 / (eps + s)
     k2 = s * v * v
     c, b = _bg_logit(s, eps)
+    a = -0.5 / sig2
 
     def integrand(y):
-        y2 = np.square(y)
-        r = _bg_spike_weight(y2, c, b)
-        return r * np.square(v + (1.0 - r) * (k2 * y2)) * np.exp(np.square(y / sig) * -0.5)
+        y2 = y * y
+        r = 1.0 / _bg_inverse_responsibility(y2, c, b)
+        return r * np.square(v + (1.0 - r) * (k2 * y2)) * np.exp(a * y2)
 
-    norm = 2.0 * eps / (sig * _SQRT_2PI)
+    norm = 2.0 * eps / (math.sqrt(sig2) * _SQRT_2PI)
     v1, v2 = _panel_sum(integrand, _bg_breaks(s, eps), order)
     return v1 * norm, v2 * norm
 
@@ -258,8 +263,8 @@ def _dpsi_once(prior: ScalarPrior, s: float, order: int) -> tuple[float, float]:
     """psi'(s) = E[Var(X | y)^2] by quadrature at order and at 2 * order, on
     the panels of psi; the Gaussian psi' is closed form."""
     if prior.kind == GAUSSIAN:
-        dpsi = 1.0 / (1.0 + s) ** 2
-        return dpsi, dpsi
+        g = 1.0 / (1.0 + s)
+        return g * g, g * g
     if prior.kind == RADEMACHER:
         rs, breaks = _rademacher_breaks(prior, s)
 

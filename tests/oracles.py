@@ -15,6 +15,8 @@ and the GOE, overlap, KL and Gaussianity tests:
   estimators of the overlap and of the channel KL divergence;
 - ``posterior_variance_scalar`` is the closed-form posterior variance, which
   the denoiser's derivative must equal up to the factor sqrt(s);
+- ``psi_derivative_quad`` is E[Var(X | y)^2], the derivative of the overlap,
+  by adaptive quadrature of that variance against the channel density;
 - ``immse_consistency`` checks the I-MMSE identity dD/ds = psi(s) / 2.
 """
 
@@ -35,6 +37,7 @@ from mvamp.se import (
     _bg_responsibility,
     _check_snr,
     kl_channel,
+    overlap_psi_derivative_scalar,
     overlap_psi_scalar,
     posterior_mean_scalar,
 )
@@ -92,6 +95,49 @@ def posterior_variance_scalar(prior: ScalarPrior, s: float, y):
     return second - (r * mean_spike) ** 2
 
 
+def psi_derivative_quad(prior: ScalarPrior, s: float) -> float:
+    """E[Var(X | sqrt(s) X + Z)^2] = 2 int_0^L p_s(y) Var(X | y)^2 dy by
+    ``scipy.integrate.quad`` (QUADPACK), breaking at the bump of p_s and at the
+    BG responsibility transition. Gauss-Hermite (``gauss_expect``) cannot
+    resolve that transition: at order 301 it misses BG(0.05) at s = 12.6 by
+    80%."""
+    from scipy.integrate import quad
+
+    rs = np.sqrt(s)
+    if prior.kind == RADEMACHER:
+        def density(y):
+            return 0.5 * (_normal_pdf(y - rs, 1.0) + _normal_pdf(y + rs, 1.0))
+
+        L = rs + 12.0
+        points = [rs, max(rs - 6.0, 0.0), 1.0 / max(rs, 1.0), 4.0 / max(rs, 1.0)]
+    elif prior.kind == GAUSSIAN:
+        def density(y):
+            return _normal_pdf(y, 1.0 + s)
+
+        L = 12.0 * np.sqrt(1.0 + s)
+        points = [np.sqrt(1.0 + s)]
+    else:
+        eps = prior.eps
+        sig2 = 1.0 + s / eps
+
+        def density(y):
+            return (1.0 - eps) * _normal_pdf(y, 1.0) + eps * _normal_pdf(y, sig2)
+
+        L = 12.0 * np.sqrt(sig2)
+        points = [1.0, np.sqrt(sig2)]
+        bracket = 2.0 * (np.log((1.0 - eps) / eps) + 0.5 * np.log(sig2)) if eps < 1.0 else 0.0
+        if bracket > 0 and s > 0:
+            points.append(np.sqrt(bracket * (eps + s) / s))
+    points = sorted({float(v) for v in points if 0.0 < v < L})
+    value, _ = quad(lambda y: density(y) * float(posterior_variance_scalar(prior, s, y)) ** 2,
+                    0.0, L, points=points, limit=500, epsabs=1e-15, epsrel=1e-12)
+    return 2.0 * value
+
+
+def _normal_pdf(y, var: float):
+    return np.exp(-0.5 * y * y / var) / np.sqrt(2.0 * np.pi * var)
+
+
 # ---------------------------------------------------------------------------
 # channel KL divergence and the I-MMSE identity
 # ---------------------------------------------------------------------------
@@ -144,7 +190,7 @@ class InconclusiveCheckError(RuntimeError):
 
 @dataclass
 class GradientCheckReport:
-    max_sigma_deviation: float  # worst |fd - pred| / se
+    max_sigma_deviation: float  # worst |fd - pred| / se, or |E[Psi] - psi'| / se
     passed: bool
 
 
@@ -172,7 +218,10 @@ def mmse_gradient_check(
     For block priors the conditional covariance per row is scalar and closed
     form, so both sides reduce to per-block averages of posterior variances
     (for M) and squared posterior variances (for Psi). Finite differences of M
-    along random PSD directions use common random numbers.
+    along random PSD directions use common random numbers. The Monte Carlo
+    E[Psi] of block j is also checked against the production overlap
+    derivative psi_j'(S_jj) = E[Var^2] (``overlap_psi_derivative_scalar``),
+    weighted by the block's share of the rows as M is.
     """
     if n_small > 100:
         raise DomainError("gradient check is meant for small n (n_small <= 100)")
@@ -210,7 +259,11 @@ def mmse_gradient_check(
         return Md, Pd
 
     _, Pd0 = per_sample_stats(S)
-    worst = 0.0
+    dpsi = np.array([(sl.stop - sl.start) / n_small
+                     * overlap_psi_derivative_scalar(p, float(S[j, j]), model.quad_order)
+                     for j, (p, sl) in enumerate(zip(model.profile.priors, slices))])
+    se0 = Pd0.std(axis=0) / np.sqrt(n_samples)
+    worst = float((np.abs(Pd0.mean(axis=0) - dpsi) / np.maximum(se0, 1e-300)).max())
     for m, Delta in enumerate(directions):
         Mp, _ = per_sample_stats(S + _GRADIENT_FD_STEP * Delta)
         Mm, _ = per_sample_stats(S - _GRADIENT_FD_STEP * Delta)

@@ -278,6 +278,23 @@ def test_limits_command(tmp_path):
     assert float(rows[1]["norm_Tc"]) == 2.0
 
 
+def test_limits_builds_one_table_per_prior_and_range(tmp_path, monkeypatch):
+    # the 4 eps share one Rademacher table: 5 builds, where a table per prior
+    # and eps made 8
+    built = []
+    inner = limits.KLTable
+
+    def counted(prior, *args):
+        built.append(prior.name)
+        return inner(prior, *args)
+
+    monkeypatch.setattr(limits, "KLTable", counted)
+    limits._shared_table.cache_clear()
+    path = sweep_cfg(tmp_path, [0.5, 2.0], eps=(0.05, 0.1, 0.5, 1.0))
+    assert cli.main(["limits", "--config", path]) == 0
+    assert sorted(built) == ["bg:0.05", "bg:0.1", "bg:0.5", "bg:1", "rademacher"]
+
+
 def test_phase_diagram_resume_skips_done(tmp_path):
     path = sweep_cfg(tmp_path, [0.6, 1.8], out="pd")
     assert cli.main(["phase-diagram", "--config", path]) == 0

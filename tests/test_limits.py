@@ -264,3 +264,59 @@ def test_kl_tables_must_hold_the_grid():
     for table in (limits.KLTable(GAUSS, 5.0, n_nodes=50), limits.KLTable(GAUSS, 3.0, n_nodes=400)):
         with pytest.raises(se.DomainError):
             limits.variational_solve(m, H, kl_tables=[table])
+
+
+def _broadcast_objective(qs, gs, H):
+    # the grid objective before the diagonal was folded into the axes: the
+    # sum of the g's, then one broadcast product per entry of H
+    Q = np.ix_(*qs)
+    vals = sum(np.ix_(*gs))
+    for j, k in np.ndindex(H.shape):
+        vals += 0.25 * H[j, k] * Q[j] * Q[k]
+    return vals
+
+
+@pytest.mark.parametrize("d, n", [(2, 400), (3, 40)])
+def test_node_objective_matches_the_broadcast_form(d, n):
+    rng = np.random.default_rng(d)
+    qs = [np.sort(rng.uniform(0.0, 0.6, n + j)) for j in range(d)]
+    gs = [rng.uniform(-0.5, 0.5, n + j) for j in range(d)]
+    a = rng.uniform(0.0, 2.0, (d, d))
+    for H in (a @ a.T, a + a.T - np.diag(np.diag(a + a.T)), a):  # PSD, indefinite, non-symmetric
+        got = limits._node_objective(qs, gs, H)
+        want = _broadcast_objective(qs, gs, H)
+        assert got.shape == want.shape == tuple(n + j for j in range(d))
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_default_sweep_scans_the_same_near_max_cells(monkeypatch):
+    # on the CLI's default 4-eps x 52-point sweep, every solve's grid cells
+    # within 1e-10 of the grid max (and so its representatives and
+    # near_degenerate) are those of the broadcast form
+    from mvamp.cli import SweepSection
+
+    sw = SweepSection()
+    inner = limits._node_objective
+    checked = []
+
+    def both(qs, gs, H):
+        got, want = inner(qs, gs, H), _broadcast_objective(qs, gs, H)
+        near = [np.argwhere(v >= v.max() - 1e-10) for v in (got, want)]
+        checked.append(np.array_equal(*near))
+        return got
+
+    monkeypatch.setattr(limits, "_node_objective", both)
+    for eps in sw.eps:
+        m = _overlap([RAD, model.ScalarPrior.bernoulli_gaussian(eps)], sw.beta)
+        limits.limits_sweep(m, sw.xi, sw.target_norms, grid_res=sw.grid_res)
+    assert len(checked) == len(sw.eps) * len(sw.target_norms) and all(checked)
+
+
+def test_shared_tables_are_read_only():
+    # one table serves every sweep that reads its prior and range, so its
+    # arrays refuse writes
+    table = limits._shared_table(RAD, 4.0, 40, 61)
+    assert limits._shared_table(RAD, 4.0, 40, 61) is table
+    for a in (table.nodes, table.psi, table.kl):
+        with pytest.raises(ValueError):
+            a[0] = 1.0

@@ -81,6 +81,7 @@ def test_paired_rule_keeps_the_bits(monkeypatch):
     grid = np.geomspace(1e-4, 80.0, 40)
     bg01, bg1 = model.ScalarPrior.bernoulli_gaussian(0.1), model.ScalarPrior.bernoulli_gaussian(1.0)
     cases = [(se._psi_once, p, 61) for p in (RAD, BG05, bg01, bg1)]
+    cases += [(se._dpsi_once, p, 61) for p in (RAD, BG05, bg1)]
     cases += [(se._kl_once, p, 80) for p in (RAD, bg01)]
     paired = [[fn(p, s, order) for s in grid] for fn, p, order in cases]
     with monkeypatch.context() as m:
@@ -91,16 +92,99 @@ def test_paired_rule_keeps_the_bits(monkeypatch):
             assert g[0] == w[0] and g[1] == w[1], (fn.__name__, p.name, s, g, w)
 
 
+# psi' three ways, on the priors and SNRs state evolution and the bound read
+DPSI_PRIORS = [RAD, BG05, BG5, model.ScalarPrior.bernoulli_gaussian(1.0), GAUSS]
+DPSI_GRID = np.geomspace(1e-4, 30.0, 25)
+
+
+def test_psi_derivative_matches_differences_of_psi():
+    # five-point central differences of psi with step 1e-3 s; on this grid
+    # their truncation error plus psi's rounding over the step stays below
+    # 1.4e-12
+    for prior in DPSI_PRIORS:
+        for s in DPSI_GRID:
+            psi = lambda x: se.overlap_psi_scalar(prior, x)  # noqa: E731
+            h = 1e-3 * s
+            fd = (8.0 * (psi(s + h) - psi(s - h)) - (psi(s + 2 * h) - psi(s - 2 * h))) / (12.0 * h)
+            dpsi = se.overlap_psi_derivative_scalar(prior, s)
+            assert abs(dpsi - fd) <= 1e-8 * dpsi + 1e-11, (prior.name, s, dpsi, fd)
+
+
+def test_psi_derivative_matches_an_independent_quadrature():
+    # E[Var(X | y)^2] by QUADPACK over the closed-form posterior variance,
+    # which shares no code with the panel kernel
+    for prior in DPSI_PRIORS:
+        for s in DPSI_GRID:
+            dpsi = se.overlap_psi_derivative_scalar(prior, s)
+            oracle = oracles.psi_derivative_quad(prior, s)
+            assert abs(dpsi - oracle) <= 1e-10 * oracle, (prior.name, s, dpsi, oracle)
+
+
+def test_psi_derivative_of_bg1_is_the_gaussian_one():
+    # BG(1) is the standard Gaussian reached through the BG quadrature, and
+    # every unit-variance prior has psi'(0) = Var(X)^2 = 1
+    bg1 = model.ScalarPrior.bernoulli_gaussian(1.0)
+    for s in np.concatenate([[0.0], DPSI_GRID]):
+        assert abs(se.overlap_psi_derivative_scalar(bg1, s) - (1.0 + s) ** -2) <= 1e-12 * (1.0 + s) ** -2
+    for prior in DPSI_PRIORS:
+        assert abs(se.overlap_psi_derivative_scalar(prior, 0.0) - 1.0) < 1e-12, prior.name
+
+
+def test_psi_derivative_error_paths(monkeypatch):
+    # psi' has psi's doubling check; at a huge s the BG and Gaussian psi'
+    # underflow to about 0 (where the BG psi overflows into a DomainError),
+    # and the Rademacher panels collapse (below)
+    with pytest.raises(se.DomainError, match=f"overlap of {BG5.name} overflows at s=1e"):
+        se.overlap_psi_scalar(BG5, 1e300)
+    for prior in (BG5, GAUSS):
+        assert 0.0 <= se.overlap_psi_derivative_scalar(prior, 1e300) < 1e-290
+    monkeypatch.setattr(se, "_dpsi_once", lambda prior, s, order: (0.5, 0.5 + 1e-7))
+    with pytest.raises(se.PrecisionError, match=f"derivative quadrature not converged for {BG05.name} at s=2.0:"):
+        se.overlap_psi_derivative_scalar(BG05, 2.0)
+
+
+def test_rademacher_panels_collapse_into_a_domain_error():
+    # past s ~ 2e34, sqrt(s) +- 10 rounds to sqrt(s): the panels collapse and
+    # the quadrature would read 0 (psi and psi' near 1 and 0, D near s/2)
+    for s in (1e36, 1e38, 1e300):
+        for kernel in (se.overlap_psi_scalar, se.overlap_psi_derivative_scalar, se.kl_channel):
+            with pytest.raises(se.DomainError, match=f"{RAD.name} collapse at s="):
+                kernel(RAD, s)
+
+
+def _log_term_psi_bg(s, eps, order):
+    # the BG psi before the responsibility was read as 1 / (1 + exp(c - b y^2)):
+    # the logistic of the two log mixture terms, at every node
+    sig = np.sqrt(1.0 + s / eps)
+
+    def integrand(y):
+        return np.square(y) * se._bg_responsibility(y, s, eps) * np.exp(np.square(y / sig) * -0.5)
+
+    v1, v2 = se._panel_sum(integrand, se._bg_breaks(s, eps), order)
+    scale = eps * (s / (eps + s) ** 2) * 2.0 / (sig * np.sqrt(2.0 * np.pi))
+    return v1 * scale, v2 * scale
+
+
+def test_lean_bg_psi_matches_the_log_term_form():
+    for eps in (0.05, 0.5, 1.0):
+        for s in np.logspace(-6, 4, 81):
+            got = se._psi_bg(s, eps, 61)
+            want = _log_term_psi_bg(s, eps, 61)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-15 * abs(w), (eps, s, g, w)
+
+
 def test_one_integrand_call_per_overlap(monkeypatch):
-    # a BG overlap evaluates its integrand once for both orders and every panel
+    # a BG overlap evaluates its integrand (and with it the responsibility)
+    # once for both orders and every panel
     calls = []
-    inner = se._bg_spike_weight
+    inner = se._bg_inverse_responsibility
 
     def counted(y2, c, b):
         calls.append(np.shape(y2))
         return inner(y2, c, b)
 
-    monkeypatch.setattr(se, "_bg_spike_weight", counted)
+    monkeypatch.setattr(se, "_bg_inverse_responsibility", counted)
     s = 2.0
     se.overlap_psi_scalar(BG05, s, 61)
     panels = len(se._bg_breaks(s, BG05.eps)) - 1
