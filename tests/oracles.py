@@ -1,7 +1,7 @@
 """Monte Carlo and quadrature oracles that the tests check the package against.
 
 Nothing in ``mvamp`` calls these; they back acceptance criteria 5, 6 and 11
-and the GOE, overlap, KL and Gaussianity tests:
+and the GOE, overlap, overlap-derivative, KL and Gaussianity tests:
 
 - ``goe_upper_draw`` forms the full matrix of ``model.sample_goe`` in plain
   numpy;
