@@ -57,7 +57,6 @@ class AMPTrace:
     F_hat: list
     Q_hat: list
     mse: list
-    M_final: np.ndarray
 
     @property
     def iterations(self) -> int:
@@ -244,4 +243,4 @@ def run_symmetric(instance: MTPInstance, config: AMPConfig) -> AMPTrace:
                 B_t += lam @ D_t @ lam
         record(M_t)
         M_prev2, M_prev, B_prev = M_prev, M_t, B_t
-    return AMPTrace(F_hat, Q_hat, mse, M_prev)
+    return AMPTrace(F_hat, Q_hat, mse)

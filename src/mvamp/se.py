@@ -12,10 +12,10 @@ independent of X:
   Shamai and Verdu 2011);
 - the relative entropy D(s) = KL(law(y) || law(Z)) (the variational bound).
 
-The Bernoulli-Gaussian posterior is evaluated through the mixture
-responsibility in log space, so it stays finite for arbitrarily large |y|;
-the BG quadratures read the same responsibility as 1 / (1 + exp(c - b y^2)),
-with c and b computed once per s.
+Every Bernoulli-Gaussian quantity reads one logit of the posterior,
+log P(null | y) - log P(spike | y) = c - b y^2, with c and b computed once
+per s (``_bg_logit``): the responsibility P(spike | y) = 1 / (1 + exp(c - b y^2))
+and the channel log-density log(eps phi_sigma(y)) + log(1 + exp(c - b y^2)).
 
 Block profiles act diagonally: block j sees only its own SNR s_j, so state
 evolution carries the overlap vector q alone,
@@ -31,15 +31,14 @@ split where the integrand turns (for BG, at the responsibility transition).
 Every evaluation is also made at doubled order and must agree (psi and psi'
 to 1e-8, D to max(1e-12, 1e-8 |D|)). One
 integrand call covers both orders and every panel: the nodes form one
-(panels, 3 * order) array, and each value is then summed panel by panel, so
-it has the bits of a per-panel loop.
+(panels, 3 * order) array, and the panel values are summed in panel order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -70,24 +69,15 @@ def _check_snr(s: float) -> float:
     return s
 
 
-def _bg_log_terms(y, s: float, eps: float):
-    """(log_null, log_spike): the logs of the two BG(eps) components of the
-    channel marginal, eps N(0, sig2) with sig2 = 1 + s/eps and (1 - eps) N(0, 1),
-    without the shared -log(2 pi)/2; log_null is -inf when eps = 1."""
-    sig2 = 1.0 + s / eps
-    y2 = np.square(y)
-    log_null = np.log1p(-eps) - y2 * 0.5 if eps < 1.0 else np.full_like(y, -np.inf)
-    log_spike = np.log(eps) - 0.5 * np.log(sig2) - y2 / (2.0 * sig2)
-    return log_null, log_spike
-
-
-def _bg_responsibility(y, s: float, eps: float):
-    """P(spike | y) for the BG(eps) channel, evaluated stably as a logistic
-    function of log_null - log_spike."""
+def _bg_logit(s: float, eps: float) -> tuple[float, float]:
+    """(c, b) with log_null - log_spike = c - b y^2, the logs of the two BG(eps)
+    components of the channel marginal, (1 - eps) phi(y) and eps phi_sigma(y)
+    with sigma^2 = 1 + s/eps. c is -inf when eps = 1, where the null component
+    is absent; b = s / (2 (eps + s)), so d logit / dy = -2 b y."""
+    b = s / (2.0 * (eps + s))
     if eps >= 1.0:
-        return np.ones_like(np.asarray(y, float))
-    log_null, log_spike = _bg_log_terms(y, s, eps)
-    return 1.0 / (1.0 + np.exp(np.clip(log_null - log_spike, -745.0, 745.0)))
+        return -math.inf, b
+    return math.log1p(-eps) - math.log(eps) + 0.5 * math.log(1.0 + s / eps), b
 
 
 def posterior_mean_scalar(prior: ScalarPrior, s: float, y):
@@ -105,14 +95,17 @@ def posterior_mean_scalar(prior: ScalarPrior, s: float, y):
         k = rs / (1.0 + s)
         return k * y, np.full_like(y, k)
     eps = prior.eps
-    r = _bg_responsibility(y, s, eps)
-    gamma = s / (eps + s)  # d logit / dy = gamma * y
+    c, b = _bg_logit(s, eps)
+    y2 = np.square(y)
+    # P(spike | y); past 709 exp would overflow, and below -745 r is 1 exactly
+    r = 1.0 / (1.0 + np.exp(np.clip(c - b * y2, -745.0, 709.0)))
+    gamma = s / (eps + s)  # d(c - b y^2) / dy = -gamma * y
     eta = r * rs * y / (eps + s)
-    return eta, rs / (eps + s) * (r + r * (1.0 - r) * gamma * np.square(y))
+    return eta, rs / (eps + s) * (r + r * (1.0 - r) * gamma * y2)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
-    # cached rules are shared by every caller; a write would corrupt them all
+    # cached arrays are shared by every caller; a write would corrupt them all
     a.setflags(write=False)
     return a
 
@@ -133,22 +126,19 @@ def _panel_sum(f, breaks, order: int) -> tuple[float, float]:
     f is called once, on the (panels, 3 * order) array of every panel's nodes
     at both orders. The rows are dotted with the weights by one stacked
     matmul of (1, n) @ (n, 1) blocks per order, which BLAS computes row by row
-    as a dot product, and each value is summed panel by panel, so it has the
-    bits of a loop that calls f per panel and per order (one matrix-vector
-    product would move the last ulp)."""
+    as a dot product, and the panels are summed in order by a sequential
+    ``np.add.accumulate``, so each value has the bits of a loop that calls f
+    per panel and per order (one matrix-vector product, or a pairwise sum,
+    would move the last ulp)."""
     x, w1, w2 = _paired_rule(order)
-    mid, half = [], []
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        mid.append((lo + hi) / 2.0)
-        half.append((hi - lo) / 2.0)
-    fy = f(np.array(mid)[:, None] + np.array(half)[:, None] * x)[:, None]
-    dots1 = np.matmul(fy[..., :order], w1[:, None]).ravel().tolist()
-    dots2 = np.matmul(fy[..., order:], w2[:, None]).ravel().tolist()
-    v1 = v2 = 0.0
-    for h, d1, d2 in zip(half, dots1, dots2):
-        v1 += h * d1
-        v2 += h * d2
-    return v1, v2
+    b = np.asarray(breaks, float)
+    half = (b[1:] - b[:-1]) / 2.0
+    nodes = half[:, None] * x
+    nodes += ((b[:-1] + b[1:]) / 2.0)[:, None]  # mid + half * x
+    fy = f(nodes)[:, None]
+    d1 = np.matmul(fy[..., :order], w1[:, None]).ravel()
+    d2 = np.matmul(fy[..., order:], w2[:, None]).ravel()
+    return float(np.add.accumulate(half * d1)[-1]), float(np.add.accumulate(half * d2)[-1])
 
 
 def _bg_breaks(s: float, eps: float) -> list[float]:
@@ -173,21 +163,11 @@ def _bg_breaks(s: float, eps: float) -> list[float]:
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-def _bg_logit(s: float, eps: float) -> tuple[float, float]:
-    """(c, b) with log_null - log_spike = c - b y^2 (``_bg_log_terms``), so
-    P(spike | y) = 1 / (1 + exp(c - b y^2)). c is -inf when eps = 1, where the
-    null component is absent, and at most 709, so exp(c - b y^2) is finite
-    (where the cap binds, the responsibility reads below 1e-307 instead of 0)."""
-    b = s / (2.0 * (eps + s))
-    if eps >= 1.0:
-        return -math.inf, b
-    c = math.log1p(-eps) - math.log(eps) + 0.5 * math.log(1.0 + s / eps)
-    return min(c, 709.0), b
-
-
 def _bg_inverse_responsibility(y2, c: float, b: float):
-    """1 / P(spike | y) = 1 + exp(c - b y^2) at y2 = y^2, for the BG quadratures."""
-    return 1.0 + np.exp(c - b * y2)
+    """1 / P(spike | y) = 1 + exp(c - b y^2) at y2 = y^2, for the BG quadratures.
+    c is capped at 709, so exp(c - b y^2) is finite (where the cap binds, the
+    responsibility reads below 1e-307 instead of 0)."""
+    return 1.0 + np.exp(min(c, 709.0) - b * y2)
 
 
 def _psi_bg(s: float, eps: float, order: int) -> tuple[float, float]:
@@ -277,15 +257,17 @@ def _dpsi_once(prior: ScalarPrior, s: float, order: int) -> tuple[float, float]:
     return _dpsi_bg(s, prior.eps, order)
 
 
-def _converged(once, what: str, prior: ScalarPrior, s: float, order: int) -> float:
-    """The 2 * order value of ``once(prior, s, order)``; PrecisionError unless
-    it is within 1e-8 of the order value (so also if either is not finite),
-    and DomainError if a finite s is so large that the quadrature overflows."""
+def _converged(once, what: str, prior: ScalarPrior, s: float, order: int,
+               atol: float = 1e-8, rtol: float = 0.0) -> float:
+    """The 2 * order value v of ``once(prior, s, order)``; PrecisionError unless
+    it is within max(atol, rtol |v|) of the order value (so also if either is
+    not finite), and DomainError if a finite s is so large that the
+    quadrature overflows."""
     try:
         v1, v2 = once(prior, s, order)
     except OverflowError:
         raise DomainError(f"{what} of {prior.name} overflows at s={s}") from None
-    if not abs(v1 - v2) <= 1e-8:
+    if not abs(v1 - v2) <= max(atol, rtol * abs(v2)):
         raise PrecisionError(
             f"{what} quadrature not converged for {prior.name} at s={s}: "
             f"|delta| = {abs(v1 - v2):.2e}"
@@ -343,8 +325,18 @@ def _kl_integrand_panels(prior: ScalarPrior, s: float):
                 breaks.add(v)
         return f, sorted(breaks)
     eps = prior.eps
-    L = max(L, 10.0 * math.sqrt(1.0 + s / eps))
-    f = _p_log_p_over_phi(lambda y: _LOG_NORM + np.logaddexp(*_bg_log_terms(y, s, eps)))
+    sig2 = 1.0 + s / eps
+    L = max(L, 10.0 * math.sqrt(sig2))
+    c, b = _bg_logit(s, eps)
+    log_spike0 = _LOG_NORM + math.log(eps) - 0.5 * math.log(sig2)
+    a = -0.5 / sig2
+
+    def logp(y):
+        # log(eps phi_sigma(y)) + log(1 + exp(c - b y^2))
+        y2 = np.square(y)
+        return log_spike0 + a * y2 + np.logaddexp(0.0, c - b * y2)
+
+    f = _p_log_p_over_phi(logp)
     breaks = set(_bg_breaks(s, eps))
     breaks.add(L)
     return f, sorted(v for v in breaks if v <= L)
@@ -367,13 +359,7 @@ def kl_channel(prior: ScalarPrior, s: float) -> float:
     s = _check_snr(s)
     if s == 0.0:
         return 0.0
-    v1, v2 = _kl_once(prior, s, _KL_ORDER)
-    if not abs(v1 - v2) <= max(1e-12, 1e-8 * abs(v2)):
-        raise PrecisionError(
-            f"KL integration not converged for {prior.name} at s={s}: "
-            f"|delta| = {abs(v1 - v2):.2e}"
-        )
-    return max(v2, 0.0)
+    return max(_converged(_kl_once, "KL", prior, s, _KL_ORDER, atol=1e-12, rtol=1e-8), 0.0)
 
 
 @dataclass(frozen=True)
@@ -411,22 +397,21 @@ class OverlapModel:
     def d(self) -> int:
         return self.profile.d
 
-    @property
+    @cached_property
     def beta(self) -> np.ndarray:
-        return np.asarray(self.profile.beta, float)
-
-    def psi_scalar(self, j: int, s: float) -> float:
-        return overlap_psi_scalar(self.profile.priors[j], s, self.quad_order)
+        """The block fractions, built once per model; read-only, as every
+        caller shares it."""
+        return _read_only(np.array(self.profile.beta, float))
 
     def psi_vector(self, s: np.ndarray) -> np.ndarray:
         """Block overlap vector: beta_j * psi_j(s_j); the SE nonlinearity."""
-        return np.array([b * overlap_psi_scalar(p, max(sj, 0.0), self.quad_order)
-                         for p, b, sj in zip(self.profile.priors, self.beta, np.asarray(s, float))])
+        return self.beta * np.array([overlap_psi_scalar(p, max(sj, 0.0), self.quad_order)
+                                     for p, sj in zip(self.profile.priors, np.asarray(s, float))])
 
     def dpsi_vector(self, s: np.ndarray) -> np.ndarray:
         """Diagonal of the overlap gradient: beta_j * psi_j'(s_j)."""
-        return np.array([b * overlap_psi_derivative_scalar(p, max(sj, 0.0), self.quad_order)
-                         for p, b, sj in zip(self.profile.priors, self.beta, np.asarray(s, float))])
+        return self.beta * np.array([overlap_psi_derivative_scalar(p, max(sj, 0.0), self.quad_order)
+                                     for p, sj in zip(self.profile.priors, np.asarray(s, float))])
 
 
 @dataclass
@@ -465,13 +450,10 @@ def run_se(
     if np.any(Q1 != np.diag(q)) or np.any(q < 0):
         raise DomainError(f"Q1 must be diagonal and nonnegative, got {Q1.tolist()}")
     H = op.couplings.hadamard_square_sum()
-    beta, priors, order = model.beta, model.profile.priors, model.quad_order
     qs, ss = [q], [H @ q]
     converged = False
     for _ in range(max_iter):
-        # model.psi_vector(ss[-1]), with beta and the priors read once per run
-        qn = np.array([b * overlap_psi_scalar(p, max(sj, 0.0), order)
-                       for p, b, sj in zip(priors, beta, ss[-1])])
+        qn = model.psi_vector(ss[-1])
         diff = qn - qs[-1]
         step = math.sqrt(diff @ diff)  # np.linalg.norm's sum of squares and root
         qs.append(qn)

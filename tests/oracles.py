@@ -13,6 +13,9 @@ and the GOE, overlap, overlap-derivative, KL and Gaussianity tests:
 - ``mmse_gradient_check`` checks the MMSE gradient identity;
 - ``overlap_psi_monte_carlo`` and ``kl_channel_monte_carlo`` are sampling
   estimators of the overlap and of the channel KL divergence;
+- ``bg_log_terms`` and ``bg_responsibility`` write the Bernoulli-Gaussian
+  channel as its two log mixture terms, independently of the package's one
+  logit c - b y^2;
 - ``posterior_variance_scalar`` is the closed-form posterior variance, which
   the denoiser's derivative must equal up to the factor sqrt(s);
 - ``psi_derivative_quad`` is E[Var(X | y)^2], the derivative of the overlap,
@@ -34,8 +37,6 @@ from mvamp.se import (
     OperatorT,
     OverlapModel,
     SETrajectory,
-    _bg_responsibility,
-    _check_snr,
     kl_channel,
     overlap_psi_derivative_scalar,
     overlap_psi_scalar,
@@ -77,9 +78,35 @@ def overlap_psi_monte_carlo(prior: ScalarPrior, s: float, n_samples: int, seed=0
     return float(np.mean(eta * eta))
 
 
+def bg_log_terms(y, s: float, eps: float):
+    """(log_null, log_spike): the logs of the two BG(eps) components of the
+    channel marginal, (1 - eps) N(0, 1) and eps N(0, sig2) with
+    sig2 = 1 + s/eps, without the shared -log(2 pi)/2; log_null is -inf when
+    eps = 1."""
+    sig2 = 1.0 + s / eps
+    y2 = np.square(y)
+    log_null = np.log1p(-eps) - y2 * 0.5 if eps < 1.0 else np.full_like(y, -np.inf)
+    log_spike = np.log(eps) - 0.5 * np.log(sig2) - y2 / (2.0 * sig2)
+    return log_null, log_spike
+
+
+def bg_responsibility(y, s: float, eps: float):
+    """P(spike | y) for the BG(eps) channel, the logistic of
+    log_null - log_spike. That difference is clipped to the package's range
+    [-745, 709], so where the true P(spike | y) underflows both read
+    1 / (1 + e^709)."""
+    if eps >= 1.0:
+        return np.ones_like(np.asarray(y, float))
+    log_null, log_spike = bg_log_terms(y, s, eps)
+    return 1.0 / (1.0 + np.exp(np.clip(log_null - log_spike, -745.0, 709.0)))
+
+
 def posterior_variance_scalar(prior: ScalarPrior, s: float, y):
-    """Var(X | sqrt(s) X + Z = y); closed form per prior."""
-    s = _check_snr(s)
+    """Var(X | sqrt(s) X + Z = y); closed form per prior. DomainError unless s
+    is finite and nonnegative."""
+    s = float(s)
+    if not (np.isfinite(s) and s >= 0.0):
+        raise DomainError(f"SNR must be finite and nonnegative, got {s}")
     y = np.asarray(y, float)
     if s == 0.0:
         return np.ones_like(y)
@@ -89,7 +116,7 @@ def posterior_variance_scalar(prior: ScalarPrior, s: float, y):
     if prior.kind == GAUSSIAN:
         return np.full_like(y, 1.0 / (1.0 + s))
     eps = prior.eps
-    r = _bg_responsibility(y, s, eps)
+    r = bg_responsibility(y, s, eps)
     mean_spike = np.sqrt(s) * y / (eps + s)
     second = r * (1.0 / (eps + s) + mean_spike**2)
     return second - (r * mean_spike) ** 2

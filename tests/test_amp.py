@@ -111,8 +111,8 @@ def test_q_hat_is_psd_and_norm_bounded():
     tr = amp.run_symmetric(inst, amp.AMPConfig(max_iter=10, rho=0.1, seed=33))
     for q in tr.Q_hat:
         assert np.linalg.eigvalsh(q).min() >= -1e-10
-    m_final = tr.M_final
-    assert np.linalg.norm(tr.Q_hat[-1]) <= np.linalg.norm(m_final) ** 2 / inst.n + 1e-10
+    # ||Q||_F <= tr Q = ||M||_F^2 / n for the last denoised M
+    assert np.linalg.norm(tr.Q_hat[-1]) <= np.trace(tr.Q_hat[-1]) + 1e-10
 
 
 def test_divergence_error_reports_iteration(monkeypatch):
@@ -162,7 +162,6 @@ def _assert_traces_agree(a, b, tol=1e-12):
             assert np.abs(np.asarray(va) - np.asarray(vb)).max() <= tol, name
     for (_, xa), (_, xb) in zip(seen_a, seen_b):
         assert np.abs(xa - xb).max() <= tol, "iterates"
-    assert np.abs(a.M_final - b.M_final).max() <= tol
 
 
 def test_block_product_equals_dense_product(monkeypatch):
@@ -365,8 +364,9 @@ def test_duplicated_symmetric_equals_direct_se():
 
 def test_iterate_seam_captures_each_denoiser_input():
     # run_with_iterates keeps the (S_t, X^t) of every block_denoiser call: one
-    # pair per iteration, the last of which denoises to M_final bit for bit,
-    # and the run and the module name are left as they were
+    # pair per iteration, the last of which denoises to the M whose overlaps
+    # the trace records last, bit for bit, and the run and the module name
+    # are left as they were
     X = model.sample_signal(PROF_RAD_BG, 600, seed=105)
     inst = model.synthesize_symmetric(X, NONCOMMUTING_VIEWS, seed=106, profile=PROF_RAD_BG)
     cfg = amp.AMPConfig(max_iter=7, rho=0.1, seed=107)
@@ -375,8 +375,13 @@ def test_iterate_seam_captures_each_denoiser_input():
     assert amp.block_denoiser is block_denoiser
     assert len(seen) == cfg.max_iter == tr.iterations
     S_t, X_t = seen[-1]
-    assert np.array_equal(amp.block_denoiser(inst.profile, S_t, X_t).value, tr.M_final)
-    assert np.array_equal(amp.run_symmetric(inst, cfg).M_final, tr.M_final)
+    M = amp.block_denoiser(inst.profile, S_t, X_t).value
+    assert np.array_equal(X.T @ M / inst.n, tr.F_hat[-1])
+    Q = M.T @ M / inst.n
+    assert np.array_equal((Q + Q.T) / 2.0, tr.Q_hat[-1])
+    again = amp.run_symmetric(inst, cfg)
+    for name in ("F_hat", "Q_hat", "mse"):
+        assert all(np.array_equal(a, b) for a, b in zip(getattr(again, name), getattr(tr, name))), name
 
 
 def _diagnostic_setup(correction, seed=91, n=4000, lam=1.5, t=8):

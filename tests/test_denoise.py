@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ RAD = model.ScalarPrior.rademacher()
 GAUSS = model.ScalarPrior.gaussian_unit()
 BG1 = model.ScalarPrior.bernoulli_gaussian(1.0)
 BG01 = model.ScalarPrior.bernoulli_gaussian(0.1)
+BG_TINY = model.ScalarPrior.bernoulli_gaussian(1e-300)
 
 PRIORS = [RAD, GAUSS, BG01, model.ScalarPrior.bernoulli_gaussian(0.5)]
 
@@ -129,15 +132,28 @@ def test_posterior_variance_forms():
 
 
 def test_derivative_is_scaled_posterior_variance():
-    # Tweedie: eta'(y) = sqrt(s) Var(X | y) on the channel y = sqrt(s) X + Z
-    y = np.linspace(-8, 8, 161)
-    for prior in (RAD, GAUSS, BG01, BG1):
+    # Tweedie: eta'(y) = sqrt(s) Var(X | y) on the channel y = sqrt(s) X + Z;
+    # at |y| = 40 and 60 the logit clip binds for s >= 1.7, and BG(1e-300)
+    # reads P(spike | y) = 1 / (1 + e^709) where it underflows
+    y = np.concatenate([np.linspace(-8, 8, 161), [-60.0, -40.0, 40.0, 60.0]])
+    for prior in (RAD, GAUSS, BG01, BG1, BG_TINY):
         for s in (0.01, 1.7, 50.0):
             _, deta = posterior_mean_scalar(prior, s, y)
             want = np.sqrt(s) * oracles.posterior_variance_scalar(prior, s, y)
             gap = np.abs(deta - want)
             # where tanh rounds to 1 both sides are exactly 0
             assert np.all(gap <= 1e-12 * np.abs(want)), (prior.name, s, gap.max())
+
+
+def test_tiny_eps_bg_denoiser_does_not_overflow():
+    # BG(1e-300) has c ~ 1036 at s = 1: the logit is clipped below exp's
+    # overflow at 709, so no warning is raised and eta, eta' stay finite
+    y = np.linspace(-60, 60, 241)
+    for s in (1e-3, 1.0, 100.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eta, deta = posterior_mean_scalar(BG_TINY, s, y)
+        assert np.isfinite(eta).all() and np.isfinite(deta).all()
 
 
 def _profile2():

@@ -180,10 +180,10 @@ def _sup_inf_objective(q, m, H):
     from scipy.optimize import brentq
 
     total = 0.25 * float(q @ H @ q)
-    for j, (prior, b, qj) in enumerate(zip(m.profile.priors, m.beta, q)):
+    for prior, b, qj in zip(m.profile.priors, m.beta, q):
         if qj > 0:
-            s = brentq(lambda s: b * m.psi_scalar(j, s) - qj, 0.0, 1e3, xtol=1e-14,
-                       rtol=4 * np.finfo(float).eps)
+            s = brentq(lambda s: b * se.overlap_psi_scalar(prior, s, m.quad_order) - qj,
+                       0.0, 1e3, xtol=1e-14, rtol=4 * np.finfo(float).eps)
             total += b * se.kl_channel(prior, s) - 0.5 * s * qj
     return total
 

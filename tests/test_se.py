@@ -153,12 +153,12 @@ def test_rademacher_panels_collapse_into_a_domain_error():
 
 
 def _log_term_psi_bg(s, eps, order):
-    # the BG psi before the responsibility was read as 1 / (1 + exp(c - b y^2)):
-    # the logistic of the two log mixture terms, at every node
+    # the BG psi with the oracle's responsibility, the logistic of the two
+    # log mixture terms at every node, in place of 1 / (1 + exp(c - b y^2))
     sig = np.sqrt(1.0 + s / eps)
 
     def integrand(y):
-        return np.square(y) * se._bg_responsibility(y, s, eps) * np.exp(np.square(y / sig) * -0.5)
+        return np.square(y) * oracles.bg_responsibility(y, s, eps) * np.exp(np.square(y / sig) * -0.5)
 
     v1, v2 = se._panel_sum(integrand, se._bg_breaks(s, eps), order)
     scale = eps * (s / (eps + s) ** 2) * 2.0 / (sig * np.sqrt(2.0 * np.pi))
@@ -172,6 +172,27 @@ def test_lean_bg_psi_matches_the_log_term_form():
             want = _log_term_psi_bg(s, eps, 61)
             for g, w in zip(got, want):
                 assert abs(g - w) <= 1e-15 * abs(w), (eps, s, g, w)
+
+
+def test_one_logit_bg_kl_matches_the_log_term_form():
+    # the BG log-density log(eps phi_sigma) + log(1 + exp(c - b y^2)) against
+    # the log-sum of the oracle's two mixture terms, on the same panels at
+    # both orders. Near p = phi the integrand p log(p / phi) cancels, so the
+    # forms differ by rounding of order 1e-16 (1 + s), not relative to D
+    # (which is about s^2 / 4 at small s); the largest gap was 2.0e-15
+    # max(1, D), and the bound is 1e-14 max(1, D)
+    log_norm = -0.5 * np.log(2.0 * np.pi)
+    for eps in (0.05, 0.5, 1.0):
+        prior = model.ScalarPrior.bernoulli_gaussian(eps)
+        for s in np.logspace(-6, 4, 81):
+            def integrand(y):
+                lp = log_norm + np.logaddexp(*oracles.bg_log_terms(y, s, eps))
+                return np.exp(lp) * (lp - (log_norm - np.square(y) * 0.5))
+
+            _, breaks = se._kl_integrand_panels(prior, s)
+            want = se._panel_sum(integrand, breaks, 80)
+            for g, w in zip(se._kl_once(prior, s, 80), want):
+                assert abs(g - 2.0 * w) <= 1e-14 * max(1.0, 2.0 * w), (eps, s, g, 2.0 * w)
 
 
 def test_one_integrand_call_per_overlap(monkeypatch):
