@@ -190,8 +190,8 @@ def test_one_logit_bg_kl_matches_the_log_term_form():
                 return np.exp(lp) * (lp - (log_norm - np.square(y) * 0.5))
 
             _, breaks = se._kl_integrand_panels(prior, s)
-            want = se._panel_sum(integrand, breaks, 80)
-            for g, w in zip(se._kl_once(prior, s, 80), want):
+            want = se._panel_sum(integrand, breaks, se._KL_ORDER)
+            for g, w in zip(se._kl_once(prior, s, se._KL_ORDER), want):
                 assert abs(g - 2.0 * w) <= 1e-14 * max(1.0, 2.0 * w), (eps, s, g, 2.0 * w)
 
 
