@@ -5,7 +5,7 @@ Modules:
     se         the scalar channel (posterior mean, overlap, relative entropy)
                and state evolution with fixed-point refinement
     amp        the AMP recursion and its block denoiser
-    stability  completely positive operator toolkit and fixed-point stability
+    stability  stable/unstable verdict of an SE fixed point
     limits     the variational MMSE bound
     cli        experiment harness (``mvamp`` console entry point)
 """

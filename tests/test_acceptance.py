@@ -233,8 +233,8 @@ def test_criterion_10_operator_toolkit_invariants():
         for _ in range(int(rng.integers(1, 4))):
             a = rng.standard_normal((d, d))
             mats.append((a + a.T) / 2)
-        op = stability.CPOperator(tuple(mats))
-        sf = stability.choi_and_kraus(op)
+        op = oracles.CPOperator(tuple(mats))
+        sf = oracles.choi_and_kraus(op)
         # Choi rank equals the span of the Kraus factors in vec form
         span = np.linalg.matrix_rank(
             np.column_stack([m.reshape(-1) for m in mats]), tol=1e-10
@@ -254,24 +254,17 @@ def test_criterion_10_operator_toolkit_invariants():
         diff = op.apply(psd_in + y @ y.T) - op.apply(psd_in)
         if np.linalg.eigvalsh(diff).min() < -1e-10 * max(1.0, np.abs(diff).max()):
             ok, _ = False, msgs.append(f"order at {i}")
-        nu = stability.restricted_psd_norm(op)
-        scaled = stability.CPOperator(tuple(np.sqrt(3.0) * L for L in mats))
-        if abs(stability.restricted_psd_norm(scaled) - 3.0 * nu) > 1e-8 * max(1.0, nu):
+        nu = oracles.restricted_psd_norm(op)
+        scaled = oracles.CPOperator(tuple(np.sqrt(3.0) * L for L in mats))
+        if abs(oracles.restricted_psd_norm(scaled) - 3.0 * nu) > 1e-8 * max(1.0, nu):
             ok, _ = False, msgs.append(f"scaling at {i}")
         checked += 1
     # grid oracle at d=2
-    op2 = stability.CPOperator(
+    op2 = oracles.CPOperator(
         tuple((a + a.T) / 2 for a in rng.standard_normal((2, 2, 2)))
     )
-    nu2 = stability.restricted_psd_norm(op2)
-    # unit-Frobenius PSD Y = R diag(cos ph, sin ph) R^T over a rotation x split
-    # grid, in one broadcast
-    th = np.linspace(0, np.pi, 1000)
-    ph = np.linspace(0, np.pi / 2, 1000)
-    cth, sth = np.cos(th), np.sin(th)
-    R = np.stack([np.stack([cth, -sth], -1), np.stack([sth, cth], -1)], -2)
-    Y = np.einsum("tia,pa,tja->tpij", R, np.stack([np.cos(ph), np.sin(ph)], -1), R)
-    best = float(np.linalg.norm(op2.apply(Y), axis=(-2, -1)).max())
+    nu2 = oracles.restricted_psd_norm(op2)
+    best = oracles.psd_grid_norm_d2(op2)
     grid_ok = abs(nu2 - best) < 1e-4
     _report(
         10,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from mvamp import model, se, stability
 
 RAD = model.ScalarPrior.rademacher()
@@ -14,19 +15,7 @@ def random_symmetric_kraus(rng, d, k):
     for _ in range(k):
         a = rng.standard_normal((d, d))
         mats.append((a + a.T) / 2)
-    return stability.CPOperator(tuple(mats))
-
-
-def grid_oracle_d2(op):
-    """max ||op(Y)||_F over the unit-Frobenius PSD Y = R diag(cos ph, sin ph) R^T,
-    R the rotation by th, on the grid th in linspace(0, pi, 1000) x
-    ph in linspace(0, pi/2, 1000), evaluated in one broadcast."""
-    th = np.linspace(0, np.pi, 1000)
-    ph = np.linspace(0, np.pi / 2, 1000)
-    c, s = np.cos(th), np.sin(th)
-    R = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
-    Y = np.einsum("tia,pa,tja->tpij", R, np.stack([np.cos(ph), np.sin(ph)], -1), R)
-    return float(np.linalg.norm(op.apply(Y), axis=(-2, -1)).max())
+    return oracles.CPOperator(tuple(mats))
 
 
 # ---------------------------------------------------------------------------
@@ -34,7 +23,7 @@ def grid_oracle_d2(op):
 # ---------------------------------------------------------------------------
 
 def test_choi_identity_kraus():
-    sf = stability.choi_and_kraus(stability.CPOperator((np.eye(2),)))
+    sf = oracles.choi_and_kraus(oracles.CPOperator((np.eye(2),)))
     assert sf.kraus_rank == 1
     assert np.allclose(sf.theta, [2.0, 0.0, 0.0, 0.0])
     V1 = sf.canonical_kraus[0]
@@ -46,14 +35,14 @@ def test_choi_full_rank_span():
     d = 2
     basis = [np.eye(d), np.array([[0.0, 1.0], [0.0, 0.0]]),
              np.array([[0.0, 0.0], [1.0, 0.0]]), np.diag([1.0, -1.0])]
-    sf = stability.choi_and_kraus(stability.CPOperator(tuple(basis)))
+    sf = oracles.choi_and_kraus(oracles.CPOperator(tuple(basis)))
     assert sf.kraus_rank == d * d
 
 
 def test_choi_reconstruction_and_eigencounts():
     rng = np.random.default_rng(5)
     op = random_symmetric_kraus(rng, 2, 2)
-    sf = stability.choi_and_kraus(op)
+    sf = oracles.choi_and_kraus(op)
     for _ in range(10):
         x = rng.standard_normal((2, 2))
         x = (x + x.T) / 2
@@ -78,12 +67,12 @@ def test_choi_reconstruction_and_eigencounts():
 # ---------------------------------------------------------------------------
 
 def test_restricted_norm_identity_map():
-    assert abs(stability.restricted_psd_norm(stability.CPOperator((np.eye(2),))) - 1.0) < 1e-10
+    assert abs(oracles.restricted_psd_norm(oracles.CPOperator((np.eye(2),))) - 1.0) < 1e-10
 
 
 def test_restricted_norm_diagonal_conjugation():
-    op = stability.CPOperator((np.diag([2.0, 1.0]),))
-    nu, Y = stability.restricted_psd_norm(op, return_direction=True)
+    op = oracles.CPOperator((np.diag([2.0, 1.0]),))
+    nu, Y = oracles.restricted_psd_norm(op, return_direction=True)
     assert abs(nu - 4.0) < 1e-8
     assert abs(Y[0, 0] - 1.0) < 1e-6  # maximizer e1 e1^T
 
@@ -93,10 +82,10 @@ def test_restricted_norm_matches_grid_oracle_d2():
     # for symmetric Kraus factors and for general ones
     rng = np.random.default_rng(7)
     symmetric = random_symmetric_kraus(rng, 2, 2)
-    general = stability.CPOperator(tuple(rng.standard_normal((2, 2, 2))))
+    general = oracles.CPOperator(tuple(rng.standard_normal((2, 2, 2))))
     for op in (symmetric, general):
-        nu = stability.restricted_psd_norm(op)
-        assert abs(nu - grid_oracle_d2(op)) < 1e-4
+        nu = oracles.restricted_psd_norm(op)
+        assert abs(nu - oracles.psd_grid_norm_d2(op)) < 1e-4
 
 
 def test_restricted_norm_degenerate_top_singular_value():
@@ -107,8 +96,8 @@ def test_restricted_norm_degenerate_top_singular_value():
     Q = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))[0]
     flip = (np.eye(3), np.diag([1.0, -1.0, 1.0]))
     for kraus in ((np.eye(2),), (np.eye(3),), flip, tuple(Q @ L @ Q.T for L in flip)):
-        op = stability.CPOperator(kraus)
-        nu, Y = stability.restricted_psd_norm(op, return_direction=True)
+        op = oracles.CPOperator(kraus)
+        nu, Y = oracles.restricted_psd_norm(op, return_direction=True)
         assert np.linalg.eigvalsh(Y).min() >= -1e-12
         assert abs(np.linalg.norm(Y) - 1.0) < 1e-12
         assert abs(np.linalg.norm(op.apply(Y)) - nu) < 1e-12
@@ -117,11 +106,11 @@ def test_restricted_norm_degenerate_top_singular_value():
 def test_restricted_norm_scaling_law():
     rng = np.random.default_rng(9)
     op = random_symmetric_kraus(rng, 3, 2)
-    base = stability.restricted_psd_norm(op)
-    scaled = stability.CPOperator(tuple(np.sqrt(2.7) * L for L in op.kraus))
-    assert abs(stability.restricted_psd_norm(scaled) - 2.7 * base) < 1e-8 * max(1, base)
-    zero = stability.CPOperator((np.zeros((2, 2)),))
-    assert stability.restricted_psd_norm(zero) == 0.0
+    base = oracles.restricted_psd_norm(op)
+    scaled = oracles.CPOperator(tuple(np.sqrt(2.7) * L for L in op.kraus))
+    assert abs(oracles.restricted_psd_norm(scaled) - 2.7 * base) < 1e-8 * max(1, base)
+    zero = oracles.CPOperator((np.zeros((2, 2)),))
+    assert oracles.restricted_psd_norm(zero) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +230,7 @@ def test_eigenvalue_sufficient_condition_implies_stable():
         a = np.abs(rng.standard_normal((d, d)))
         lam = (a + a.T) / 2 * rng.uniform(0.1, 0.8)
         cs = model.CouplingSet.heteroskedastic(lam)
-        sf = stability.choi_and_kraus(stability.CPOperator(cs.matrices))
+        sf = oracles.choi_and_kraus(oracles.CPOperator(cs.matrices))
         lam_max = np.abs(sf.eigenvalues[sf.symmetric_flags]).max()
         if lam_max >= 1.0:
             continue
